@@ -57,6 +57,7 @@ def main(argv=None) -> int:
         config.require_seed()
         if config.resolved_trials() < 1:
             raise ConfigError("trials must be positive")
+        config.validate()
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         checks = _run(config, out, args.check)

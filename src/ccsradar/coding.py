@@ -53,6 +53,9 @@ class CodeConfig:
             raise ValueError("polar codeword length must be a power of two")
         if self.kind == "ldpc" and self.n_code_bits == self.n_msg_bits:
             raise ValueError("ldpc needs at least one parity bit")
+        if self.kind == "ldpc" and self.n_code_bits - self.n_msg_bits > math.comb(
+                self.n_msg_bits, min(_LDPC_ROW_WEIGHT, self.n_msg_bits)):
+            raise ValueError("ldpc rate too low for distinct parity checks")
 
     @property
     def rate(self) -> float:
@@ -80,7 +83,8 @@ class Permutation:
             raise ValueError("prefix positions must be fixed")
 
     def apply(self, bits: np.ndarray) -> np.ndarray:
-        return np.asarray(bits)[..., self.table]
+        # np.take keeps a batch C-ordered; x[..., table] would return it F-ordered
+        return np.take(np.asarray(bits), self.table, axis=-1)
 
     def inverse(self) -> "Permutation":
         inv = np.argsort(self.table)
@@ -196,7 +200,7 @@ def _encode_polar_systematic(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
     # Two transforms with a mask in between give the codeword x with
     # x[info] = msg and frozen transform-domain inputs zero; subset closure of
     # the info set makes the masked double transform exact.  The systematic
-    # form then lists the info positions first.
+    # form then lists the info positions first (np.take keeps it C-ordered).
     info = np.array(polar_info_set(config.n_code_bits, config.n_msg_bits))
     comp = np.setdiff1d(np.arange(config.n_code_bits), info)
     u = np.zeros(msg.shape[:-1] + (config.n_code_bits,), dtype=np.uint8)
@@ -204,7 +208,7 @@ def _encode_polar_systematic(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
     y = _polar_transform(u)
     y[..., comp] = 0
     x = _polar_transform(y)
-    return np.concatenate([x[..., info], x[..., comp]], axis=-1)
+    return np.take(x, np.concatenate([info, comp]), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +224,7 @@ def _ldpc_tables(n_code_bits: int, n_msg_bits: int, construction_seed: int):
     and the matrix is full rank by the identity block.
     """
     m = n_code_bits - n_msg_bits
-    w = min(_LDPC_ROW_WEIGHT, n_msg_bits)
-    if math.comb(n_msg_bits, w) < m:
-        raise ValueError("code rate too low for distinct parity checks")
+    w = min(_LDPC_ROW_WEIGHT, n_msg_bits)  # CodeConfig ensures comb(n_msg_bits, w) >= m
     rng = as_rng(np.random.SeedSequence((construction_seed, n_code_bits, n_msg_bits)))
     a = np.zeros((m, n_msg_bits), dtype=np.uint8)
     seen, r = set(), 0

@@ -138,6 +138,47 @@ class ExperimentConfig:
                           interleaver_seed=interleaver_seed,
                           construction_seed=self.code_seed)
 
+    def nearfar_code_kind(self) -> str:
+        """Code of the near-far c.c.s: polar if listed, else the first coded kind."""
+        coded = [c for c in self.codes if c != "uncoded"]
+        if "polar" in coded:
+            return "polar"
+        return coded[0] if coded else "uncoded"
+
+    def validate(self) -> None:
+        """Raise ConfigError when the experiment self.kind names could not run.
+
+        Checks every code the experiment builds (known kind and modulation, polar
+        lengths a power of two, whole message bit counts) and, for the
+        near-far scene, n_max < n_fast and every range and Doppler bin inside
+        [0, n_max] and [1, m_slow].
+        """
+        if self.kind == "nearfar":
+            if not 0 <= self.n_max < self.n_fast:
+                raise ConfigError(f"n_max = {self.n_max} must lie in [0, n_fast = {self.n_fast})")
+            for name in ("near", "far", "intf"):
+                rbin = getattr(self, f"{name}_range_bin")
+                dbin = getattr(self, f"{name}_doppler_bin")
+                if not 0 <= rbin <= self.n_max:
+                    raise ConfigError(
+                        f"{name}_range_bin = {rbin} outside [0, n_max = {self.n_max}]")
+                if not 1 <= dbin <= self.m_slow:
+                    raise ConfigError(
+                        f"{name}_doppler_bin = {dbin} outside [1, m_slow = {self.m_slow}]")
+            combos = [(self.nearfar_code_kind(), self.rates[0], self.n_fast)]
+        elif self.kind == "bounds":
+            combos = [("polar", self.rates[0], n) for n in self.bounds_n_list]
+        elif self.kind in ("pslr", "suppress", "interleave"):
+            combos = [(code, rate, n) for code in self.codes if code != "uncoded"
+                      for rate in self.rates for n in self.n_list]
+        else:
+            combos = []
+        for code, (num, den, mod), n in combos:
+            try:
+                self.code_config(code, num, den, n, mod)
+            except ValueError as exc:  # ConfigError included: it is a ValueError
+                raise ConfigError(f"{code} {num:g}/{den}:{mod} at N = {n}: {exc}") from exc
+
     def u_grid(self) -> np.ndarray:
         if not (0 < self.u_min < self.u_max and self.u_points >= 2):
             raise ConfigError("bad u grid")
@@ -151,7 +192,11 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
+        """Hash of what the experiment computes.  out_dir only says where the
+        results go, so it is reset to its default first: one experiment
+        written to two directories records one hash."""
+        text = replace(self, out_dir=ExperimentConfig.out_dir).canonical_text()
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 _SCHEMA = {

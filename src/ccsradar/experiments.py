@@ -280,13 +280,6 @@ def run_tail_bound_check(config: ExperimentConfig) -> ResultTable:
 # ---------------------------------------------------------------------------
 # near-far study
 
-def _nearfar_code_kind(config: ExperimentConfig) -> str:
-    coded = [c for c in config.codes if c != "uncoded"]
-    if "polar" in coded:
-        return "polar"
-    return coded[0] if coded else "uncoded"
-
-
 def run_near_far(config: ExperimentConfig, dump_dir=None):
     """Monte Carlo of the two-target scene with one interfering radar.
 
@@ -300,7 +293,7 @@ def run_near_far(config: ExperimentConfig, dump_dir=None):
     trials = config.resolved_trials()
     n, m_slow = config.n_fast, config.m_slow
     num, den, mod = config.rates[0]
-    kind = _nearfar_code_kind(config)
+    kind = config.nearfar_code_kind()
     const = constellation(mod)
     scene_i = config.scene(with_interference=True)
     scene_n = config.scene(with_interference=False)

@@ -71,9 +71,12 @@ def map_bits(bits: np.ndarray, const: Constellation) -> np.ndarray:
     m = const.bits_per_symbol
     if bits.shape[-1] % m:
         raise ValueError(f"bit count {bits.shape[-1]} not divisible by {m}")
-    groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // m, m))
+    # labels = sum_t bit_t * 2^(m-1-t), one strided pass per bit position: a
+    # length-m reduction over the last axis is slow on C-ordered batches
     weights = 1 << np.arange(m - 1, -1, -1)
-    labels = (groups * weights).sum(axis=-1)
+    labels = bits[..., 0::m] * weights[0]
+    for t in range(1, m):
+        labels += bits[..., t::m] * weights[t]
     return const.points[labels]
 
 

@@ -8,7 +8,6 @@ bin M (stationary) stored in column 0, matching the slow-time DFT index.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +41,18 @@ class RangeDopplerMap:
         return self.values[range_bin, doppler_bin % self.n_slow]
 
     def export_csv(self, path) -> None:
-        """Rows (l, nu, abs_db); magnitudes are clipped at -400 dB."""
+        """Rows (l, nu, abs_db); magnitudes are clipped at -400 dB.
+
+        The text is what csv.writer's default dialect writes for these rows
+        (no field needs quoting, rows end in CRLF), built in one join.
+        """
+        mags = 20.0 * np.log10(np.maximum(np.abs(self.values), _DB_FLOOR))
+        nus = [col if col else self.n_slow for col in range(self.n_slow)]
+        text = ["l,nu,abs_db\r\n"]
+        for l, row in enumerate(mags.tolist()):
+            text.extend(f"{l},{nu},{v:.6f}\r\n" for nu, v in zip(nus, row))
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["l", "nu", "abs_db"])
-            mags = 20.0 * np.log10(np.maximum(np.abs(self.values), _DB_FLOOR))
-            for l in range(self.values.shape[0]):
-                for col in range(self.n_slow):
-                    nu = col if col else self.n_slow
-                    w.writerow([l, nu, f"{mags[l, col]:.6f}"])
+            fh.write("".join(text))
 
     def export_binary(self, path) -> None:
         """Same container as frame dumps: header dims are (M, n_max + 1)."""

@@ -131,9 +131,17 @@ def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
         raise ValueError("noise variance must be nonnegative")
     if noise_var == 0:
         return np.array(x, copy=True)
+    # Same draws and arithmetic as x + sqrt(v/2) * (a + 1j*b), one plane at a
+    # time into one output: draw a, scale it, add x.real; then b and x.imag.
     gen = as_rng(rng)
-    w = gen.standard_normal(x.shape) + 1j * gen.standard_normal(x.shape)
-    return x + np.sqrt(noise_var / 2.0) * w
+    scale = np.sqrt(noise_var / 2.0)
+    out = np.empty(x.shape, dtype=np.result_type(x.dtype, np.complex128))
+    draw = np.empty(x.shape)
+    for x_part, out_part in ((x.real, out.real), (x.imag, out.imag)):
+        gen.standard_normal(out=draw)
+        draw *= scale
+        np.add(x_part, draw, out=out_part)
+    return out
 
 
 def _doppler_phase(m_slow: int, doppler_bin: int) -> np.ndarray:
@@ -161,11 +169,14 @@ def apply_channel_sc(frames, scene: TargetScene, rng=None) -> np.ndarray:
     mats = _gather_frames(frames, scene)
     m_slow, n_fast = mats[0].shape
     y = np.zeros((m_slow, n_fast + scene.n_max), dtype=np.complex128)
+    echo = np.empty((m_slow, n_fast), dtype=np.complex128)
     per_radar = [scene.targets] + [tuple(p) for p in scene.interference]
     for mat, paths in zip(mats, per_radar):
         for p in paths:
-            phase = _doppler_phase(m_slow, p.doppler_bin)
-            y[:, p.range_bin:p.range_bin + n_fast] += p.gain * mat * phase[:, None]
+            # gain * mat * phase in that order, so the sum is unchanged bit for bit
+            np.multiply(p.gain, mat, out=echo)
+            echo *= _doppler_phase(m_slow, p.doppler_bin)[:, None]
+            y[:, p.range_bin:p.range_bin + n_fast] += echo
     return awgn(y, scene.noise_var, rng)
 
 
@@ -180,12 +191,15 @@ def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> np.ndarray:
     m_slow, n_fast = mats[0].shape
     k = np.arange(n_fast)
     y = np.zeros((m_slow, n_fast), dtype=np.complex128)
+    echo = np.empty((m_slow, n_fast), dtype=np.complex128)
     per_radar = [scene.targets] + [tuple(p) for p in scene.interference]
     for mat, paths in zip(mats, per_radar):
         for p in paths:
-            ramp = np.exp(-2j * np.pi * p.range_bin * k / n_fast)
-            phase = _doppler_phase(m_slow, p.doppler_bin)
-            y += p.gain * mat * ramp[None, :] * phase[:, None]
+            # gain * mat * ramp * phase in that order, so the sum is unchanged bit for bit
+            np.multiply(p.gain, mat, out=echo)
+            echo *= np.exp(-2j * np.pi * p.range_bin * k / n_fast)[None, :]
+            echo *= _doppler_phase(m_slow, p.doppler_bin)[:, None]
+            y += echo
     return awgn(y, scene.noise_var, rng)
 
 

@@ -176,6 +176,22 @@ def test_interleave_codeword_permutes_parity_only():
     assert sorted(mixed[8:].tolist()) == sorted(cw[8:].tolist())
 
 
+@pytest.mark.parametrize("interleave", [True, False])
+@pytest.mark.parametrize("kind,n_code,n_msg", [("uncoded", 64, 64), ("repetition", 64, 16),
+                                               ("polar", 64, 20), ("ldpc", 64, 40)])
+def test_batch_codewords_are_c_contiguous(kind, n_code, n_msg, interleave):
+    # row-major batches keep the mapper, channel and matched filter on unit
+    # stride; last-axis fancy indexing would hand them Fortran order
+    cfg = CodeConfig(kind=kind, n_code_bits=n_code, n_msg_bits=n_msg,
+                     interleave=interleave, interleaver_seed=5)
+    msgs = np.random.default_rng(1).integers(0, 2, size=(8, n_msg), dtype=np.uint8)
+    cw = encode(msgs, cfg)
+    mixed = interleave_codeword(cw, cfg)
+    assert cw.flags.c_contiguous and mixed.flags.c_contiguous
+    assert np.array_equal(mixed, cw[:, make_interleaver(n_code, n_msg, 5).table]
+                          if interleave else cw)
+
+
 def test_interleaver_draws_are_uniform_over_seeds():
     # gamma=2, K=4 repetition: the parity half has 4! = 24 permutations;
     # chi-square over 20000 seeds should sit near its df = 23 mean
@@ -265,6 +281,9 @@ def test_code_config_validation():
         CodeConfig(kind="uncoded", n_code_bits=8, n_msg_bits=4)
     with pytest.raises(ValueError):
         CodeConfig(kind="nope", n_code_bits=8, n_msg_bits=8)
+    with pytest.raises(ValueError, match="rate too low"):
+        CodeConfig(kind="ldpc", n_code_bits=9, n_msg_bits=4)  # 5 checks, C(4, 3) = 4 supports
+    CodeConfig(kind="ldpc", n_code_bits=8, n_msg_bits=4)  # exactly C(4, 3) = 4 checks
     with pytest.raises(ValueError):
         Permutation(table=np.array([0, 0, 1]), n_fixed=1)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from ccsradar import cli, experiments
 from ccsradar.config import (ConfigError, ExperimentConfig, ResultTable,
                              doppler_bin_for_speed, load_config,
                              range_bin_for_distance, result_meta)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # -- INI loading --------------------------------------------------------------
@@ -168,6 +171,60 @@ def test_canonical_text_and_hash():
     assert h != ExperimentConfig(kind="pslr", seed=1, n_fast=512).config_hash()
 
 
+def test_config_hash_ignores_out_dir():
+    # where results go is not part of what they are
+    a = ExperimentConfig(kind="nearfar", seed=0, out_dir="out/a")
+    b = ExperimentConfig(kind="nearfar", seed=0, out_dir="elsewhere/b")
+    assert a.config_hash() == b.config_hash() == ExperimentConfig(
+        kind="nearfar", seed=0).config_hash()
+    assert "out_dir = 'out/a'" in a.canonical_text()
+    assert a.config_hash() != ExperimentConfig(kind="nearfar", seed=1,
+                                               out_dir="out/a").config_hash()
+    assert a.config_hash() != ExperimentConfig(kind="nearfar", seed=0, n_fast=512,
+                                               out_dir="out/a").config_hash()
+
+
+def test_cli_config_hash_same_across_out_dirs(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL_PSLR_INI)
+    hashes = []
+    for name in ("a", "b"):
+        assert cli.main(["pslr", "--config", str(cfg), "--seed", "5",
+                         "--out", str(tmp_path / name)]) == 0
+        text = (tmp_path / name / "pslr_sweep.csv").read_text(encoding="utf-8")
+        hashes += [l for l in text.splitlines() if l.startswith("# config_hash:")]
+    capsys.readouterr()
+    assert len(hashes) == 2 and hashes[0] == hashes[1]
+
+
+# -- validation -----------------------------------------------------------------
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"kind": "pslr", "n_list": (256, 384), "codes": ("polar",)}, "power of two"),
+    ({"kind": "bounds", "bounds_n_list": (768,)}, "power of two"),
+    ({"kind": "pslr", "codes": ("ldpc",), "n_list": (100,)}, "fractional bit count"),
+    ({"kind": "interleave", "codes": ("ldpc",), "rates": ((8.0, 1024, "qpsk"),),
+      "n_list": (256,)}, "ldpc rate too low"),
+    ({"kind": "suppress", "codes": ("turbo",)}, "unknown code kind"),
+    ({"kind": "nearfar", "rates": ((1.0, 1, "8psk"),)}, "unknown constellation"),
+    ({"kind": "nearfar", "n_max": 2000}, "n_max = 2000"),
+    ({"kind": "nearfar", "n_max": 1024}, "n_max = 1024"),
+    ({"kind": "nearfar", "n_max": 20}, "far_range_bin = 27 outside"),
+    ({"kind": "nearfar", "intf_range_bin": -1}, "intf_range_bin = -1 outside"),
+    ({"kind": "nearfar", "near_doppler_bin": 0}, "near_doppler_bin = 0 outside"),
+    ({"kind": "nearfar", "m_slow": 512}, "near_doppler_bin = 516 outside"),
+])
+def test_validate_rejects(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(seed=0, **overrides).validate()
+
+
+def test_validate_accepts_reference_configs():
+    for name in ("pslr", "suppress", "interleave", "bounds", "nearfar"):
+        load_config(CONFIGS / f"{name}.ini").validate()
+    # the scene is only checked where it is used
+    ExperimentConfig(kind="pslr", n_max=5000, m_slow=16).validate()
+
+
 # -- result tables ------------------------------------------------------------
 
 def test_result_table_csv(tmp_path):
@@ -280,6 +337,29 @@ def test_cli_rejects_nonpositive_trials(tmp_path, capsys):
                    "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "trials" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_power_of_two_polar(tmp_path, capsys):
+    cfg = _write(tmp_path, "[signal]\nn_list = 384\ncodes = polar\n")
+    out = tmp_path / "o"
+    rc = cli.main(["pslr", "--config", str(cfg), "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "power of two" in err and "N = 384" in err
+    assert not out.exists()  # rejected before any work
+
+
+def test_cli_rejects_nearfar_n_max_beyond_block(tmp_path, capsys):
+    text = (CONFIGS / "nearfar.ini").read_text(encoding="utf-8")
+    assert "n_max = 32\n" in text
+    cfg = _write(tmp_path, text.replace("n_max = 32\n", "n_max = 2000\n"))
+    out = tmp_path / "o"
+    rc = cli.main(["nearfar", "--config", str(cfg), "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "n_max = 2000" in err
+    assert not out.exists()
 
 
 def test_cli_pslr_run_writes_csv(tmp_path, capsys):

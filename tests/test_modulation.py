@@ -98,6 +98,17 @@ def test_map_bits_shape_and_batch():
         assert np.array_equal(batch[k], map_bits(bits[k], const))
 
 
+@pytest.mark.parametrize("name,m", [("bpsk", 1), ("qpsk", 2), ("16qam", 4), ("256qam", 8)])
+def test_map_bits_matches_label_reference_in_either_memory_order(name, m):
+    const = constellation(name)
+    bits = np.random.default_rng(m).integers(0, 2, size=(5, 6 * m), dtype=np.uint8)
+    labels = [[int("".join(map(str, row[j:j + m])), 2) for j in range(0, row.size, m)]
+              for row in bits]
+    want = const.points[np.array(labels)]
+    for x in (bits, np.asfortranarray(bits)):
+        assert map_bits(x, const).tobytes() == want.tobytes()
+
+
 def test_block_systematic_prefix_qpsk():
     code = CodeConfig(kind="polar", n_code_bits=512, n_msg_bits=60)
     const = constellation("qpsk")
@@ -176,3 +187,13 @@ def test_interleaved_symbol_covariance_vanishes(n_symbols):
             acc[p] += np.sum(sym[:, i] * np.conj(sym[:, j]))
     est = acc / trials
     assert np.all(np.abs(est) <= 3.0 / np.sqrt(trials))
+
+
+@pytest.mark.parametrize("interleave", [True, False])
+@pytest.mark.parametrize("kind,n_msg", [("uncoded", 64), ("repetition", 32),
+                                        ("polar", 20), ("ldpc", 40)])
+def test_blocks_batch_is_c_contiguous(kind, n_msg, interleave):
+    code = CodeConfig(kind=kind, n_code_bits=64, n_msg_bits=n_msg, interleave=interleave)
+    syms = generate_ccs_blocks(32, code, constellation("qpsk"), 16,
+                               np.random.default_rng(2))
+    assert syms.shape == (16, 32) and syms.flags.c_contiguous

@@ -1,5 +1,7 @@
 """Receive chains against brute-force oracles and exactness properties."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,17 @@ def test_mf_bank_matches_direct_sum():
     got = mf_bank(y, x, 6)
     want = _direct_mf(y, x, 6)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_mf_bank_matches_direct_sum_in_either_memory_order():
+    x = _blocks(6, 24, seed=5)
+    scene = _scene([Path(1, 2, 0.7), Path(4, 5, 0.2 + 0.3j)], noise_var=0.1, n_max=5)
+    y = apply_channel_sc([x], scene, np.random.default_rng(6))
+    want = _direct_mf(y, x, 5)
+    outs = [mf_bank(np.asarray(y, order=o), np.asarray(x, order=o), 5) for o in "CF"]
+    for got in outs:
+        assert np.max(np.abs(got - want)) < 1e-12
+    assert outs[0].tobytes() == outs[1].tobytes()
 
 
 def test_mf_bank_identity_peak():
@@ -303,6 +316,25 @@ def test_map_csv_export(tmp_path):
     assert table[(0, 4)] == pytest.approx(0.0, abs=1e-9)
     assert table[(1, 2)] == pytest.approx(-20.0, abs=1e-6)
     assert table[(1, 1)] == pytest.approx(-400.0, abs=1e-6)
+
+
+def test_map_csv_export_matches_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    vals[1, 0] = 0.0  # exact zero: clipped at -400 dB
+    vals[2, 3] = 1e-30j
+    rd = RangeDopplerMap(values=vals, waveform="sc", normalization="test")
+    rd.export_csv(tmp_path / "map.csv")
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["l", "nu", "abs_db"])
+        mags = 20.0 * np.log10(np.maximum(np.abs(vals), 1e-20))
+        for l in range(3):
+            for col in range(5):
+                w.writerow([l, col if col else 5, f"{mags[l, col]:.6f}"])
+    got = (tmp_path / "map.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert b"1,5,-400.000000\r\n" in got and b"2,3,-400.000000\r\n" in got
 
 
 def test_map_binary_export(tmp_path):

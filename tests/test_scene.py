@@ -1,5 +1,6 @@
 """Frame synthesis, channel application, noise, and the binary frame format."""
 
+import copy
 import struct
 
 import numpy as np
@@ -222,6 +223,56 @@ def test_ofdm_channel_additive_in_targets():
 
 
 # ----------------------------------------------------------------- noise
+
+
+def _reference_awgn(x, noise_var, rng):
+    w = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    return x + np.sqrt(noise_var / 2.0) * w
+
+
+def _reference_channel(mats, scene, rng, ofdm):
+    # one plain sum per path, then the noise, as the channel model reads
+    m_slow, n_fast = mats[0].shape
+    width = n_fast if ofdm else n_fast + scene.n_max
+    y = np.zeros((m_slow, width), dtype=np.complex128)
+    k = np.arange(n_fast)
+    for mat, paths in zip(mats, [scene.targets] + list(scene.interference)):
+        for p in paths:
+            phase = np.exp(2j * np.pi * p.doppler_bin * np.arange(m_slow) / m_slow)
+            if ofdm:
+                ramp = np.exp(-2j * np.pi * p.range_bin * k / n_fast)
+                y += p.gain * mat * ramp[None, :] * phase[:, None]
+            else:
+                y[:, p.range_bin:p.range_bin + n_fast] += p.gain * mat * phase[:, None]
+    return _reference_awgn(y, scene.noise_var, rng) if scene.noise_var else y
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("ofdm", [False, True])
+@pytest.mark.parametrize("noise_var", [0.0, 0.7])
+def test_channel_matches_per_path_reference_bytes(order, ofdm, noise_var):
+    own = np.asarray(_blocks(16, 32, seed=3), order=order)
+    other = np.asarray(_blocks(16, 32, seed=4), order=order)
+    scene = _scene([Path(2, 3, 0.9), Path(5, 16, 0.25 - 0.1j)],
+                   interference=[(Path(6, 7, 3.5),)], noise_var=noise_var, n_max=6)
+    rng = np.random.default_rng(8)
+    want = _reference_channel([own, other], scene, copy.deepcopy(rng), ofdm)
+    channel = apply_channel_ofdm if ofdm else apply_channel_sc
+    got = channel([own, other], scene, rng)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x", [np.zeros((3, 5), dtype=complex),
+                               np.arange(12.0).reshape(3, 4),
+                               np.asfortranarray(_blocks(6, 8, seed=9))])
+def test_awgn_matches_reference_bytes(x):
+    rng = np.random.default_rng(77)
+    twin = copy.deepcopy(rng)
+    got = awgn(x, 0.3, rng)
+    want = _reference_awgn(x, 0.3, twin)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert rng.random() == twin.random()  # same number of draws consumed
 
 
 def test_awgn_zero_variance_is_copy():
