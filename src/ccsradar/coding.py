@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._gf2 import gf2_matmul
 from ._rng import as_rng
 
 CODE_KINDS = ("uncoded", "repetition", "polar", "ldpc")
@@ -145,20 +144,64 @@ def repetition_bit_correlation(i: int, j: int, n_msg_bits: int, gamma: int,
 # ---------------------------------------------------------------------------
 # polar
 
-def _polar_transform(bits: np.ndarray) -> np.ndarray:
-    """Kronecker-power transform of the lower-triangular 2x2 kernel, last axis."""
-    x = np.array(bits, dtype=np.uint8, copy=True)
-    n = x.shape[-1]
-    if n & (n - 1):
-        raise ValueError("length must be a power of two")
-    lead = x.shape[:-1]
-    flat = x.reshape(-1, n)
+# Bit i of a packed row is bit i % 64 of little-endian word i // 64.  Stage h
+# XORs bit i ^ h into bit i for every i with i & h set; below 64 that is a
+# masked shift inside each word, from 64 on a XOR of whole words.
+_WORD = np.dtype("<u8")
+_STAGE_MASKS = tuple((h, np.uint64(sum(1 << i for i in range(64) if not i & h)))
+                     for h in (1, 2, 4, 8, 16, 32))
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """{0, 1} bits along the last axis as 64-bit words, zero-padded to one word."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1, bitorder="little")
+    if packed.shape[-1] < _WORD.itemsize:
+        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1)
+                        + [(0, _WORD.itemsize - packed.shape[-1])])
+    return packed.view(_WORD)
+
+
+def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
+
+
+def _polar_transform_words(words: np.ndarray, n: int) -> None:
+    """In-place polar transform of packed length-n rows; words must be
+    C-contiguous, as _pack_bits returns them, so the reshapes below are views."""
+    scratch = np.empty_like(words)
+    for h, mask in _STAGE_MASKS:
+        if h >= n:
+            return
+        np.bitwise_and(words, mask, out=scratch)
+        scratch <<= h
+        words ^= scratch
     h = 1
-    while h < n:
-        v = flat.reshape(-1, n // (2 * h), 2, h)
+    while 64 * h < n:
+        v = words.reshape(-1, n // (128 * h), 2, h)
         v[:, :, 1, :] ^= v[:, :, 0, :]
         h *= 2
-    return flat.reshape(*lead, n)
+
+
+def _polar_transform(bits: np.ndarray) -> np.ndarray:
+    """Kronecker-power transform of the lower-triangular 2x2 kernel, last axis."""
+    n = np.shape(bits)[-1]
+    if n & (n - 1):
+        raise ValueError("length must be a power of two")
+    words = _pack_bits(bits)
+    _polar_transform_words(words, n)
+    return _unpack_bits(words, n)
+
+
+def _subset_closed(info: np.ndarray, n: int) -> bool:
+    """Whether clearing any set bit of any index in info stays inside info."""
+    member = np.zeros(n, dtype=bool)
+    member[info] = True
+    b = 1
+    while b < n:
+        if not member[info[info & b != 0] ^ b].all():
+            return False
+        b <<= 1
+    return True
 
 
 @lru_cache(maxsize=32)
@@ -172,14 +215,8 @@ def polar_info_set(n_code_bits: int, n_msg_bits: int) -> tuple[int, ...]:
         z = np.concatenate([z * z, 2.0 * z - z * z])
     order = np.argsort(z, kind="stable")
     info = np.sort(order[:n_msg_bits])
-    member = np.zeros(n_code_bits, dtype=bool)
-    member[info] = True
-    for j in info:
-        b = 1
-        while b <= j:
-            if (j & b) and not member[j ^ b]:
-                raise AssertionError("info set is not subset-closed")
-            b <<= 1
+    if not _subset_closed(info, n_code_bits):
+        raise AssertionError("info set is not subset-closed")
     return tuple(int(v) for v in info)
 
 
@@ -199,51 +236,62 @@ def encode_polar(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
 def _encode_polar_systematic(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
     # Two transforms with a mask in between give the codeword x with
     # x[info] = msg and frozen transform-domain inputs zero; subset closure of
-    # the info set makes the masked double transform exact.  The systematic
-    # form then lists the info positions first (np.take keeps it C-ordered).
-    info = np.array(polar_info_set(config.n_code_bits, config.n_msg_bits))
-    comp = np.setdiff1d(np.arange(config.n_code_bits), info)
-    u = np.zeros(msg.shape[:-1] + (config.n_code_bits,), dtype=np.uint8)
-    u[..., info] = msg
-    y = _polar_transform(u)
-    y[..., comp] = 0
-    x = _polar_transform(y)
-    return np.take(x, np.concatenate([info, comp]), axis=-1)
+    # the info set makes the masked double transform exact.  Both transforms
+    # and both masks act on packed words: u is gathered with msg[0] in the
+    # frozen slots, which the first mask clears.  The systematic form then
+    # lists the info positions first (np.take keeps it C-ordered).
+    n = config.n_code_bits
+    info = np.array(polar_info_set(n, config.n_msg_bits))
+    member = np.zeros(n, dtype=bool)
+    member[info] = True
+    slot = np.zeros(n, dtype=np.intp)
+    slot[info] = np.arange(info.size)
+    info_mask = _pack_bits(member)
+    words = _pack_bits(np.take(msg, slot, axis=-1))
+    words &= info_mask
+    _polar_transform_words(words, n)
+    words &= info_mask
+    _polar_transform_words(words, n)
+    order = np.concatenate([info, np.flatnonzero(~member)])
+    return np.take(_unpack_bits(words, n), order, axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # ldpc
 
 @lru_cache(maxsize=8)
-def _ldpc_tables(n_code_bits: int, n_msg_bits: int, construction_seed: int):
-    """Systematic parity-check [A | I] and parity map A^T, seeded.
+def _ldpc_tables(n_code_bits: int, n_msg_bits: int, construction_seed: int) -> np.ndarray:
+    """Check supports of the systematic parity-check [A | I], seeded.
 
     Row-regular Gallager-style construction: every check involves
     _LDPC_ROW_WEIGHT distinct message bits plus its own parity bit, and all
     check supports are distinct, so no parity bit is constant or duplicated
-    and the matrix is full rank by the identity block.
+    and the matrix is full rank by the identity block.  Returns the (w, m)
+    table whose column r lists the message bits of check r.
     """
     m = n_code_bits - n_msg_bits
     w = min(_LDPC_ROW_WEIGHT, n_msg_bits)  # CodeConfig ensures comb(n_msg_bits, w) >= m
     rng = as_rng(np.random.SeedSequence((construction_seed, n_code_bits, n_msg_bits)))
-    a = np.zeros((m, n_msg_bits), dtype=np.uint8)
-    seen, r = set(), 0
-    while r < m:
+    supports, seen = [], set()
+    while len(supports) < m:
         support = tuple(sorted(rng.choice(n_msg_bits, size=w, replace=False).tolist()))
         if support in seen:
             continue
         seen.add(support)
-        a[r, support] = 1
-        r += 1
-    h_sys = np.concatenate([a, np.eye(m, dtype=np.uint8)], axis=1)
-    return h_sys, np.ascontiguousarray(a.T)
+        supports.append(support)
+    return np.ascontiguousarray(np.array(supports, dtype=np.intp).T)
 
 
 def parity_check_matrix(config: CodeConfig) -> np.ndarray:
     """The [A | I] parity-check matrix the systematic ldpc encoder satisfies."""
     if config.kind != "ldpc":
         raise ValueError("config is not an ldpc code")
-    return _ldpc_tables(config.n_code_bits, config.n_msg_bits, config.construction_seed)[0].copy()
+    support = _ldpc_tables(config.n_code_bits, config.n_msg_bits, config.construction_seed)
+    m = support.shape[1]
+    h_sys = np.zeros((m, config.n_code_bits), dtype=np.uint8)
+    h_sys[np.arange(m), support] = 1
+    h_sys[np.arange(m), config.n_msg_bits + np.arange(m)] = 1
+    return h_sys
 
 
 def encode_ldpc(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
@@ -253,8 +301,12 @@ def encode_ldpc(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
     msg = np.asarray(msg, dtype=np.uint8)
     if msg.shape[-1] != config.n_msg_bits:
         raise ValueError("message length mismatch")
-    _, parity_map = _ldpc_tables(config.n_code_bits, config.n_msg_bits, config.construction_seed)
-    return np.concatenate([msg, gf2_matmul(msg, parity_map)], axis=-1)
+    support = _ldpc_tables(config.n_code_bits, config.n_msg_bits, config.construction_seed)
+    # parity bit r is the XOR of the message bits in column r of the support
+    parity = np.take(msg, support[0], axis=-1)
+    for cols in support[1:]:
+        parity ^= np.take(msg, cols, axis=-1)
+    return np.concatenate([msg, parity], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,13 @@ def _aperiodic(s1: np.ndarray, s2: np.ndarray, method: str) -> np.ndarray:
     n = s1.shape[-1]
     if method == "fft":
         f1 = np.fft.fft(s1, 2 * n, axis=-1)
-        f2 = np.fft.fft(s2, 2 * n, axis=-1)
-        c = np.fft.ifft(f1 * np.conj(f2), axis=-1)
+        f2 = f1 if s2 is s1 else np.fft.fft(s2, 2 * n, axis=-1)
+        # keep this product as written: an in-place or reordered complex
+        # multiply changes last-ulp bits of the sweep medians
+        prod = f1 * np.conj(f2)
+        del f1, f2
+        c = np.fft.ifft(prod, axis=-1)
+        del prod
         return np.concatenate([c[..., n + 1:], c[..., :n]], axis=-1) / n
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")

@@ -6,11 +6,13 @@ message/permutation draws with interleaving.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccsradar import coding
 from ccsradar._gf2 import gf2_matmul, gf2_rank
 from ccsradar.coding import (
     CodeConfig,
@@ -25,7 +27,11 @@ from ccsradar.coding import (
     polar_info_set,
     repetition_bit_correlation,
     _polar_transform,
+    _subset_closed,
 )
+from ccsradar.config import ExperimentConfig, load_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _bits(*vals):
@@ -131,6 +137,105 @@ def test_ldpc_construction_is_seeded():
     b = parity_check_matrix(CodeConfig(kind="ldpc", n_code_bits=48, n_msg_bits=24,
                                        construction_seed=2))
     assert not np.array_equal(a, b)
+
+
+# ------------------------------------------- packed kernels vs references
+
+
+def _polar_transform_loop(bits):
+    """Byte-per-bit reference: log2(n) in-place XOR stages over uint8 rows."""
+    x = np.array(bits, dtype=np.uint8, copy=True)
+    n = x.shape[-1]
+    flat = x.reshape(-1, n)
+    h = 1
+    while h < n:
+        v = flat.reshape(-1, n // (2 * h), 2, h)
+        v[:, :, 1, :] ^= v[:, :, 0, :]
+        h *= 2
+    return flat.reshape(x.shape)
+
+
+@pytest.mark.parametrize("log_n", range(16))
+def test_polar_transform_matches_byte_loop(log_n):
+    n = 1 << log_n
+    rng = np.random.default_rng(log_n)
+    for shape in [(n,), (3, n), (2, 3, n)]:
+        bits = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        before = bits.copy()
+        got = _polar_transform(bits)
+        assert got.shape == shape and got.dtype == np.uint8
+        assert np.array_equal(got, _polar_transform_loop(bits))
+        assert np.array_equal(bits, before)
+
+
+def _reference_polar_codes():
+    """Every polar CodeConfig the five reference configs build."""
+    built = []
+    original = ExperimentConfig.code_config
+
+    def record(self, *args, **kwargs):
+        built.append(original(self, *args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExperimentConfig, "code_config", record)
+        for path in sorted(CONFIGS.glob("*.ini")):
+            load_config(path).validate()
+    return sorted({(c.n_code_bits, c.n_msg_bits) for c in built if c.kind == "polar"})
+
+
+def test_reference_configs_build_polar_codes():
+    pairs = _reference_polar_codes()
+    assert (2048, 240) in pairs and max(pairs)[0] == 32768
+
+
+@pytest.mark.parametrize("n_code,n_msg", [(8, 3), (32, 13), (128, 50)]
+                         + _reference_polar_codes())
+def test_systematic_polar_matches_unpacked_reference(n_code, n_msg):
+    cfg = CodeConfig(kind="polar", n_code_bits=n_code, n_msg_bits=n_msg)
+    msgs = np.random.default_rng(n_code + n_msg).integers(0, 2, size=(3, n_msg),
+                                                          dtype=np.uint8)
+    info = np.array(polar_info_set(n_code, n_msg))
+    comp = np.setdiff1d(np.arange(n_code), info)
+    u = np.zeros((3, n_code), dtype=np.uint8)
+    u[:, info] = msgs
+    y = _polar_transform_loop(u)
+    y[:, comp] = 0
+    want = _polar_transform_loop(y)[:, np.concatenate([info, comp])]
+    got = encode(msgs, cfg)
+    assert got.flags.c_contiguous and got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_code,n_msg", [(2, 1), (3, 2), (48, 24), (512, 60), (2048, 1365)])
+def test_ldpc_parity_matches_dense_product(n_code, n_msg):
+    cfg = CodeConfig(kind="ldpc", n_code_bits=n_code, n_msg_bits=n_msg)
+    a = parity_check_matrix(cfg)[:, :n_msg]
+    msgs = np.random.default_rng(n_code).integers(0, 2, size=(2, 5, n_msg), dtype=np.uint8)
+    cw = encode(msgs, cfg)
+    assert cw.shape == (2, 5, n_code) and cw.dtype == np.uint8
+    assert np.array_equal(cw[..., :n_msg], msgs)
+    assert np.array_equal(cw[..., n_msg:], gf2_matmul(msgs, a.T))
+
+
+def test_parity_check_matrix_is_row_regular():
+    h = parity_check_matrix(CodeConfig(kind="ldpc", n_code_bits=512, n_msg_bits=60))
+    assert np.array_equal(h[:, 60:], np.eye(452, dtype=np.uint8))
+    assert np.all(h[:, :60].sum(axis=1) == 3)
+    assert len({row.tobytes() for row in h[:, :60]}) == 452
+
+
+def test_subset_closure_check():
+    assert _subset_closed(np.array([0, 1, 2, 3, 4]), 8)
+    assert not _subset_closed(np.array([0, 3]), 8)
+    assert not _subset_closed(np.array([1]), 2)
+    assert _subset_closed(np.array(polar_info_set(32768, 21840)), 32768)
+
+
+def test_polar_info_set_raises_when_not_subset_closed(monkeypatch):
+    monkeypatch.setattr(coding, "_subset_closed", lambda info, n: False)
+    with pytest.raises(AssertionError, match="subset-closed"):
+        polar_info_set.__wrapped__(32, 13)
 
 
 @settings(max_examples=50, deadline=None)

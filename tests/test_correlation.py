@@ -99,6 +99,14 @@ def test_crosscorr_of_identical_blocks_is_autocorr():
     assert np.max(np.abs(a.values - c.values)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (256,), (4, 512)])
+def test_autocorr_bytes_equal_crosscorr_with_itself(shape):
+    # autocorr reuses one forward FFT; the bits must match two separate ones
+    rng = np.random.default_rng(shape[-1])
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert autocorr(s).values.tobytes() == crosscorr(s, s.copy()).values.tobytes()
+
+
 def test_periodic_correlation_against_circular_oracle():
     rng = np.random.default_rng(6)
     n = 24

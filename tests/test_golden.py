@@ -10,6 +10,8 @@ re-record it and say so.
 
 import hashlib
 
+import pytest
+
 from ccsradar import cli
 
 NEARFAR_128_INI = """\
@@ -32,6 +34,35 @@ intf_doppler_bin = 66
 # recorded at seed 0, 3 trials
 NEARFAR_128_SHA256 = "d28a7c24376596cb69c5e404f12c9fc562bd8906fcef2bfcfde1b7f2e8ffe459"
 
+SWEEP_INI = """\
+[signal]
+n_list = 256, 512
+codes = uncoded, polar, ldpc
+rates = 120/1024:qpsk, 682.5/1024:256qam
+sidelobe_window = 32
+"""
+
+BOUNDS_INI = """\
+[signal]
+codes = uncoded, polar
+rates = 120/1024:qpsk
+
+[bounds]
+n_list = 256, 1024
+"""
+
+# recorded at seed 0: (config text, trials, sha256)
+GOLDEN = {
+    "pslr": (
+        SWEEP_INI, 16, "9373a0bd9e5be72a7aa6a377544183f4342d16dd27a7c0fe5c9c35ecb68ff41d"),
+    "suppress": (
+        SWEEP_INI, 16, "749873958c65129c78e295fcb42b0397e61b2de4902bac9ab336fb0ddbf6105b"),
+    "interleave": (
+        SWEEP_INI, 16, "0233bcef6ae99d4c94c871d2725d805d9c5295fb3883e74ac0e057e04b7166d6"),
+    "bounds": (
+        BOUNDS_INI, 200, "bceb13683e9f4fe8e7b81ec6f190436cc5045572bbfcdf196ecc224828f4fe2a"),
+}
+
 
 def output_fingerprint(out_dir) -> str:
     total = hashlib.sha256()
@@ -44,15 +75,30 @@ def output_fingerprint(out_dir) -> str:
     return total.hexdigest()
 
 
-def test_nearfar_golden_fingerprint(tmp_path, capsys):
-    cfg = tmp_path / "nearfar128.ini"
-    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+def _run_cli(tmp_path, capsys, command, ini, trials):
+    cfg = tmp_path / f"{command}.ini"
+    cfg.write_text(ini, encoding="utf-8")
     out = tmp_path / "out"
-    rc = cli.main(["nearfar", "--config", str(cfg), "--seed", "0", "--trials", "3",
+    rc = cli.main([command, "--config", str(cfg), "--seed", "0", "--trials", str(trials),
                    "--out", str(out)])
     capsys.readouterr()
     assert rc == 0
+    return out
+
+
+def test_nearfar_golden_fingerprint(tmp_path, capsys):
+    out = _run_cli(tmp_path, capsys, "nearfar", NEARFAR_128_INI, 3)
     names = sorted(p.name for p in out.iterdir())
     assert {"nearfar_summary.csv", "roc_curves.csv", "map_ccs_sc.bin",
             "map_ccs_ofdm.csv", "frame_ccs_sc.bin"} <= set(names)
-    assert output_fingerprint(out) == NEARFAR_128_SHA256
+    got = output_fingerprint(out)
+    assert got == NEARFAR_128_SHA256, f"nearfar output changed: got {got}"
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_driver_golden_fingerprint(tmp_path, capsys, command):
+    ini, trials, want = GOLDEN[command]
+    out = _run_cli(tmp_path, capsys, command, ini, trials)
+    assert any(out.iterdir())
+    got = output_fingerprint(out)
+    assert got == want, f"{command} output changed: got {got}"
