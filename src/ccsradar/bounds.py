@@ -95,12 +95,25 @@ def _as_u(u) -> np.ndarray:
     return u
 
 
+def _hoeffding_c(spec: TailBoundSpec, kind: str) -> float:
+    """c = N^2 / (2 b^2 M^2 K) of the Hoeffding tail 2 exp(-c u^2), for the K
+    groups of M symbols of the "auto", "cross" or "ofdm" statistic."""
+    if kind == "auto":
+        m, k = spec.M_l, spec.K - spec.lag
+    elif kind == "cross":
+        m, k = spec.M_tilde_l, spec.K_tilde
+    elif kind == "ofdm":
+        m, k = spec.M0, spec.K0
+    else:
+        raise ValueError(f"unknown correlation statistic {kind!r}")
+    return spec.N ** 2 / (2.0 * spec.b ** 2 * m ** 2 * k)
+
+
 def autocorr_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:
     """P(|Re chi(l)| > u) <= min(1, 2 exp(-N^2 u^2 / (2 b^2 M_l^2 (K - l))))."""
     spec._need_auto()
     u = _as_u(u)
-    c = spec.N ** 2 / (2.0 * spec.b ** 2 * spec.M_l ** 2 * (spec.K - spec.lag))
-    return _clip_ub(-c * u ** 2)
+    return _clip_ub(-_hoeffding_c(spec, "auto") * u ** 2)
 
 
 def autocorr_tail_lb(spec: TailBoundSpec) -> float:
@@ -117,8 +130,7 @@ def autocorr_tail_lb_log2(spec: TailBoundSpec) -> float:
 def crosscorr_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:
     """Cross-correlation analogue with group count K_tilde, size M_tilde_l."""
     u = _as_u(u)
-    c = spec.N ** 2 / (2.0 * spec.b ** 2 * spec.M_tilde_l ** 2 * spec.K_tilde)
-    return _clip_ub(-c * u ** 2)
+    return _clip_ub(-_hoeffding_c(spec, "cross") * u ** 2)
 
 
 def crosscorr_tail_lb(spec: TailBoundSpec) -> float:
@@ -135,8 +147,7 @@ def crosscorr_tail_lb_log2(spec: TailBoundSpec) -> float:
 def ofdm_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:
     """Tail bound for the ratio kernel V with group count K0, size M0."""
     u = _as_u(u)
-    c = spec.N ** 2 / (2.0 * spec.b ** 2 * spec.M0 ** 2 * spec.K0)
-    return _clip_ub(-c * u ** 2)
+    return _clip_ub(-_hoeffding_c(spec, "ofdm") * u ** 2)
 
 
 def ofdm_tail_lb(spec: TailBoundSpec) -> float:
@@ -158,6 +169,14 @@ class EmpiricalTail:
     n_samples: int
 
 
+def wilson_interval(p, n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Wilson score interval (lo, hi) of success fractions p over n draws."""
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
+
+
 def empirical_tail(samples, u_grid, z: float = 1.96) -> EmpiricalTail:
     """Empirical P(|sample| > u) over a u grid, with Wilson z-score intervals."""
     samples = np.abs(np.asarray(samples, dtype=float).ravel())
@@ -166,33 +185,24 @@ def empirical_tail(samples, u_grid, z: float = 1.96) -> EmpiricalTail:
     u = _as_u(u_grid)
     n = samples.size
     p = (samples[None, :] > u.ravel()[:, None]).mean(axis=1).reshape(u.shape)
-    denom = 1.0 + z ** 2 / n
-    center = (p + z ** 2 / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z ** 2 / (4 * n ** 2)) / denom
-    return EmpiricalTail(u=u, p=p, lo=np.maximum(0.0, center - half),
-                         hi=np.minimum(1.0, center + half), n_samples=n)
+    lo, hi = wilson_interval(p, n, z)
+    return EmpiricalTail(u=u, p=p, lo=lo, hi=hi, n_samples=n)
+
+
+def _median_db(c: float) -> float:
+    """Level (dB) where 2 exp(-c u^2) = 1/2, i.e. u = sqrt(ln 4 / c)."""
+    return -20.0 * math.log10(math.sqrt(math.log(4.0) / c))
 
 
 def median_pslr_from_bound(spec: TailBoundSpec) -> float:
-    """Sidelobe level (dB) where the lag-l upper bound crosses probability 1/2.
-
-    Solving 2 exp(-c u^2) = 1/2 gives u = sqrt(ln 4 / c); the result is the
-    bound-implied median PSLR curve plotted against N.
-    """
+    """Bound-implied median PSLR (dB): where the lag-l upper bound is 1/2."""
     spec._need_auto()
-    c = spec.N ** 2 / (2.0 * spec.b ** 2 * spec.M_l ** 2 * (spec.K - spec.lag))
-    u_med = math.sqrt(math.log(4.0) / c)
-    return -20.0 * math.log10(u_med)
+    return _median_db(_hoeffding_c(spec, "auto"))
 
 
 def median_suppression_from_bound(spec: TailBoundSpec, kind: str = "cross") -> float:
     """Bound-implied median suppression (dB) for the cross or OFDM statistic."""
     spec._need_pair()
-    if kind == "cross":
-        c = spec.N ** 2 / (2.0 * spec.b ** 2 * spec.M_tilde_l ** 2 * spec.K_tilde)
-    elif kind == "ofdm":
-        c = spec.N ** 2 / (2.0 * spec.b ** 2 * spec.M0 ** 2 * spec.K0)
-    else:
+    if kind not in ("cross", "ofdm"):
         raise ValueError(f"unknown suppression statistic {kind!r}")
-    u_med = math.sqrt(math.log(4.0) / c)
-    return -20.0 * math.log10(u_med)
+    return _median_db(_hoeffding_c(spec, kind))

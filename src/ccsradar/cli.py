@@ -15,13 +15,21 @@ from pathlib import Path
 from . import experiments
 from .config import ConfigError, ExperimentConfig, load_config
 
-_COMMANDS = {
-    "pslr": "median autocorrelation PSLR vs block length",
-    "suppress": "median interference suppression vs block length",
-    "interleave": "interleaver on/off PSLR comparison",
-    "bounds": "empirical tails vs analytic bounds",
-    "nearfar": "two-target near-far scene with an interfering radar",
+# kind -> (help, driver, CSV file, plotted sweep column, check); driver and check
+# name functions in experiments, looked up at call time so a rebound one runs
+_KINDS = {
+    "pslr": ("median autocorrelation PSLR vs block length", "run_pslr_sweep",
+             "pslr_sweep.csv", "median_pslr_db", "check_pslr"),
+    "suppress": ("median interference suppression vs block length", "run_suppression_sweep",
+                 "suppression_sweep.csv", "median_db", "check_suppression"),
+    "interleave": ("interleaver on/off PSLR comparison", "run_interleaver_study",
+                   "interleaver_study.csv", "median_pslr_db", "check_interleaver"),
+    "bounds": ("empirical tails vs analytic bounds", "run_tail_bound_check",
+               "tail_bounds.csv", None, "check_bounds"),
+    "nearfar": ("two-target near-far scene with an interfering radar", "run_near_far",
+                "nearfar_summary.csv", None, "check_nearfar"),
 }
+_ROC_CSV = "roc_curves.csv"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ccsradar",
         description="Radar-sensing quality of channel-coded communications signals")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
+    for name, (help_text, *_) in _KINDS.items():
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", type=Path, help="INI config file")
         s.add_argument("--seed", type=int, help="master seed (overrides config)")
@@ -75,48 +83,26 @@ def main(argv=None) -> int:
 
 
 def _run(config: ExperimentConfig, out: Path, run_checks: bool) -> list:
-    kind = config.kind
-    if kind == "pslr":
-        table = experiments.run_pslr_sweep(config)
-        table.write_csv(out / "pslr_sweep.csv")
-        print(f"wrote {out / 'pslr_sweep.csv'}")
-        return experiments.check_pslr(table, config) if run_checks else []
-    if kind == "suppress":
-        table = experiments.run_suppression_sweep(config)
-        table.write_csv(out / "suppression_sweep.csv")
-        print(f"wrote {out / 'suppression_sweep.csv'}")
-        return experiments.check_suppression(table, config) if run_checks else []
-    if kind == "interleave":
-        table = experiments.run_interleaver_study(config)
-        table.write_csv(out / "interleaver_study.csv")
-        print(f"wrote {out / 'interleaver_study.csv'}")
-        return experiments.check_interleaver(table, config) if run_checks else []
-    if kind == "bounds":
-        table = experiments.run_tail_bound_check(config)
-        table.write_csv(out / "tail_bounds.csv")
-        print(f"wrote {out / 'tail_bounds.csv'}")
-        return experiments.check_bounds(table, config) if run_checks else []
-    if kind == "nearfar":
-        table, roc, levels = experiments.run_near_far(config, dump_dir=out)
-        table.write_csv(out / "nearfar_summary.csv")
-        roc.export_csv(out / "roc_curves.csv")
-        print(f"wrote {out / 'nearfar_summary.csv'}")
-        print(f"wrote {out / 'roc_curves.csv'} and per-variant map dumps")
-        return experiments.check_nearfar(table, roc, config, levels) if run_checks else []
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+    _help, driver, csv_name, _value, check = _KINDS[config.kind]
+    if config.kind == "nearfar":
+        table, roc, levels = getattr(experiments, driver)(config, dump_dir=out)
+        roc.export_csv(out / _ROC_CSV)
+        print(f"wrote {out / _ROC_CSV} and per-variant map dumps")
+        args = (table, roc, config, levels)
+    else:
+        table = getattr(experiments, driver)(config)
+        args = (table, config)
+    table.write_csv(out / csv_name)
+    print(f"wrote {out / csv_name}")
+    return getattr(experiments, check)(*args) if run_checks else []
 
 
 def _plot_script(kind: str) -> str:
     """Standalone matplotlib script matching the CSV this experiment wrote."""
-    body = {
-        "pslr": _PLOT_SWEEP.format(csv="pslr_sweep.csv", value="median_pslr_db"),
-        "suppress": _PLOT_SWEEP.format(csv="suppression_sweep.csv", value="median_db"),
-        "interleave": _PLOT_SWEEP.format(csv="interleaver_study.csv",
-                                         value="median_pslr_db"),
-        "bounds": _PLOT_BOUNDS,
-        "nearfar": _PLOT_ROC,
-    }[kind]
-    return _PLOT_HEADER + body
+    _help, _driver, csv_name, value, _check = _KINDS[kind]
+    body = _PLOT_SWEEP if value else _PLOT_BOUNDS if kind == "bounds" else _PLOT_ROC
+    csv_name = _ROC_CSV if kind == "nearfar" else csv_name
+    return _PLOT_HEADER + body.replace("{csv}", csv_name).replace("{value}", value or "")
 
 
 _PLOT_HEADER = '''\
@@ -139,7 +125,7 @@ def read(name):
 
 _PLOT_SWEEP = '''\
 rows = read("{csv}")
-curves = {{}}
+curves = {}
 for r in rows:
     key = tuple(r.get(k, "") for k in ("code", "rate", "modulation",
                                        "metric", "interleaved"))
@@ -157,7 +143,7 @@ plt.savefig(here / "{csv}".replace(".csv", ".png"), dpi=150)
 '''
 
 _PLOT_BOUNDS = '''\
-rows = read("tail_bounds.csv")
+rows = read("{csv}")
 curves = {}
 for r in rows:
     if r["bound_side"] != "ub":
@@ -176,11 +162,11 @@ ax.set_ylabel("P(|stat| > u)")
 ax.grid(True, alpha=0.3)
 ax.legend(fontsize=5)
 fig.tight_layout()
-fig.savefig(here / "tail_bounds.png", dpi=150)
+fig.savefig(here / "{csv}".replace(".csv", ".png"), dpi=150)
 '''
 
 _PLOT_ROC = '''\
-rows = read("roc_curves.csv")
+rows = read("{csv}")
 curves = {}
 for r in rows:
     curves.setdefault(r["waveform"], []).append(
@@ -198,5 +184,5 @@ for ax in (ax_d, ax_f):
     ax.grid(True, which="both", alpha=0.3)
 ax_d.legend(fontsize=7)
 fig.tight_layout()
-fig.savefig(here / "roc_curves.png", dpi=150)
+fig.savefig(here / "{csv}".replace(".csv", ".png"), dpi=150)
 '''

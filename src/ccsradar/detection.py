@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import wilson_interval
 from .receiver import RangeDopplerMap
 
 
@@ -136,13 +137,6 @@ def make_eta_grid(levels_by_waveform: dict, points: int = 200) -> np.ndarray:
     return np.geomspace(lo, hi, points)
 
 
-def _wilson(p: np.ndarray, n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
-
-
 def threshold_sweep(levels_by_waveform: dict, eta_grid=None, target_bins=None,
                     points: int = 200, z: float = 1.96) -> RocCurves:
     """ROC curves over a common threshold grid.
@@ -170,5 +164,5 @@ def threshold_sweep(levels_by_waveform: dict, eta_grid=None, target_bins=None,
         n_trials = tl.shape[0] if n_trials is None else n_trials
         pd[wf] = (tl[None, :, :] > eta[:, None, None]).mean(axis=(1, 2))
         pf[wf] = (mo[None, :] > eta[:, None]).mean(axis=1)
-        lo[wf], hi[wf] = _wilson(pd[wf], tl.size, z)
+        lo[wf], hi[wf] = wilson_interval(pd[wf], tl.size, z)
     return RocCurves(eta=eta, pd=pd, pf=pf, pd_lo=lo, pd_hi=hi, n_trials=n_trials)

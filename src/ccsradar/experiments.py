@@ -86,36 +86,52 @@ def _skip(code: str, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # sidelobe sweeps
 
-def run_pslr_sweep(config: ExperimentConfig) -> ResultTable:
-    """Median windowed PSLR per (code, rate, N) plus the bound-implied median."""
+def _sweep(config: ExperimentConfig, domain: int, stat, rows, columns,
+           runs=lambda code: ((True, ((),)),)) -> ResultTable:
+    """The (code, rate, N) walk shared by the three sidelobe sweeps.
+
+    runs(code) lists (interleaved, keys) per curve point, one symbol stream per
+    key from substream(seed, domain, ci, ri, ni, *key), drawn in _CHUNK-row
+    batches; stat maps one batch per stream to per-trial statistics, and
+    rows(head, cfg, const, interleaved, values) turns those, concatenated over
+    the batches, into rows led by head = (code, rate, modulation, n).
+    """
     t0 = time.perf_counter()
-    seed = config.require_seed()
-    trials = config.resolved_trials()
-    window = config.sidelobe_window
-    rows = []
+    seed, trials = config.require_seed(), config.resolved_trials()
+    out = []
     for ci, ri, code, num, den, mod in _curve_combos(config):
         const = constellation(mod)
         for ni, n in enumerate(config.n_list):
             if _skip(code, n):
                 continue
             cfg = config.code_config(code, num, den, n, mod)
-            rng = substream(seed, _D_PSLR, ci, ri, ni)
-            vals = []
-            for start in range(0, trials, _CHUNK):
-                m = min(_CHUNK, trials - start)
-                syms = _symbol_batch(cfg, const, m, rng)
-                vals.append(pslr(autocorr(syms), max_lag=window))
-            vals = np.concatenate(vals)
-            spec = TailBoundSpec(N=n, lag=1, b=product_bound_b(const),
-                                 K=_k_symbols(cfg, const))
-            rows.append((code, _rate_label(num, den), mod, n, trials,
-                         float(np.median(vals)),
-                         float(np.percentile(vals, 25)),
-                         float(np.percentile(vals, 75)),
-                         median_pslr_from_bound(spec)))
-    cols = ("code", "rate", "modulation", "n", "trials", "median_pslr_db",
-            "p25_db", "p75_db", "bound_median_db")
-    return ResultTable(cols, rows, result_meta(config, time.perf_counter() - t0))
+            head = (code, _rate_label(num, den), mod, n)
+            for interleaved, keys in runs(code):
+                rngs = [substream(seed, domain, ci, ri, ni, *key) for key in keys]
+                batches = []  # syms outlives its batch: freeing it early cost ~10 MiB peak RSS
+                for start in range(0, trials, _CHUNK):
+                    m = min(_CHUNK, trials - start)
+                    syms = [_symbol_batch(cfg, const, m, rng, interleaved) for rng in rngs]
+                    batches.append(stat(*syms))
+                values = [np.concatenate(v) for v in zip(*batches)]
+                out.extend(rows(head, cfg, const, interleaved, values))
+    return ResultTable(columns, out, result_meta(config, time.perf_counter() - t0))
+
+
+def run_pslr_sweep(config: ExperimentConfig) -> ResultTable:
+    """Median windowed PSLR per (code, rate, N) plus the bound-implied median."""
+    trials, window = config.resolved_trials(), config.sidelobe_window
+
+    def rows(head, cfg, const, interleaved, values):
+        vals, = values
+        spec = TailBoundSpec(N=head[3], lag=1, b=product_bound_b(const),
+                             K=_k_symbols(cfg, const))
+        return [head + (trials, float(np.median(vals)), float(np.percentile(vals, 25)),
+                        float(np.percentile(vals, 75)), median_pslr_from_bound(spec))]
+
+    return _sweep(config, _D_PSLR, lambda s: (pslr(autocorr(s), max_lag=window),), rows,
+                  ("code", "rate", "modulation", "n", "trials", "median_pslr_db",
+                   "p25_db", "p75_db", "bound_median_db"))
 
 
 def run_suppression_sweep(config: ExperimentConfig) -> ResultTable:
@@ -125,77 +141,49 @@ def run_suppression_sweep(config: ExperimentConfig) -> ResultTable:
     ofdm_kernel is the peak of the inverse-DFT ratio kernel.  Both windows
     cover |l| <= sidelobe_window including the zero lag.
     """
-    t0 = time.perf_counter()
-    seed = config.require_seed()
-    trials = config.resolved_trials()
-    window = config.sidelobe_window
-    rows = []
-    for ci, ri, code, num, den, mod in _curve_combos(config):
-        const = constellation(mod)
-        for ni, n in enumerate(config.n_list):
-            if _skip(code, n):
-                continue
-            cfg = config.code_config(code, num, den, n, mod)
-            rng_i = substream(seed, _D_SUPP, ci, ri, ni, 0)
-            rng_q = substream(seed, _D_SUPP, ci, ri, ni, 1)
-            vals_cross, vals_ofdm = [], []
-            for start in range(0, trials, _CHUNK):
-                m = min(_CHUNK, trials - start)
-                s_i = _symbol_batch(cfg, const, m, rng_i)
-                s_q = _symbol_batch(cfg, const, m, rng_q)
-                vals_cross.append(suppression_metric(crosscorr(s_q, s_i), max_lag=window))
-                vals_ofdm.append(suppression_metric(idft_ratio(s_i, s_q), max_lag=window))
-            k_sym = _k_symbols(cfg, const)
-            spec_cross = TailBoundSpec(N=n, lag=0, b=product_bound_b(const),
-                                       K_i=k_sym, K_q=k_sym)
-            spec_ofdm = TailBoundSpec(N=n, lag=0, b=ratio_bound_b(const, const),
-                                      K_i=k_sym, K_q=k_sym)
-            for metric, vals, spec, kind in (
-                    ("sc_cross", vals_cross, spec_cross, "cross"),
-                    ("ofdm_kernel", vals_ofdm, spec_ofdm, "ofdm")):
-                rows.append((code, _rate_label(num, den), mod, n, trials, metric,
-                             float(np.median(np.concatenate(vals))),
-                             median_suppression_from_bound(spec, kind)))
-    cols = ("code", "rate", "modulation", "n", "trials", "metric",
-            "median_db", "bound_median_db")
-    return ResultTable(cols, rows, result_meta(config, time.perf_counter() - t0))
+    trials, window = config.resolved_trials(), config.sidelobe_window
+
+    def stat(s_i, s_q):
+        return (suppression_metric(crosscorr(s_q, s_i), max_lag=window),
+                suppression_metric(idft_ratio(s_i, s_q), max_lag=window))
+
+    def rows(head, cfg, const, interleaved, values):
+        k_sym = _k_symbols(cfg, const)
+        out = []
+        for metric, vals, kind, b in (
+                ("sc_cross", values[0], "cross", product_bound_b(const)),
+                ("ofdm_kernel", values[1], "ofdm", ratio_bound_b(const, const))):
+            spec = TailBoundSpec(N=head[3], lag=0, b=b, K_i=k_sym, K_q=k_sym)
+            out.append(head + (trials, metric, float(np.median(vals)),
+                               median_suppression_from_bound(spec, kind)))
+        return out
+
+    return _sweep(config, _D_SUPP, stat, rows,
+                  ("code", "rate", "modulation", "n", "trials", "metric",
+                   "median_db", "bound_median_db"),
+                  runs=lambda code: ((True, ((0,), (1,))),))
 
 
 def run_interleaver_study(config: ExperimentConfig) -> ResultTable:
     """Median PSLR with and without the parity interleaver, vs the uncoded
     reference at the same modulation."""
-    t0 = time.perf_counter()
-    seed = config.require_seed()
-    trials = config.resolved_trials()
-    window = config.sidelobe_window
-    rows = []
+    trials, window = config.resolved_trials(), config.sidelobe_window
 
-    def median_pslr(cfg, const, ci, ri, ni, interleaved):
-        rng = substream(seed, _D_INTL, ci, ri, ni, int(interleaved))
-        vals = []
-        for start in range(0, trials, _CHUNK):
-            m = min(_CHUNK, trials - start)
-            syms = _symbol_batch(cfg, const, m, rng, interleaved=interleaved)
-            vals.append(pslr(autocorr(syms), max_lag=window))
-        return float(np.median(np.concatenate(vals)))
+    def rows(head, cfg, const, interleaved, values):
+        return [head + (int(interleaved), trials, float(np.median(values[0])))]
 
-    for ci, ri, code, num, den, mod in _curve_combos(config):
-        const = constellation(mod)
-        flags = (True,) if code == "uncoded" else (True, False)
-        for ni, n in enumerate(config.n_list):
-            if _skip(code, n):
-                continue
-            cfg = config.code_config(code, num, den, n, mod)
-            for flag in flags:
-                rows.append((code, _rate_label(num, den), mod, n, int(flag), trials,
-                             median_pslr(cfg, const, ci, ri, ni, flag)))
-    cols = ("code", "rate", "modulation", "n", "interleaved", "trials",
-            "median_pslr_db")
-    return ResultTable(cols, rows, result_meta(config, time.perf_counter() - t0))
+    # substream key 1 runs with the parity interleaver, key 0 without (coded only)
+    return _sweep(config, _D_INTL, lambda s: (pslr(autocorr(s), max_lag=window),), rows,
+                  ("code", "rate", "modulation", "n", "interleaved", "trials",
+                   "median_pslr_db"),
+                  runs=lambda code: [(True, ((1,),))] + [(False, ((0,),))] * (code != "uncoded"))
 
 
 # ---------------------------------------------------------------------------
 # tail bounds
+
+_BOUND_CODES = ("uncoded", "polar")
+_BOUND_STATS = ("chi1", "rho0", "v1")
 
 def _bound_statistics(cfg: CodeConfig, const, n: int, trials: int, seed: int,
                       key: tuple) -> dict:
@@ -249,7 +237,7 @@ def run_tail_bound_check(config: ExperimentConfig) -> ResultTable:
     const = constellation(mod)
     u = config.u_grid()
     rows = []
-    for ki, kind in enumerate(("uncoded", "polar")):
+    for ki, kind in enumerate(_BOUND_CODES):
         for ni, n in enumerate(config.bounds_n_list):
             cfg = config.code_config(kind, num, den, n, mod)
             stats = _bound_statistics(cfg, const, n, trials, seed, (_D_BND, ki, ni))
@@ -259,9 +247,9 @@ def run_tail_bound_check(config: ExperimentConfig) -> ResultTable:
                                       m_s=const.bits_per_symbol)
             spec_cross = TailBoundSpec(N=n, lag=0, b=b_prod, K_i=k_sym, K_q=k_sym)
             spec_ofdm = TailBoundSpec(N=n, lag=0, b=b_ratio, K_i=k_sym, K_q=k_sym)
-            per_stat = (("chi1", autocorr_tail_ub(spec_auto, u)),
-                        ("rho0", crosscorr_tail_ub(spec_cross, u)),
-                        ("v1", ofdm_tail_ub(spec_ofdm, u)))
+            per_stat = zip(_BOUND_STATS, (autocorr_tail_ub(spec_auto, u),
+                                          crosscorr_tail_ub(spec_cross, u),
+                                          ofdm_tail_ub(spec_ofdm, u)))
             rate = _rate_label(1.0, 1) if kind == "uncoded" else _rate_label(num, den)
             for stat, ub in per_stat:
                 for part, samples in (("re", stats[stat].real), ("im", stats[stat].imag)):
@@ -353,128 +341,148 @@ def _sweet_band(roc: RocCurves, variant: str) -> tuple[float, float, int]:
 
 
 # ---------------------------------------------------------------------------
-# property checks (CLI --check)
+# result properties: the one statement of each documented property, as
+# (name, ok, detail) verdicts; `ccsradar <kind> --check` prints them and
+# tests/test_acceptance.py asserts them
 
-def _curve_meds(table: ResultTable, **conds) -> list[tuple[int, float]]:
-    rows = table.select(**conds)
+def _curve(table: ResultTable, **conds) -> dict:
+    """{n: median dB} over the rows matching conds."""
     n_i = table.columns.index("n")
     v_i = table.columns.index("median_pslr_db" if "median_pslr_db" in table.columns
                               else "median_db")
-    return sorted((r[n_i], r[v_i]) for r in rows)
+    return {r[n_i]: r[v_i] for r in table.select(**conds)}
 
 
-def _avg_slope(meds: list[tuple[int, float]]) -> float:
-    (n0, v0), (n1, v1) = meds[0], meds[-1]
-    return (v1 - v0) / np.log2(n1 / n0)
+def _named_curves(config: ExperimentConfig):
+    """(name, code, rate label, modulation) per plotted curve; the name carries
+    the rate for coded curves, so two rates at one modulation stay apart."""
+    for _ci, _ri, code, num, den, mod in _curve_combos(config):
+        rate = _rate_label(num, den)
+        yield (f"{code}_{mod}" if code == "uncoded" else f"{code}_{rate}_{mod}",
+               code, rate, mod)
+
+
+def _span(config: ExperimentConfig, code: str) -> list:
+    """Block lengths a complete curve of this code covers."""
+    return sorted(n for n in config.n_list if not _skip(code, n))
+
+
+def _slope_check(name: str, curve: dict, span: list) -> list:
+    """About 3 dB more per doubling of N, endpoint to endpoint of the full span."""
+    if len(span) < 2:
+        return []
+    if sorted(curve) != span:
+        return [(name, False, f"N = {sorted(curve)}, want {span}")]
+    slope = (curve[span[-1]] - curve[span[0]]) / np.log2(span[-1] / span[0])
+    return [(name, 2.5 <= slope <= 3.5, f"{slope:.2f} dB per doubling over "
+             f"N = {span[0]}..{span[-1]} (want [2.5, 3.5])")]
+
+
+def _gap_check(name: str, a: dict, b: dict, span: list, limit: float,
+               strict: bool = False) -> list:
+    """Largest |a - b| over the span, which both curves must cover."""
+    if not span:
+        return []
+    shared = sorted(set(a) & set(b))
+    if shared != span:
+        return [(name, False, f"shared N = {shared}, want {span}")]
+    gap = max(abs(a[n] - b[n]) for n in span)
+    return [(name, gap < limit if strict else gap <= limit,
+             f"max {gap:.3f} dB over N = {span[0]}..{span[-1]} "
+             f"(want {'<' if strict else '<='} {limit})")]
 
 
 def check_pslr(table: ResultTable, config: ExperimentConfig) -> list:
     checks = []
-    ref = _curve_meds(table, code="uncoded", modulation="qpsk")
-    ref_1024 = dict(ref).get(1024)
-    if ref_1024 is not None:
-        checks.append(("uncoded_qpsk_median_n1024", 23.0 <= ref_1024 <= 27.0,
-                       f"{ref_1024:.2f} dB (want 25 +- 2)"))
-    for ci, ri, code, num, den, mod in _curve_combos(config):
-        meds = _curve_meds(table, code=code, rate=_rate_label(num, den), modulation=mod)
-        if len(meds) < 2:
-            continue
-        slope = _avg_slope(meds)
-        checks.append((f"slope_{code}_{mod}", 2.5 <= slope <= 3.5,
-                       f"{slope:.2f} dB per doubling (want [2.5, 3.5])"))
-    for num, den, mod in config.rates:
-        if "polar" not in config.codes or "ldpc" not in config.codes:
-            break
-        label = _rate_label(num, den)
-        pol = dict(_curve_meds(table, code="polar", rate=label, modulation=mod))
-        ldp = dict(_curve_meds(table, code="ldpc", rate=label, modulation=mod))
-        gaps = [abs(pol[n] - ldp[n]) for n in sorted(set(pol) & set(ldp))]
-        if gaps:
-            checks.append((f"polar_ldpc_gap_{mod}", max(gaps) < 0.5,
-                           f"max {max(gaps):.3f} dB (want < 0.5)"))
+    for name, code, rate, mod in _named_curves(config):
+        curve = _curve(table, code=code, rate=rate, modulation=mod)
+        if name == "uncoded_qpsk" and 1024 in config.n_list:
+            med = curve.get(1024, float("nan"))
+            checks.append(("uncoded_qpsk_median_n1024", 23.0 <= med <= 27.0,
+                           f"{med:.2f} dB at N = 1024 (want 25 +- 2)"))
+        checks += _slope_check(f"slope_{name}", curve, _span(config, code))
+    if "polar" in config.codes and "ldpc" in config.codes:
+        for num, den, mod in config.rates:
+            rate = _rate_label(num, den)
+            checks += _gap_check(f"polar_ldpc_gap_{rate}_{mod}",
+                                 _curve(table, code="polar", rate=rate, modulation=mod),
+                                 _curve(table, code="ldpc", rate=rate, modulation=mod),
+                                 _span(config, "ldpc"), 0.5, strict=True)
     return checks
 
 
 def check_suppression(table: ResultTable, config: ExperimentConfig) -> list:
     checks = []
-    for ci, ri, code, num, den, mod in _curve_combos(config):
-        for metric in ("sc_cross", "ofdm_kernel"):
-            meds = _curve_meds(table, code=code, rate=_rate_label(num, den),
-                               modulation=mod, metric=metric)
-            if len(meds) < 2:
-                continue
-            slope = _avg_slope(meds)
-            checks.append((f"slope_{metric}_{code}_{mod}", 2.5 <= slope <= 3.5,
-                           f"{slope:.2f} dB per doubling (want [2.5, 3.5])"))
-    sc = dict(_curve_meds(table, code="uncoded", modulation="qpsk", metric="sc_cross"))
-    of = dict(_curve_meds(table, code="uncoded", modulation="qpsk", metric="ofdm_kernel"))
-    gaps = [abs(sc[n] - of[n]) for n in sorted(set(sc) & set(of))]
-    if gaps:
-        checks.append(("sc_vs_ofdm_qpsk", max(gaps) <= 1.0,
-                       f"max {max(gaps):.3f} dB (want <= 1.0)"))
+    for name, code, rate, mod in _named_curves(config):
+        curves = {metric: _curve(table, code=code, rate=rate, modulation=mod, metric=metric)
+                  for metric in ("sc_cross", "ofdm_kernel")}
+        for metric, curve in curves.items():
+            checks += _slope_check(f"slope_{metric}_{name}", curve, _span(config, code))
+        if name == "uncoded_qpsk":
+            checks += _gap_check("sc_vs_ofdm_qpsk", curves["sc_cross"],
+                                 curves["ofdm_kernel"], _span(config, code), 1.0)
     return checks
 
 
 def check_interleaver(table: ResultTable, config: ExperimentConfig) -> list:
     checks = []
-    low = min(config.rates, key=lambda r: r[0] / r[1])
-    high = max(config.rates, key=lambda r: r[0] / r[1])
+    low, high = (f(config.rates, key=lambda r: r[0] / r[1]) for f in (min, max))
     for code in config.codes:
-        if code == "uncoded":
+        span = _span(config, code)
+        if code == "uncoded" or not span:
             continue
-        num, den, mod = low
-        ref = dict(_curve_meds(table, code="uncoded", modulation=mod))
-        inter = dict(_curve_meds(table, code=code, rate=_rate_label(num, den),
-                                 modulation=mod, interleaved=1))
-        plain = dict(_curve_meds(table, code=code, rate=_rate_label(num, den),
-                                 modulation=mod, interleaved=0))
-        gaps = [abs(inter[n] - ref[n]) for n in sorted(set(inter) & set(ref))]
-        if gaps:
-            checks.append((f"interleaved_matches_uncoded_{code}", max(gaps) <= 0.5,
-                           f"max {max(gaps):.3f} dB (want <= 0.5)"))
-        n0 = min(config.n_list)
-        if n0 in plain and n0 in inter:
-            checks.append((f"plain_below_interleaved_{code}", plain[n0] < inter[n0],
-                           f"{plain[n0]:.2f} < {inter[n0]:.2f} dB at N={n0}"))
-        num, den, mod = high
-        ref = dict(_curve_meds(table, code="uncoded", modulation=mod))
-        plain = dict(_curve_meds(table, code=code, rate=_rate_label(num, den),
-                                 modulation=mod, interleaved=0))
-        gaps = [abs(plain[n] - ref[n]) for n in sorted(set(plain) & set(ref))]
-        if gaps:
-            checks.append((f"high_rate_plain_near_uncoded_{code}", max(gaps) <= 1.0,
-                           f"max {max(gaps):.3f} dB (want <= 1.0)"))
+        at_low = dict(code=code, rate=_rate_label(*low[:2]), modulation=low[2])
+        inter, plain = (_curve(table, interleaved=i, **at_low) for i in (1, 0))
+        p, q = plain.get(span[0], float("nan")), inter.get(span[0], float("nan"))
+        checks.append((f"plain_below_interleaved_{code}", p < q,
+                       f"{p:.2f} < {q:.2f} dB at N = {span[0]}"))
+        if "uncoded" in config.codes:
+            checks += _gap_check(f"interleaved_matches_uncoded_{code}", inter,
+                                 _curve(table, code="uncoded", modulation=low[2]), span, 0.5)
+            checks += _gap_check(f"high_rate_plain_near_uncoded_{code}",
+                                 _curve(table, code=code, rate=_rate_label(*high[:2]),
+                                        modulation=high[2], interleaved=0),
+                                 _curve(table, code="uncoded", modulation=high[2]), span, 1.0)
     return checks
 
 
 def check_bounds(table: ResultTable, config: ExperimentConfig) -> list:
-    dom = table.column("dominated")
-    side = table.column("bound_side")
-    n_ub = sum(1 for d, s in zip(dom, side) if s == "ub" and d)
-    n_ub_all = sum(1 for s in side if s == "ub")
-    n_lb = sum(1 for d, s in zip(dom, side) if s == "lb" and d)
-    n_lb_all = sum(1 for s in side if s == "lb")
-    return [("upper_bounds_dominate", n_ub == n_ub_all, f"{n_ub}/{n_ub_all} grid points"),
-            ("lower_bound_witness", n_lb == n_lb_all, f"{n_lb}/{n_lb_all} enumerations")]
+    cols = table.columns
+    side, dom = cols.index("bound_side"), cols.index("dominated")
+    key = [cols.index(c) for c in ("stat", "part", "code", "n")]
+    ub, lb = ([r for r in table.rows if r[side] == s] for s in ("ub", "lb"))
+    want = {(stat, part, code, n) for stat in _BOUND_STATS for part in ("re", "im")
+            for code in _BOUND_CODES for n in config.bounds_n_list}
+    shape_ok = ({tuple(r[i] for i in key) for r in ub} == want
+                and len(ub) == len(want) * config.u_points)
+    n_ub, n_lb = sum(r[dom] for r in ub), sum(r[dom] for r in lb)
+    return [("upper_bounds_dominate", shape_ok and n_ub == len(ub),
+             f"{n_ub}/{len(ub)} grid points, want {len(want) * config.u_points} = "
+             f"{len(want)} (statistic, re/im, code, N) x {config.u_points} u"),
+            ("lower_bound_witness", 0 < n_lb == len(lb),
+             f"{n_lb}/{len(lb)} enumerations")]
 
 
 def check_nearfar(table: ResultTable, roc: RocCurves, config: ExperimentConfig,
                   levels: dict) -> list:
     checks = []
-    far_ref = config.gains()[1]
-    lo_db, hi_db = far_ref * 10 ** (-3 / 20), far_ref * 10 ** (3 / 20)
-    sel = {r[0]: r for r in table.rows}
-    cols = table.columns
-    for v in ("ccs_sc", "ccs_sc_nointf", "ccs_ofdm", "ccs_ofdm_nointf"):
-        fmin = sel[v][cols.index("far_min")]
-        fmax = sel[v][cols.index("far_max")]
-        checks.append((f"far_peak_within_3db_{v}", lo_db <= fmin and fmax <= hi_db,
-                       f"[{fmin:.4f}, {fmax:.4f}] vs [{lo_db:.4f}, {hi_db:.4f}]"))
-    for v in ("ccs_sc", "ccs_ofdm"):
-        pts = sel[v][cols.index("band_points")]
-        checks.append((f"sweet_band_nonempty_{v}", pts > 0, f"{pts} grid points"))
-    excess = np.any(roc.pf["fmcw"] > roc.pf["ccs_sc_nointf"])
-    checks.append(("fmcw_false_alarm_excess", bool(excess),
+    lo_db, hi_db = (config.gains()[1] * 10 ** (db / 20) for db in (-3, 3))
+    for row in table.rows:
+        r = dict(zip(table.columns, row))
+        v = r["variant"]
+        checks.append((f"far_peak_within_3db_{v}",
+                       lo_db <= r["far_min"] and r["far_max"] <= hi_db,
+                       f"[{r['far_min']:.4f}, {r['far_max']:.4f}] vs "
+                       f"[{lo_db:.4f}, {hi_db:.4f}]"))
+        checks.append((f"targets_above_other_cells_{v}",
+                       min(r["near_min"], r["far_min"]) > r["max_other_max"],
+                       f"lowest near {r['near_min']:.4f} and far {r['far_min']:.4f} "
+                       f"peaks vs highest other cell {r['max_other_max']:.4f}"))
+        if v in ("ccs_sc", "ccs_ofdm"):
+            checks.append((f"sweet_band_nonempty_{v}", r["band_points"] > 0,
+                           f"{r['band_points']} grid points with P_d = 1 and P_f = 0"))
+    checks.append(("fmcw_false_alarm_excess",
+                   bool(np.any(roc.pf["fmcw"] > roc.pf["ccs_sc_nointf"])),
                    "fmcw exceeds interference-free sc somewhere on the grid"))
     gap_sc_ofdm = float(np.max(np.abs(roc.pd["ccs_sc"] - roc.pd["ccs_ofdm"])))
     checks.append(("sc_vs_ofdm_pd", gap_sc_ofdm <= 0.05,

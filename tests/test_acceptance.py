@@ -1,18 +1,22 @@
 """End-to-end acceptance gate.
 
-Each test checks one documented result property at its stated tolerance and
-records a single ``[acceptance] name: PASS/FAIL (detail)`` verdict line; the
-conftest terminal-summary hook replays every recorded line after the run.
-Driver-level properties consume the session fixtures from conftest so the
-five experiment pipelines run exactly once at their default trial counts.
+Each test checks one documented result property and records a single
+``[acceptance] name: PASS/FAIL (detail)`` verdict line; the conftest
+terminal-summary hook replays every recorded line after the run.
+Driver-level properties consume the session fixtures from conftest, so the
+five experiment pipelines run exactly once at their default trial counts, and
+judge them with the property registry ``experiments.check_<kind>`` that
+``ccsradar <kind> --check`` prints: each such test names its registry entries
+and requires every one present and PASS.  The remaining tests check the
+engines against independent oracles.
 """
 
 import numpy as np
 import pytest
 
+from ccsradar import experiments
 from ccsradar.coding import CodeConfig, repetition_bit_correlation
 from ccsradar.correlation import autocorr, crosscorr, idft_ratio
-from ccsradar.detection import grid_pd_gap
 from ccsradar.modulation import constellation, generate_ccs_blocks, map_bits
 from ccsradar.receiver import ofdm_range_doppler
 from ccsradar.scene import Path, TargetScene, apply_channel_ofdm
@@ -26,6 +30,29 @@ def say(acceptance_log):
         print(line)
         assert ok, line
     return _say
+
+
+@pytest.fixture
+def registry(say):
+    """say() one verdict over the named entries of a registry check list; an
+    independent oracle's (ok, detail) may join it."""
+    def _registry(name: str, checks: list, wanted, oracle=(True, "")) -> None:
+        got = {n: (ok, detail) for n, ok, detail in checks}
+        missing = [n for n in wanted if n not in got]
+        ok = not missing and all(got[n][0] for n in wanted) and oracle[0]
+        details = [f"{n}: {'PASS' if got[n][0] else 'FAIL'} {got[n][1]}"
+                   for n in wanted if n in got]
+        if missing:
+            details.append(f"missing {missing}")
+        if oracle[1]:
+            details.append(oracle[1])
+        say(name, ok, "; ".join(details))
+    return _registry
+
+
+# the plotted curves at the default config, as the registry names them
+CURVES = ("uncoded_qpsk", "uncoded_256qam", "polar_120/1024_qpsk",
+          "polar_682.5/1024_256qam", "ldpc_120/1024_qpsk", "ldpc_682.5/1024_256qam")
 
 
 def _direct_aperiodic(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -120,127 +147,62 @@ def test_repetition_class_means_match_enumeration(say):
 
 # -- analytic tail bounds -------------------------------------------------------
 
-def test_tail_upper_bounds_dominate(say, bounds_table):
-    cols = bounds_table.columns
-    ub = [r for r in bounds_table.rows if r[cols.index("bound_side")] == "ub"]
-    dom = sum(r[cols.index("dominated")] for r in ub)
-    stats = sorted({r[0] for r in ub})
-    codes = sorted({r[cols.index("code")] for r in ub})
-    sizes = sorted({r[cols.index("n")] for r in ub})
-    shape_ok = (stats == ["chi1", "rho0", "v1"] and codes == ["polar", "uncoded"]
-                and sizes == [256, 1024] and len(ub) == 480)
-    say("tail_upper_bounds_dominate", dom == len(ub) and shape_ok,
-         f"{dom}/{len(ub)} grid points with 3-sigma Wilson lower limit <= bound "
-         f"(re/im of chi(1), rho(0), V[1]; uncoded + interleaved polar; "
-         f"N in {{256,1024}}; 10^4 trials)")
+def test_tail_upper_bounds_dominate(registry, bounds_table, base_config):
+    registry("tail_upper_bounds_dominate",
+             experiments.check_bounds(bounds_table, base_config), ["upper_bounds_dominate"])
 
 
-def test_tail_lower_bound_witness(say, bounds_table):
-    cols = bounds_table.columns
-    lb = [r for r in bounds_table.rows if r[cols.index("bound_side")] == "lb"]
-    table_ok = lb and all(r[cols.index("dominated")] for r in lb)
+def test_tail_lower_bound_witness(registry, bounds_table, base_config):
     # independent exhaustive enumeration: 16 BPSK messages, gamma = 2, K = 4, N = 8
     msgs = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1)
     syms = (1 - 2 * msgs).astype(np.float64)
     stream = np.concatenate([syms, syms], axis=1)
     chi1 = np.einsum("tn,tn->t", stream[:, 1:], stream[:, :-1]) / 8.0
     p_hat = float(np.mean(np.abs(chi1.real) > 0.01))
-    say("tail_lower_bound_witness", table_ok and p_hat >= 2.0 ** -4,
-         f"P(|Re chi(1)| > 0.01) = {p_hat:.4f} over all 16 BPSK messages, "
-         f"want >= 2^-4 = 0.0625")
+    registry("tail_lower_bound_witness",
+             experiments.check_bounds(bounds_table, base_config), ["lower_bound_witness"],
+             (p_hat >= 2.0 ** -4, f"enumerated P(|Re chi(1)| > 0.01) = {p_hat:.4f} over "
+                                  f"all 16 BPSK messages, want >= 2^-4 = 0.0625"))
 
 
 # -- sidelobe medians vs block length -------------------------------------------
 
-def _curves(table, value_col, **conds):
-    """{(group cols): sorted [(n, value)]} for rows matching conds."""
-    cols = table.columns
-    group_cols = [c for c in ("code", "rate", "modulation", "metric")
-                  if c in cols]
-    out = {}
-    for row in table.select(**conds) if conds else table.rows:
-        key = tuple(row[cols.index(c)] for c in group_cols)
-        out.setdefault(key, []).append(
-            (row[cols.index("n")], row[cols.index(value_col)]))
-    return {k: sorted(v) for k, v in out.items()}
+def test_uncoded_qpsk_median_pslr_level(registry, pslr_table, base_config):
+    registry("uncoded_qpsk_median_pslr", experiments.check_pslr(pslr_table, base_config),
+             ["uncoded_qpsk_median_n1024"])
 
 
-def _endpoint_slope(points):
-    (n0, v0), (n1, v1) = points[0], points[-1]
-    return (v1 - v0) / np.log2(n1 / n0)
+def test_pslr_growth_per_doubling(registry, pslr_table, base_config):
+    registry("pslr_growth_per_doubling", experiments.check_pslr(pslr_table, base_config),
+             [f"slope_{c}" for c in CURVES])
 
 
-def test_uncoded_qpsk_median_pslr_level(say, pslr_table):
-    row = pslr_table.select(code="uncoded", modulation="qpsk", n=1024)[0]
-    med = row[pslr_table.columns.index("median_pslr_db")]
-    say("uncoded_qpsk_median_pslr", 23.0 <= med <= 27.0,
-         f"{med:.2f} dB at N = 1024 over 1000 trials, want 25 +- 2 dB")
+def test_suppression_growth_per_doubling(registry, suppression_table, base_config):
+    registry("suppression_growth_per_doubling",
+             experiments.check_suppression(suppression_table, base_config),
+             [f"slope_{m}_{c}" for c in CURVES for m in ("sc_cross", "ofdm_kernel")]
+             + ["sc_vs_ofdm_qpsk"])
 
 
-def test_pslr_growth_per_doubling(say, pslr_table):
-    curves = _curves(pslr_table, "median_pslr_db")
-    slopes = {k: _endpoint_slope(v) for k, v in curves.items() if len(v) >= 2}
-    full_span = curves[("uncoded", "1/1", "qpsk")]
-    span_ok = full_span[0][0] == 256 and full_span[-1][0] == 4096
-    ok = span_ok and all(2.5 <= s <= 3.5 for s in slopes.values())
-    lo, hi = min(slopes.values()), max(slopes.values())
-    say("pslr_growth_per_doubling", ok,
-         f"{len(slopes)} curves, endpoint slopes {lo:.2f}..{hi:.2f} dB per "
-         f"doubling over N = 256..4096, want within [2.5, 3.5]")
-
-
-def test_suppression_growth_per_doubling(say, suppression_table):
-    curves = _curves(suppression_table, "median_db")
-    slopes = {k: _endpoint_slope(v) for k, v in curves.items() if len(v) >= 2}
-    metrics = sorted({k[-1] for k in slopes})
-    ok = metrics == ["ofdm_kernel", "sc_cross"] and \
-        all(2.5 <= s <= 3.5 for s in slopes.values())
-    lo, hi = min(slopes.values()), max(slopes.values())
-    say("suppression_growth_per_doubling", ok,
-         f"{len(slopes)} curves across metrics {metrics}, endpoint slopes "
-         f"{lo:.2f}..{hi:.2f} dB per doubling, want within [2.5, 3.5]")
-
-
-def test_polar_ldpc_median_gap(say, pslr_table):
-    gaps = []
-    for (code, rate, mod), pts in _curves(pslr_table, "median_pslr_db").items():
-        if code != "polar":
-            continue
-        ldpc = dict(_curves(pslr_table, "median_pslr_db",
-                            code="ldpc", rate=rate, modulation=mod)
-                    .get(("ldpc", rate, mod), []))
-        gaps.extend(abs(v - ldpc[n]) for n, v in pts if n in ldpc)
-    ok = bool(gaps) and max(gaps) < 0.5
-    say("polar_ldpc_median_gap", ok,
-         f"max |polar - ldpc| = {max(gaps):.3f} dB over {len(gaps)} shared "
-         f"(rate, N) points, want < 0.5 dB")
+def test_polar_ldpc_median_gap(registry, pslr_table, base_config):
+    registry("polar_ldpc_median_gap", experiments.check_pslr(pslr_table, base_config),
+             ["polar_ldpc_gap_120/1024_qpsk", "polar_ldpc_gap_682.5/1024_256qam"])
 
 
 # -- interleaver effect ----------------------------------------------------------
 
-def test_interleaved_polar_matches_uncoded(say, interleaver_table):
-    ref = dict(_curves(interleaver_table, "median_pslr_db",
-                       code="uncoded", modulation="qpsk")[("uncoded", "1/1", "qpsk")])
-    inter = dict(_curves(interleaver_table, "median_pslr_db", code="polar",
-                         rate="120/1024", modulation="qpsk", interleaved=1)
-                 [("polar", "120/1024", "qpsk")])
-    shared = sorted(set(ref) & set(inter))
-    gaps = {n: abs(inter[n] - ref[n]) for n in shared}
-    ok = shared == [256, 512, 1024, 2048, 4096] and max(gaps.values()) <= 0.5
-    say("interleaved_polar_matches_uncoded", ok,
-         f"max |polar 120/1024 - uncoded| = {max(gaps.values()):.3f} dB over "
-         f"N = 256..4096, want <= 0.5 dB at each N")
+def test_interleaved_polar_matches_uncoded(registry, interleaver_table, base_config):
+    registry("interleaved_polar_matches_uncoded",
+             experiments.check_interleaver(interleaver_table, base_config),
+             [f"{p}_{c}" for p in ("interleaved_matches_uncoded", "high_rate_plain_near_uncoded")
+              for c in ("polar", "ldpc")])
 
 
-def test_plain_polar_below_interleaved_at_short_block(say, interleaver_table):
-    sel = dict(code="polar", rate="120/1024", modulation="qpsk", n=256)
-    cols = interleaver_table.columns
-    med = cols.index("median_pslr_db")
-    inter = interleaver_table.select(interleaved=1, **sel)[0][med]
-    plain = interleaver_table.select(interleaved=0, **sel)[0][med]
-    say("plain_polar_below_interleaved", plain < inter,
-         f"non-interleaved {plain:.2f} dB < interleaved {inter:.2f} dB "
-         f"at N = 256, rate 120/1024")
+def test_plain_polar_below_interleaved_at_short_block(registry, interleaver_table,
+                                                      base_config):
+    registry("plain_polar_below_interleaved",
+             experiments.check_interleaver(interleaver_table, base_config),
+             ["plain_below_interleaved_polar"])
 
 
 # -- OFDM receiver sparsity -------------------------------------------------------
@@ -266,60 +228,31 @@ def test_ofdm_map_exact_sparsity(say):
 
 # -- near-far study ---------------------------------------------------------------
 
-def test_near_far_peak_levels(say, nearfar_results):
-    table, _roc, _levels = nearfar_results
-    cols = table.columns
-    far_ref = 10.0 ** (-12.0 / 20.0)
-    lo, hi = far_ref * 10 ** (-3 / 20), far_ref * 10 ** (3 / 20)
-    bad = []
-    for row in table.rows:
-        variant = row[cols.index("variant")]
-        f_min, f_max = row[cols.index("far_min")], row[cols.index("far_max")]
-        n_min = row[cols.index("near_min")]
-        other = row[cols.index("max_other_max")]
-        if not (lo <= f_min and f_max <= hi and n_min > other and f_min > other):
-            bad.append(variant)
-    say("near_far_peak_levels", not bad,
-         f"far peak within [{lo:.3f}, {hi:.3f}] (3 dB of {far_ref:.3f}) and both "
-         f"targets above every other cell for all 5 variants, 100 trials"
-         + (f"; violations: {bad}" if bad else ""))
+def _nearfar_checks(nearfar_results, config):
+    table, roc, levels = nearfar_results
+    return experiments.check_nearfar(table, roc, config, levels)
 
 
-def test_near_far_sweet_band(say, nearfar_results):
-    table, _roc, _levels = nearfar_results
-    cols = table.columns
-    pts = {v: table.select(variant=v)[0][cols.index("band_points")]
-           for v in ("ccs_sc", "ccs_ofdm")}
-    say("near_far_sweet_band", all(p > 0 for p in pts.values()),
-         f"thresholds with P_d = 1 and P_f = 0 under interference: "
-         f"sc {pts['ccs_sc']} grid points, ofdm {pts['ccs_ofdm']} grid points, "
-         f"want > 0")
+def test_near_far_peak_levels(registry, nearfar_results, base_config):
+    registry("near_far_peak_levels", _nearfar_checks(nearfar_results, base_config),
+             [f"{p}_{v}" for v in experiments.NEARFAR_VARIANTS
+              for p in ("far_peak_within_3db", "targets_above_other_cells")])
 
 
-def test_near_far_ccs_matches_fmcw(say, nearfar_results):
-    # The curves are compared at the resolution of the 200-point grid they
-    # are stated on: a c.c.s far-peak spread that straddles one grid point
-    # next to the sharper FMCW step is not a detection difference, a spread
-    # over several grid steps is.
-    _table, roc, levels = nearfar_results
-    gap, point, where = {}, {}, {}
-    for v in ("ccs_sc", "ccs_ofdm"):
-        gap[v] = grid_pd_gap(roc.pd[v], roc.pd["fmcw"])
-        diff = np.abs(roc.pd[v] - roc.pd["fmcw"])
-        point[v], where[v] = float(diff.max()), float(roc.eta[np.argmax(diff)])
-    std = {v: float(np.std([tl.target_levels[1] for tl in levels[v]]))
-           for v in ("ccs_sc", "ccs_ofdm", "fmcw")}
-    say("ccs_detection_matches_fmcw", max(gap.values()) <= 0.05,
-         f"max P_d gap vs interference-free fmcw at grid resolution: "
-         f"sc {gap['ccs_sc']:.3f}, ofdm {gap['ccs_ofdm']:.3f}, want <= 0.05; "
-         f"pointwise sc {point['ccs_sc']:.3f} at eta {where['ccs_sc']:.4f}, "
-         f"ofdm {point['ccs_ofdm']:.3f} at eta {where['ccs_ofdm']:.4f}; far-peak std "
-         f"sc {std['ccs_sc']:.5f}, ofdm {std['ccs_ofdm']:.5f}, fmcw {std['fmcw']:.5f}")
+def test_near_far_sweet_band(registry, nearfar_results, base_config):
+    registry("near_far_sweet_band", _nearfar_checks(nearfar_results, base_config),
+             ["sweet_band_nonempty_ccs_sc", "sweet_band_nonempty_ccs_ofdm",
+              "fmcw_false_alarm_excess"])
 
 
-def test_near_far_sc_matches_ofdm(say, nearfar_results):
-    _table, roc, _levels = nearfar_results
-    gap = float(np.max(np.abs(roc.pd["ccs_sc"] - roc.pd["ccs_ofdm"])))
-    say("sc_and_ofdm_detection_agree", gap <= 0.05,
-         f"max P_d gap between single-carrier and ofdm across the threshold "
-         f"grid: {gap:.3f}, want <= 0.05")
+def test_near_far_ccs_matches_fmcw(registry, nearfar_results, base_config):
+    # judged at the resolution of the 200-point threshold grid: a c.c.s far-peak
+    # spread straddling one grid point next to the sharper FMCW step is not a
+    # detection difference, a spread over several grid steps is
+    registry("ccs_detection_matches_fmcw", _nearfar_checks(nearfar_results, base_config),
+             ["ccs_sc_matches_fmcw_pd", "ccs_ofdm_matches_fmcw_pd"])
+
+
+def test_near_far_sc_matches_ofdm(registry, nearfar_results, base_config):
+    registry("sc_and_ofdm_detection_agree", _nearfar_checks(nearfar_results, base_config),
+             ["sc_vs_ofdm_pd"])

@@ -51,16 +51,24 @@ rates = 120/1024:qpsk
 n_list = 256, 1024
 """
 
-# recorded at seed 0: (config text, trials, sha256)
+# recorded at seed 0: case -> (command, config text, trials, sha256).  The
+# 300-trial sweeps run one full 256-row batch and a partial one, so the batch
+# boundary and the concatenation across batches are pinned too.
 GOLDEN = {
-    "pslr": (
-        SWEEP_INI, 16, "9373a0bd9e5be72a7aa6a377544183f4342d16dd27a7c0fe5c9c35ecb68ff41d"),
-    "suppress": (
-        SWEEP_INI, 16, "749873958c65129c78e295fcb42b0397e61b2de4902bac9ab336fb0ddbf6105b"),
-    "interleave": (
-        SWEEP_INI, 16, "0233bcef6ae99d4c94c871d2725d805d9c5295fb3883e74ac0e057e04b7166d6"),
-    "bounds": (
-        BOUNDS_INI, 200, "bceb13683e9f4fe8e7b81ec6f190436cc5045572bbfcdf196ecc224828f4fe2a"),
+    "pslr": ("pslr", SWEEP_INI, 16,
+             "9373a0bd9e5be72a7aa6a377544183f4342d16dd27a7c0fe5c9c35ecb68ff41d"),
+    "suppress": ("suppress", SWEEP_INI, 16,
+                 "749873958c65129c78e295fcb42b0397e61b2de4902bac9ab336fb0ddbf6105b"),
+    "interleave": ("interleave", SWEEP_INI, 16,
+                   "0233bcef6ae99d4c94c871d2725d805d9c5295fb3883e74ac0e057e04b7166d6"),
+    "bounds": ("bounds", BOUNDS_INI, 200,
+               "bceb13683e9f4fe8e7b81ec6f190436cc5045572bbfcdf196ecc224828f4fe2a"),
+    "pslr-300": ("pslr", SWEEP_INI, 300,
+                 "6c8755924334dfc3585061de8c31f80a989637fe63195b2b40e81fdae4e1e0c2"),
+    "suppress-300": ("suppress", SWEEP_INI, 300,
+                     "33242711a399b1d4b24c079463a936e7dbf8a5cb1d50555742fd77ed0a8fd16b"),
+    "interleave-300": ("interleave", SWEEP_INI, 300,
+                       "caabbccadfcf3d913fd80b4dbcca30fdcb29c54ef5b7c0d439f590a088f40f24"),
 }
 
 
@@ -95,10 +103,10 @@ def test_nearfar_golden_fingerprint(tmp_path, capsys):
     assert got == NEARFAR_128_SHA256, f"nearfar output changed: got {got}"
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_driver_golden_fingerprint(tmp_path, capsys, command):
-    ini, trials, want = GOLDEN[command]
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_driver_golden_fingerprint(tmp_path, capsys, case):
+    command, ini, trials, want = GOLDEN[case]
     out = _run_cli(tmp_path, capsys, command, ini, trials)
     assert any(out.iterdir())
     got = output_fingerprint(out)
-    assert got == want, f"{command} output changed: got {got}"
+    assert got == want, f"{case} output changed: got {got}"

@@ -435,6 +435,53 @@ u_points = 5
     assert (out / "tail_bounds.csv").exists()
 
 
+TWO_QPSK_RATES_INI = """\
+[experiment]
+trials = 16
+
+[signal]
+n_list = 256, 512
+codes = uncoded, polar, ldpc
+rates = 120/1024:qpsk, 512/1024:qpsk
+sidelobe_window = 16
+"""
+
+
+@pytest.mark.parametrize("command", ["pslr", "suppress", "interleave"])
+def test_cli_check_names_unique(tmp_path, capsys, command):
+    # two rates share qpsk: every coded-curve check must say which rate it judges
+    cfg = _write(tmp_path, TWO_QPSK_RATES_INI)
+    rc = cli.main([command, "--config", str(cfg), "--seed", "0",
+                   "--out", str(tmp_path / "o"), "--check"])
+    names = re.findall(r"^\[check\] (\S+):", capsys.readouterr().out, flags=re.M)
+    assert rc in (0, 3) and names
+    assert len(names) == len(set(names)), names
+    if command != "interleave":
+        assert any("_polar_120/1024_qpsk" in n for n in names)
+        assert any("_polar_512/1024_qpsk" in n for n in names)
+
+
+def test_check_fails_on_incomplete_curve():
+    config = ExperimentConfig(kind="pslr", seed=0, trials=16, n_list=(64, 128, 256),
+                              codes=("uncoded",), rates=((1.0, 1, "qpsk"),),
+                              sidelobe_window=16)
+    table = experiments.run_pslr_sweep(config)
+    table.rows = [r for r in table.rows if r[table.columns.index("n")] != 256]
+    (name, ok, detail), = experiments.check_pslr(table, config)
+    assert name == "slope_uncoded_qpsk" and not ok and "want [64, 128, 256]" in detail
+
+
+def test_check_fails_on_incomplete_bounds_table():
+    config = ExperimentConfig(kind="bounds", seed=0, trials=64, codes=("uncoded", "polar"),
+                              rates=((120.0, 1024, "qpsk"),), bounds_n_list=(256,),
+                              u_points=5)
+    table = experiments.run_tail_bound_check(config)
+    assert all(ok for _, ok, _ in experiments.check_bounds(table, config))
+    table.rows = table.rows[1:]
+    verdict = dict((n, ok) for n, ok, _ in experiments.check_bounds(table, config))
+    assert verdict == {"upper_bounds_dominate": False, "lower_bound_witness": True}
+
+
 def test_cli_nearfar_small_scene(tmp_path, capsys):
     ini = """\
 [experiment]
