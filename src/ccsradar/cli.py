@@ -15,23 +15,6 @@ from pathlib import Path
 from . import experiments
 from .config import ConfigError, ExperimentConfig, load_config
 
-# kind -> (help, driver, CSV file, plotted sweep column, check); driver and check
-# name functions in experiments, looked up at call time so a rebound one runs
-_KINDS = {
-    "pslr": ("median autocorrelation PSLR vs block length", "run_pslr_sweep",
-             "pslr_sweep.csv", "median_pslr_db", "check_pslr"),
-    "suppress": ("median interference suppression vs block length", "run_suppression_sweep",
-                 "suppression_sweep.csv", "median_db", "check_suppression"),
-    "interleave": ("interleaver on/off PSLR comparison", "run_interleaver_study",
-                   "interleaver_study.csv", "median_pslr_db", "check_interleaver"),
-    "bounds": ("empirical tails vs analytic bounds", "run_tail_bound_check",
-               "tail_bounds.csv", None, "check_bounds"),
-    "nearfar": ("two-target near-far scene with an interfering radar", "run_near_far",
-                "nearfar_summary.csv", None, "check_nearfar"),
-}
-_ROC_CSV = "roc_curves.csv"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccsradar",
@@ -83,26 +66,25 @@ def main(argv=None) -> int:
 
 
 def _run(config: ExperimentConfig, out: Path, run_checks: bool) -> list:
-    _help, driver, csv_name, _value, check = _KINDS[config.kind]
+    _help, driver, csv_name, check, _plot = _KINDS[config.kind]
     if config.kind == "nearfar":
         table, roc, levels = getattr(experiments, driver)(config, dump_dir=out)
-        roc.export_csv(out / _ROC_CSV)
-        print(f"wrote {out / _ROC_CSV} and per-variant map dumps")
         args = (table, roc, config, levels)
     else:
         table = getattr(experiments, driver)(config)
         args = (table, config)
     table.write_csv(out / csv_name)
     print(f"wrote {out / csv_name}")
+    if config.kind == "nearfar":
+        roc.export_csv(out / "roc_curves.csv")
+        print(f"wrote {out / 'roc_curves.csv'} and per-variant map dumps")
     return getattr(experiments, check)(*args) if run_checks else []
 
 
 def _plot_script(kind: str) -> str:
     """Standalone matplotlib script matching the CSV this experiment wrote."""
-    _help, _driver, csv_name, value, _check = _KINDS[kind]
-    body = _PLOT_SWEEP if value else _PLOT_BOUNDS if kind == "bounds" else _PLOT_ROC
-    csv_name = _ROC_CSV if kind == "nearfar" else csv_name
-    return _PLOT_HEADER + body.replace("{csv}", csv_name).replace("{value}", value or "")
+    _help, _driver, _csv_name, _check, body = _KINDS[kind]
+    return _PLOT_HEADER + body
 
 
 _PLOT_HEADER = '''\
@@ -125,7 +107,7 @@ def read(name):
 
 _PLOT_SWEEP = '''\
 rows = read("{csv}")
-curves = {}
+curves = {{}}
 for r in rows:
     key = tuple(r.get(k, "") for k in ("code", "rate", "modulation",
                                        "metric", "interleaved"))
@@ -143,7 +125,7 @@ plt.savefig(here / "{csv}".replace(".csv", ".png"), dpi=150)
 '''
 
 _PLOT_BOUNDS = '''\
-rows = read("{csv}")
+rows = read("tail_bounds.csv")
 curves = {}
 for r in rows:
     if r["bound_side"] != "ub":
@@ -162,11 +144,11 @@ ax.set_ylabel("P(|stat| > u)")
 ax.grid(True, alpha=0.3)
 ax.legend(fontsize=5)
 fig.tight_layout()
-fig.savefig(here / "{csv}".replace(".csv", ".png"), dpi=150)
+fig.savefig(here / "tail_bounds.png", dpi=150)
 '''
 
 _PLOT_ROC = '''\
-rows = read("{csv}")
+rows = read("roc_curves.csv")
 curves = {}
 for r in rows:
     curves.setdefault(r["waveform"], []).append(
@@ -184,5 +166,23 @@ for ax in (ax_d, ax_f):
     ax.grid(True, which="both", alpha=0.3)
 ax_d.legend(fontsize=7)
 fig.tight_layout()
-fig.savefig(here / "{csv}".replace(".csv", ".png"), dpi=150)
+fig.savefig(here / "roc_curves.png", dpi=150)
 '''
+
+# kind -> (help, driver, CSV file, check, plot script body); driver and check name
+# functions in experiments, looked up at call time so a rebound one runs
+_KINDS = {
+    "pslr": ("median autocorrelation PSLR vs block length", "run_pslr_sweep",
+             "pslr_sweep.csv", "check_pslr",
+             _PLOT_SWEEP.format(csv="pslr_sweep.csv", value="median_pslr_db")),
+    "suppress": ("median interference suppression vs block length", "run_suppression_sweep",
+                 "suppression_sweep.csv", "check_suppression",
+                 _PLOT_SWEEP.format(csv="suppression_sweep.csv", value="median_db")),
+    "interleave": ("interleaver on/off PSLR comparison", "run_interleaver_study",
+                   "interleaver_study.csv", "check_interleaver",
+                   _PLOT_SWEEP.format(csv="interleaver_study.csv", value="median_pslr_db")),
+    "bounds": ("empirical tails vs analytic bounds", "run_tail_bound_check",
+               "tail_bounds.csv", "check_bounds", _PLOT_BOUNDS),
+    "nearfar": ("two-target near-far scene with an interfering radar", "run_near_far",
+                "nearfar_summary.csv", "check_nearfar", _PLOT_ROC),
+}

@@ -86,19 +86,18 @@ def _skip(code: str, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # sidelobe sweeps
 
-def _sweep(config: ExperimentConfig, domain: int, stat, rows, columns,
-           runs=lambda code: ((True, ((),)),)) -> ResultTable:
+def _sweep(config: ExperimentConfig, domain: int, stat, runs):
     """The (code, rate, N) walk shared by the three sidelobe sweeps.
 
-    runs(code) lists (interleaved, keys) per curve point, one symbol stream per
-    key from substream(seed, domain, ci, ri, ni, *key), drawn in _CHUNK-row
-    batches; stat maps one batch per stream to per-trial statistics, and
-    rows(head, cfg, const, interleaved, values) turns those, concatenated over
-    the batches, into rows led by head = (code, rate, modulation, n).
+    For each curve point and each (interleaved, keys) entry of runs(code),
+    draws one symbol stream per key from substream(seed, domain, ci, ri, ni,
+    *key) in _CHUNK-row batches and applies stat to each batch.  Yields
+    (head, const, k_sym, interleaved, values): head = (code, rate, modulation,
+    n) leads every row, values holds stat's per-trial statistics over all
+    trials.
     """
-    t0 = time.perf_counter()
-    seed, trials = config.require_seed(), config.resolved_trials()
-    out = []
+    seed = config.require_seed()
+    trials = config.resolved_trials()
     for ci, ri, code, num, den, mod in _curve_combos(config):
         const = constellation(mod)
         for ni, n in enumerate(config.n_list):
@@ -114,24 +113,26 @@ def _sweep(config: ExperimentConfig, domain: int, stat, rows, columns,
                     syms = [_symbol_batch(cfg, const, m, rng, interleaved) for rng in rngs]
                     batches.append(stat(*syms))
                 values = [np.concatenate(v) for v in zip(*batches)]
-                out.extend(rows(head, cfg, const, interleaved, values))
-    return ResultTable(columns, out, result_meta(config, time.perf_counter() - t0))
+                yield head, const, _k_symbols(cfg, const), interleaved, values
 
 
 def run_pslr_sweep(config: ExperimentConfig) -> ResultTable:
     """Median windowed PSLR per (code, rate, N) plus the bound-implied median."""
-    trials, window = config.resolved_trials(), config.sidelobe_window
-
-    def rows(head, cfg, const, interleaved, values):
-        vals, = values
-        spec = TailBoundSpec(N=head[3], lag=1, b=product_bound_b(const),
-                             K=_k_symbols(cfg, const))
-        return [head + (trials, float(np.median(vals)), float(np.percentile(vals, 25)),
-                        float(np.percentile(vals, 75)), median_pslr_from_bound(spec))]
-
-    return _sweep(config, _D_PSLR, lambda s: (pslr(autocorr(s), max_lag=window),), rows,
-                  ("code", "rate", "modulation", "n", "trials", "median_pslr_db",
-                   "p25_db", "p75_db", "bound_median_db"))
+    t0 = time.perf_counter()
+    trials = config.resolved_trials()
+    window = config.sidelobe_window
+    rows = []
+    for head, const, k_sym, _interleaved, (vals,) in _sweep(
+            config, _D_PSLR, lambda s: (pslr(autocorr(s), max_lag=window),),
+            runs=lambda code: ((True, ((),)),)):
+        spec = TailBoundSpec(N=head[3], lag=1, b=product_bound_b(const), K=k_sym)
+        rows.append(head + (trials, float(np.median(vals)),
+                            float(np.percentile(vals, 25)),
+                            float(np.percentile(vals, 75)),
+                            median_pslr_from_bound(spec)))
+    cols = ("code", "rate", "modulation", "n", "trials", "median_pslr_db",
+            "p25_db", "p75_db", "bound_median_db")
+    return ResultTable(cols, rows, result_meta(config, time.perf_counter() - t0))
 
 
 def run_suppression_sweep(config: ExperimentConfig) -> ResultTable:
@@ -141,42 +142,48 @@ def run_suppression_sweep(config: ExperimentConfig) -> ResultTable:
     ofdm_kernel is the peak of the inverse-DFT ratio kernel.  Both windows
     cover |l| <= sidelobe_window including the zero lag.
     """
-    trials, window = config.resolved_trials(), config.sidelobe_window
+    t0 = time.perf_counter()
+    trials = config.resolved_trials()
+    window = config.sidelobe_window
 
     def stat(s_i, s_q):
         return (suppression_metric(crosscorr(s_q, s_i), max_lag=window),
                 suppression_metric(idft_ratio(s_i, s_q), max_lag=window))
 
-    def rows(head, cfg, const, interleaved, values):
-        k_sym = _k_symbols(cfg, const)
-        out = []
+    rows = []
+    for head, const, k_sym, _interleaved, (vals_cross, vals_ofdm) in _sweep(
+            config, _D_SUPP, stat, runs=lambda code: ((True, ((0,), (1,))),)):
         for metric, vals, kind, b in (
-                ("sc_cross", values[0], "cross", product_bound_b(const)),
-                ("ofdm_kernel", values[1], "ofdm", ratio_bound_b(const, const))):
+                ("sc_cross", vals_cross, "cross", product_bound_b(const)),
+                ("ofdm_kernel", vals_ofdm, "ofdm", ratio_bound_b(const, const))):
             spec = TailBoundSpec(N=head[3], lag=0, b=b, K_i=k_sym, K_q=k_sym)
-            out.append(head + (trials, metric, float(np.median(vals)),
-                               median_suppression_from_bound(spec, kind)))
-        return out
-
-    return _sweep(config, _D_SUPP, stat, rows,
-                  ("code", "rate", "modulation", "n", "trials", "metric",
-                   "median_db", "bound_median_db"),
-                  runs=lambda code: ((True, ((0,), (1,))),))
+            rows.append(head + (trials, metric, float(np.median(vals)),
+                                median_suppression_from_bound(spec, kind)))
+    cols = ("code", "rate", "modulation", "n", "trials", "metric",
+            "median_db", "bound_median_db")
+    return ResultTable(cols, rows, result_meta(config, time.perf_counter() - t0))
 
 
 def run_interleaver_study(config: ExperimentConfig) -> ResultTable:
     """Median PSLR with and without the parity interleaver, vs the uncoded
     reference at the same modulation."""
-    trials, window = config.resolved_trials(), config.sidelobe_window
+    t0 = time.perf_counter()
+    trials = config.resolved_trials()
+    window = config.sidelobe_window
 
-    def rows(head, cfg, const, interleaved, values):
-        return [head + (int(interleaved), trials, float(np.median(values[0])))]
+    def runs(code):
+        # substream key 1 runs with the parity interleaver, key 0 without
+        if code == "uncoded":
+            return ((True, ((1,),)),)
+        return ((True, ((1,),)), (False, ((0,),)))
 
-    # substream key 1 runs with the parity interleaver, key 0 without (coded only)
-    return _sweep(config, _D_INTL, lambda s: (pslr(autocorr(s), max_lag=window),), rows,
-                  ("code", "rate", "modulation", "n", "interleaved", "trials",
-                   "median_pslr_db"),
-                  runs=lambda code: [(True, ((1,),))] + [(False, ((0,),))] * (code != "uncoded"))
+    rows = []
+    for head, _const, _k_sym, interleaved, (vals,) in _sweep(
+            config, _D_INTL, lambda s: (pslr(autocorr(s), max_lag=window),), runs):
+        rows.append(head + (int(interleaved), trials, float(np.median(vals))))
+    cols = ("code", "rate", "modulation", "n", "interleaved", "trials",
+            "median_pslr_db")
+    return ResultTable(cols, rows, result_meta(config, time.perf_counter() - t0))
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +433,20 @@ def check_suppression(table: ResultTable, config: ExperimentConfig) -> list:
 
 def check_interleaver(table: ResultTable, config: ExperimentConfig) -> list:
     checks = []
-    low, high = (f(config.rates, key=lambda r: r[0] / r[1]) for f in (min, max))
+    low = min(config.rates, key=lambda r: r[0] / r[1])
+    high = max(config.rates, key=lambda r: r[0] / r[1])
     for code in config.codes:
         span = _span(config, code)
         if code == "uncoded" or not span:
             continue
         at_low = dict(code=code, rate=_rate_label(*low[:2]), modulation=low[2])
-        inter, plain = (_curve(table, interleaved=i, **at_low) for i in (1, 0))
-        p, q = plain.get(span[0], float("nan")), inter.get(span[0], float("nan"))
-        checks.append((f"plain_below_interleaved_{code}", p < q,
-                       f"{p:.2f} < {q:.2f} dB at N = {span[0]}"))
+        inter = _curve(table, interleaved=1, **at_low)
+        plain = _curve(table, interleaved=0, **at_low)
+        n0 = span[0]
+        p_n0 = plain.get(n0, float("nan"))
+        i_n0 = inter.get(n0, float("nan"))
+        checks.append((f"plain_below_interleaved_{code}", p_n0 < i_n0,
+                       f"{p_n0:.2f} < {i_n0:.2f} dB at N = {n0}"))
         if "uncoded" in config.codes:
             checks += _gap_check(f"interleaved_matches_uncoded_{code}", inter,
                                  _curve(table, code="uncoded", modulation=low[2]), span, 0.5)
@@ -448,14 +459,17 @@ def check_interleaver(table: ResultTable, config: ExperimentConfig) -> list:
 
 def check_bounds(table: ResultTable, config: ExperimentConfig) -> list:
     cols = table.columns
-    side, dom = cols.index("bound_side"), cols.index("dominated")
+    side = cols.index("bound_side")
+    dom = cols.index("dominated")
     key = [cols.index(c) for c in ("stat", "part", "code", "n")]
-    ub, lb = ([r for r in table.rows if r[side] == s] for s in ("ub", "lb"))
+    ub = [r for r in table.rows if r[side] == "ub"]
+    lb = [r for r in table.rows if r[side] == "lb"]
     want = {(stat, part, code, n) for stat in _BOUND_STATS for part in ("re", "im")
             for code in _BOUND_CODES for n in config.bounds_n_list}
     shape_ok = ({tuple(r[i] for i in key) for r in ub} == want
                 and len(ub) == len(want) * config.u_points)
-    n_ub, n_lb = sum(r[dom] for r in ub), sum(r[dom] for r in lb)
+    n_ub = sum(r[dom] for r in ub)
+    n_lb = sum(r[dom] for r in lb)
     return [("upper_bounds_dominate", shape_ok and n_ub == len(ub),
              f"{n_ub}/{len(ub)} grid points, want {len(want) * config.u_points} = "
              f"{len(want)} (statistic, re/im, code, N) x {config.u_points} u"),
@@ -466,7 +480,8 @@ def check_bounds(table: ResultTable, config: ExperimentConfig) -> list:
 def check_nearfar(table: ResultTable, roc: RocCurves, config: ExperimentConfig,
                   levels: dict) -> list:
     checks = []
-    lo_db, hi_db = (config.gains()[1] * 10 ** (db / 20) for db in (-3, 3))
+    far_ref = config.gains()[1]
+    lo_db, hi_db = far_ref * 10 ** (-3 / 20), far_ref * 10 ** (3 / 20)
     for row in table.rows:
         r = dict(zip(table.columns, row))
         v = r["variant"]
