@@ -149,9 +149,10 @@ class ExperimentConfig:
         """Raise ConfigError when the experiment self.kind names could not run.
 
         Checks every code the experiment builds (known kind and modulation, polar
-        lengths a power of two, whole message bit counts) and, for the
-        near-far scene, n_max < n_fast and every range and Doppler bin inside
-        [0, n_max] and [1, m_slow].
+        lengths a power of two, whole message bit counts), for the sidelobe
+        sweeps a sidelobe_window of at least one lag, and, for the near-far
+        scene, n_max < n_fast and every range and Doppler bin inside [0, n_max]
+        and [1, m_slow].
         """
         if self.kind == "nearfar":
             if not 0 <= self.n_max < self.n_fast:
@@ -169,6 +170,8 @@ class ExperimentConfig:
         elif self.kind == "bounds":
             combos = [("polar", self.rates[0], n) for n in self.bounds_n_list]
         elif self.kind in ("pslr", "suppress", "interleave"):
+            if self.sidelobe_window < 1:
+                raise ConfigError(f"sidelobe_window = {self.sidelobe_window} must be at least 1")
             combos = [(code, rate, n) for code in self.codes if code != "uncoded"
                       for rate in self.rates for n in self.n_list]
         else:

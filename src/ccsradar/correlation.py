@@ -71,7 +71,13 @@ def _aperiodic(s1: np.ndarray, s2: np.ndarray, method: str) -> np.ndarray:
         f1 = np.fft.fft(s1, 2 * n, axis=-1)
         f2 = f1 if s2 is s1 else np.fft.fft(s2, 2 * n, axis=-1)
         # keep this product as written: an in-place or reordered complex
-        # multiply changes last-ulp bits of the sweep medians
+        # multiply changes last-ulp bits of the sweep medians.  From 256 KiB
+        # up (every 256-row batch) numpy's temporary elision evaluates it as
+        # np.conj(f2) * f1 in place into the temporary; smaller products (the
+        # 16-trial golden at N = 256, 128 KiB) take the order as written, and
+        # the two orders differ in the last ulp of the imaginary parts.  So a
+        # re-batching or row-tiling of the correlation statistics must keep
+        # each product on the same side of 256 KiB.
         prod = f1 * np.conj(f2)
         del f1, f2
         c = np.fft.ifft(prod, axis=-1)

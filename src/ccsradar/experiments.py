@@ -39,16 +39,33 @@ LDPC_N_CAP = 1024
 NEARFAR_VARIANTS = ("ccs_sc", "ccs_sc_nointf", "ccs_ofdm", "ccs_ofdm_nointf", "fmcw")
 
 
+def _permute_rows(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """bits[r, keys[r].argsort()] for every row r, by a value sort.
+
+    keys lie in [0, 1): their IEEE-754 patterns read as int64 sort like the
+    values and stay below 2**62, so each key shifted left by one carries its
+    bit in bit 0 through the sort.  A row with two equal keys (a few in 10**9
+    rows of rng.random at N <= 4096) takes argsort itself, whose order among
+    the tied bits a value sort cannot reproduce.
+    """
+    words = keys.view(np.int64) << 1
+    words |= bits
+    words.sort(axis=1)
+    out = np.bitwise_and(words, 1, out=np.empty(bits.shape, np.uint8), casting="unsafe")
+    words >>= 1
+    for r in np.flatnonzero((words[:, 1:] == words[:, :-1]).any(axis=1)):
+        out[r] = bits[r, keys[r].argsort()]
+    return out
+
+
 def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng,
                   interleaved: bool = True) -> np.ndarray:
     """(n_blocks, N) symbol matrix with a fresh message and parity permutation per row."""
     msgs = rng.integers(0, 2, size=(n_blocks, cfg.n_msg_bits), dtype=np.uint8)
-    cw = encode(msgs, cfg)
+    cw = encode(msgs, cfg)  # a fresh array for every code: permuted in place
     k = cfg.n_msg_bits
     if interleaved and cfg.n_code_bits > k:
-        tail = cw[:, k:]
-        order = rng.random(tail.shape).argsort(axis=1)
-        cw = np.concatenate([cw[:, :k], np.take_along_axis(tail, order, axis=1)], axis=1)
+        cw[:, k:] = _permute_rows(cw[:, k:], rng.random((n_blocks, cfg.n_code_bits - k)))
     return map_bits(cw, const)
 
 

@@ -350,6 +350,20 @@ def test_cli_rejects_non_power_of_two_polar(tmp_path, capsys):
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("command", ["pslr", "suppress", "interleave"])
+@pytest.mark.parametrize("window", [0, -1])
+def test_cli_rejects_empty_sidelobe_window(tmp_path, capsys, command, window):
+    cfg = _write(tmp_path, f"[signal]\nn_list = 256\nsidelobe_window = {window}\n")
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", str(cfg), "--seed", "0", "--trials", "4",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert f"sidelobe_window = {window}" in err
+    assert not out.exists()
+
+
 def test_cli_rejects_nearfar_n_max_beyond_block(tmp_path, capsys):
     text = (CONFIGS / "nearfar.ini").read_text(encoding="utf-8")
     assert "n_max = 32\n" in text

@@ -1,0 +1,89 @@
+"""The per-block parity permutation of the sweep and bound drivers.
+
+experiments._permute_rows sorts each parity bit with its random key; the tests
+here hold it, and _symbol_batch through it, to the argsort of those keys, ties
+included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ccsradar.coding import CodeConfig, encode
+from ccsradar.experiments import _permute_rows, _symbol_batch
+from ccsradar.modulation import constellation, map_bits
+
+_EDGE_KEY = np.nextafter(1.0, 0.0)  # the largest key rng.random can return
+
+
+def _argsort_oracle(bits, keys):
+    return np.take_along_axis(bits, keys.argsort(axis=1), axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1),
+       ties=st.sets(st.sampled_from(["dup_column", "equal_row", "zero_row", "edge", "coarse"])))
+def test_permute_rows_matches_argsort(rows, cols, seed, ties):
+    rng = np.random.default_rng(seed)
+    # a tail view of a wider codeword batch, as _symbol_batch passes it
+    bits = rng.integers(0, 2, size=(rows, cols + 3), dtype=np.uint8)[:, 3:]
+    keys = rng.random((rows, cols))
+    r = int(rng.integers(rows))
+    if "coarse" in ties:  # many ties in every row
+        keys = rng.integers(0, 4, size=keys.shape) / 4.0
+    if "dup_column" in ties and cols > 1:
+        keys[:, -1] = keys[:, 0]
+    if "equal_row" in ties:
+        keys[r] = keys[r, 0]
+    if "zero_row" in ties:
+        keys[(r + 1) % rows] = 0.0
+    if "edge" in ties:
+        keys[:, rng.integers(cols, size=2)] = _EDGE_KEY
+    got = _permute_rows(bits, keys)
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert np.array_equal(got, _argsort_oracle(bits, keys))
+
+
+class _TiedKeys:
+    """A Generator whose random() repeats key columns and flattens one row,
+    so _symbol_batch itself runs the argsort fallback."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, shape):
+        keys = self._rng.random(shape)
+        keys[:, 1::2] = keys[:, 0:-1:2]
+        keys[0] = keys[0, 0]
+        return keys
+
+
+def _oracle_batch(cfg, const, rows, rng, interleaved):
+    # the argsort composition of
+    # tests/test_modulation.py::test_interleaved_symbol_covariance_vanishes
+    k, n = cfg.n_msg_bits, cfg.n_code_bits
+    cw = encode(rng.integers(0, 2, size=(rows, k), dtype=np.uint8), cfg)
+    if interleaved and n > k:
+        order = rng.random((rows, n - k)).argsort(axis=1)
+        tail = np.take_along_axis(cw[:, k:], order, axis=1)
+        cw = np.concatenate([cw[:, :k], tail], axis=1)
+    return map_bits(cw, const)
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, _TiedKeys],
+                         ids=["generator", "tied_keys"])
+@pytest.mark.parametrize("rows", [1, 7, 256])
+@pytest.mark.parametrize("interleaved", [True, False])
+@pytest.mark.parametrize("kind,n_msg", [("uncoded", 128), ("repetition", 32),
+                                        ("polar", 30), ("ldpc", 60)])
+def test_symbol_batch_matches_argsort_oracle(kind, n_msg, interleaved, rows, make_rng):
+    cfg = CodeConfig(kind=kind, n_code_bits=128, n_msg_bits=n_msg)
+    const = constellation("qpsk")
+    got = _symbol_batch(cfg, const, rows, make_rng(11), interleaved)
+    want = _oracle_batch(cfg, const, rows, make_rng(11), interleaved)
+    assert got.shape == (rows, 64) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
