@@ -21,7 +21,7 @@ from .coding import (CODE_KINDS, CodeConfig, Permutation, encode,
 from .config import (ConfigError, ExperimentConfig, ResultTable,
                      doppler_bin_for_speed, load_config, range_bin_for_distance)
 from .correlation import (CorrelationProfile, autocorr, crosscorr, idft_ratio,
-                          periodic_corr, pslr, suppression_metric)
+                          pslr, suppression_metric)
 from .detection import (DetectionOutcome, RocCurves, TrialLevels, detect,
                         estimate_pd, estimate_pf, make_eta_grid, summarize_map,
                         threshold_sweep)

@@ -125,6 +125,8 @@ class ExperimentConfig:
     def code_config(self, kind: str, rate_num: float, rate_den: int, n_symbols: int,
                     modulation_name: str, interleave: bool = True,
                     interleaver_seed: int | None = 0) -> CodeConfig:
+        if rate_den < 1:
+            raise ConfigError(f"rate {rate_num:g}/{rate_den} needs a positive denominator")
         m_s = constellation(modulation_name).bits_per_symbol
         n_bits = n_symbols * m_s
         if kind == "uncoded":
@@ -149,8 +151,9 @@ class ExperimentConfig:
         """Raise ConfigError when the experiment self.kind names could not run.
 
         Checks every code the experiment builds (known kind and modulation, polar
-        lengths a power of two, whole message bit counts), for the sidelobe
-        sweeps a sidelobe_window of at least one lag, and, for the near-far
+        lengths a power of two, whole message bit counts, positive rate
+        denominators), for the sidelobe sweeps a sidelobe_window of at least one
+        lag and block lengths N >= 2, and, for the near-far
         scene, n_max < n_fast and every range and Doppler bin inside [0, n_max]
         and [1, m_slow].
         """
@@ -172,7 +175,9 @@ class ExperimentConfig:
         elif self.kind in ("pslr", "suppress", "interleave"):
             if self.sidelobe_window < 1:
                 raise ConfigError(f"sidelobe_window = {self.sidelobe_window} must be at least 1")
-            combos = [(code, rate, n) for code in self.codes if code != "uncoded"
+            if min(self.n_list) < 2:
+                raise ConfigError(f"n_list entry {min(self.n_list)} must be at least 2")
+            combos = [(code, rate, n) for code in self.codes
                       for rate in self.rates for n in self.n_list]
         else:
             combos = []

@@ -1,4 +1,4 @@
-"""Aperiodic, periodic and OFDM-ratio correlation analytics.
+"""Aperiodic and OFDM-ratio correlation analytics.
 
 Correlations are normalized by the block length N:
 
@@ -13,12 +13,9 @@ kept as an oracle for the FFT route; do not fold the two together.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-
-PROFILE_KINDS = ("auto", "cross", "periodic_auto", "periodic_cross", "idft_ratio")
 
 
 @dataclass(frozen=True)
@@ -31,13 +28,13 @@ class CorrelationProfile:
     n: int
 
     def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
+        if self.kind not in ("auto", "cross", "idft_ratio"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.values.shape[-1] != self.lags.size:
             raise ValueError("lag/value length mismatch")
 
     def value_at(self, lag: int) -> np.ndarray:
-        if self.kind in ("periodic_auto", "periodic_cross", "idft_ratio"):
+        if self.kind == "idft_ratio":
             lag = lag % self.n
         hit = np.nonzero(self.lags == lag)[0]
         if hit.size == 0:
@@ -47,16 +44,6 @@ class CorrelationProfile:
             raise ValueError(f"lag {lag} not in profile")
         return self.values[..., hit[0]]
 
-    def export_csv(self, path) -> None:
-        """Write (lag, re, im, abs) rows; only defined for unbatched profiles."""
-        if self.values.ndim != 1:
-            raise ValueError("csv export needs an unbatched profile")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lag", "re", "im", "abs"])
-            for lag, v in zip(self.lags.tolist(), self.values.tolist()):
-                w.writerow([lag, repr(v.real), repr(v.imag), repr(abs(v))])
-
 
 def _check_block(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=np.complex128)
@@ -65,28 +52,39 @@ def _check_block(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _aperiodic(s1: np.ndarray, s2: np.ndarray, method: str) -> np.ndarray:
+def _lag_grid(n: int, lags) -> np.ndarray:
+    """The requested lags as integers, or all 2N - 1 in order when lags is None."""
+    lags = np.arange(-(n - 1), n) if lags is None else np.asarray(list(lags), dtype=int)
+    if np.any(np.abs(lags) >= n):
+        raise ValueError("requested lag outside the computable range")
+    return lags
+
+
+def _aperiodic(s1: np.ndarray, s2: np.ndarray, lags: np.ndarray, method: str) -> np.ndarray:
     n = s1.shape[-1]
     if method == "fft":
         f1 = np.fft.fft(s1, 2 * n, axis=-1)
         f2 = f1 if s2 is s1 else np.fft.fft(s2, 2 * n, axis=-1)
         # keep this product as written: an in-place or reordered complex
         # multiply changes last-ulp bits of the sweep medians.  From 256 KiB
-        # up (every 256-row batch) numpy's temporary elision evaluates it as
+        # (rows x N >= 8192) numpy's temporary elision evaluates it as
         # np.conj(f2) * f1 in place into the temporary; smaller products (the
         # 16-trial golden at N = 256, 128 KiB) take the order as written, and
-        # the two orders differ in the last ulp of the imaginary parts.  So a
-        # re-batching or row-tiling of the correlation statistics must keep
-        # each product on the same side of 256 KiB.
+        # the two orders differ in the last ulp of the imaginary parts.  So
+        # experiments._row_tiles splits a batch only from rows x N >= 2T (T =
+        # _TILE_POINTS = 65536), and np.array_split leaves each tile at least
+        # max(1, T // N) rows, i.e. rows x N > T / 2 >= 8192: every tile's
+        # product stays on the batch's side of 256 KiB.
         prod = f1 * np.conj(f2)
         del f1, f2
         c = np.fft.ifft(prod, axis=-1)
         del prod
-        return np.concatenate([c[..., n + 1:], c[..., :n]], axis=-1) / n
+        # lag l sits at index l mod 2N of the circular correlation
+        return c[..., lags % (2 * n)] / n
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    out = np.zeros(s1.shape[:-1] + (2 * n - 1,), dtype=np.complex128)
-    for i, lag in enumerate(range(-(n - 1), n)):
+    out = np.zeros(s1.shape[:-1] + (lags.size,), dtype=np.complex128)
+    for i, lag in enumerate(lags.tolist()):
         if lag >= 0:
             out[..., i] = np.sum(s1[..., lag:] * np.conj(s2[..., : n - lag]), axis=-1)
         else:
@@ -94,23 +92,12 @@ def _aperiodic(s1: np.ndarray, s2: np.ndarray, method: str) -> np.ndarray:
     return out / n
 
 
-def _select_lags(profile_lags: np.ndarray, values: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]:
-    if lags is None:
-        return profile_lags, values
-    lags = np.asarray(list(lags), dtype=int)
-    idx = np.searchsorted(profile_lags, lags)
-    if np.any(idx >= profile_lags.size) or np.any(profile_lags[idx] != lags):
-        raise ValueError("requested lag outside the computable range")
-    return lags, values[..., idx]
-
-
 def autocorr(s: np.ndarray, lags=None, method: str = "fft") -> CorrelationProfile:
-    """Aperiodic autocorrelation chi over all lags (or a requested subset)."""
+    """Aperiodic autocorrelation chi over all lags, or only the requested ones."""
     s = _check_block(s)
-    n = s.shape[-1]
-    full = np.arange(-(n - 1), n)
-    sel, vals = _select_lags(full, _aperiodic(s, s, method), lags)
-    return CorrelationProfile(lags=sel, values=vals, kind="auto", n=n)
+    lags = _lag_grid(s.shape[-1], lags)
+    return CorrelationProfile(lags=lags, values=_aperiodic(s, s, lags, method),
+                              kind="auto", n=s.shape[-1])
 
 
 def crosscorr(s1: np.ndarray, s2: np.ndarray, lags=None, method: str = "fft") -> CorrelationProfile:
@@ -118,22 +105,9 @@ def crosscorr(s1: np.ndarray, s2: np.ndarray, lags=None, method: str = "fft") ->
     s1, s2 = _check_block(s1), _check_block(s2)
     if s1.shape[-1] != s2.shape[-1]:
         raise ValueError("block length mismatch")
-    n = s1.shape[-1]
-    full = np.arange(-(n - 1), n)
-    sel, vals = _select_lags(full, _aperiodic(s1, s2, method), lags)
-    return CorrelationProfile(lags=sel, values=vals, kind="cross", n=n)
-
-
-def periodic_corr(s: np.ndarray, s2: np.ndarray | None = None) -> CorrelationProfile:
-    """Circular correlation, lags 0..N-1; autocorrelation when s2 is omitted."""
-    s = _check_block(s)
-    other = s if s2 is None else _check_block(s2)
-    if other.shape[-1] != s.shape[-1]:
-        raise ValueError("block length mismatch")
-    n = s.shape[-1]
-    vals = np.fft.ifft(np.fft.fft(s, axis=-1) * np.conj(np.fft.fft(other, axis=-1)), axis=-1) / n
-    kind = "periodic_auto" if s2 is None else "periodic_cross"
-    return CorrelationProfile(lags=np.arange(n), values=vals, kind=kind, n=n)
+    lags = _lag_grid(s1.shape[-1], lags)
+    return CorrelationProfile(lags=lags, values=_aperiodic(s1, s2, lags, method),
+                              kind="cross", n=s1.shape[-1])
 
 
 def idft_ratio(s_i: np.ndarray, s_q: np.ndarray) -> CorrelationProfile:

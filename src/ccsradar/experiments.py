@@ -32,6 +32,8 @@ from .scene import FmcwParams, apply_channel_ofdm, apply_channel_sc, synth_frame
 _D_PSLR, _D_SUPP, _D_INTL, _D_BND, _D_NF_MSG, _D_NF_PERM, _D_NF_NOISE = range(7)
 
 _CHUNK = 256
+# rows x N per sweep-statistic call: cache-sized row tiles (see _row_tiles)
+_TILE_POINTS = 65536
 # Parity-check construction cost grows cubically with the codeword length;
 # beyond this cap the sweep gains nothing at desk scale.
 LDPC_N_CAP = 1024
@@ -100,6 +102,23 @@ def _skip(code: str, n: int) -> bool:
     return code == "ldpc" and n > LDPC_N_CAP
 
 
+def _window_lags(window: int, n: int) -> np.ndarray:
+    """The lags |l| <= window the sidelobe statistics read, inside |l| <= N - 1."""
+    w = min(window, n - 1)
+    return np.arange(-w, w + 1)
+
+
+def _pslr_stat(window: int):
+    return lambda s: (pslr(autocorr(s, lags=_window_lags(window, s.shape[-1])),
+                           max_lag=window),)
+
+
+def _row_tiles(m: int, n: int) -> int:
+    """Row tiles of an (m, N) batch, about _TILE_POINTS points each and none
+    with rows x N < 8192 unless the batch has (see correlation._aperiodic)."""
+    return max(1, min(m, m * n // _TILE_POINTS))
+
+
 # ---------------------------------------------------------------------------
 # sidelobe sweeps
 
@@ -108,10 +127,10 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
 
     For each curve point and each (interleaved, keys) entry of runs(code),
     draws one symbol stream per key from substream(seed, domain, ci, ri, ni,
-    *key) in _CHUNK-row batches and applies stat to each batch.  Yields
-    (head, const, k_sym, interleaved, values): head = (code, rate, modulation,
-    n) leads every row, values holds stat's per-trial statistics over all
-    trials.
+    *key) in _CHUNK-row batches and applies stat to the _row_tiles of each
+    batch.  Yields (head, const, k_sym, interleaved, values): head = (code,
+    rate, modulation, n) leads every row, values holds stat's per-trial
+    statistics over all trials.
     """
     seed = config.require_seed()
     trials = config.resolved_trials()
@@ -128,7 +147,8 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
                 for start in range(0, trials, _CHUNK):
                     m = min(_CHUNK, trials - start)
                     syms = [_symbol_batch(cfg, const, m, rng, interleaved) for rng in rngs]
-                    batches.append(stat(*syms))
+                    tiles = zip(*(np.array_split(s, _row_tiles(m, n)) for s in syms))
+                    batches += [stat(*tile) for tile in tiles]
                 values = [np.concatenate(v) for v in zip(*batches)]
                 yield head, const, _k_symbols(cfg, const), interleaved, values
 
@@ -137,10 +157,9 @@ def run_pslr_sweep(config: ExperimentConfig) -> ResultTable:
     """Median windowed PSLR per (code, rate, N) plus the bound-implied median."""
     t0 = time.perf_counter()
     trials = config.resolved_trials()
-    window = config.sidelobe_window
     rows = []
     for head, const, k_sym, _interleaved, (vals,) in _sweep(
-            config, _D_PSLR, lambda s: (pslr(autocorr(s), max_lag=window),),
+            config, _D_PSLR, _pslr_stat(config.sidelobe_window),
             runs=lambda code: ((True, ((),)),)):
         spec = TailBoundSpec(N=head[3], lag=1, b=product_bound_b(const), K=k_sym)
         rows.append(head + (trials, float(np.median(vals)),
@@ -164,7 +183,8 @@ def run_suppression_sweep(config: ExperimentConfig) -> ResultTable:
     window = config.sidelobe_window
 
     def stat(s_i, s_q):
-        return (suppression_metric(crosscorr(s_q, s_i), max_lag=window),
+        lags = _window_lags(window, s_i.shape[-1])
+        return (suppression_metric(crosscorr(s_q, s_i, lags=lags), max_lag=window),
                 suppression_metric(idft_ratio(s_i, s_q), max_lag=window))
 
     rows = []
@@ -186,7 +206,6 @@ def run_interleaver_study(config: ExperimentConfig) -> ResultTable:
     reference at the same modulation."""
     t0 = time.perf_counter()
     trials = config.resolved_trials()
-    window = config.sidelobe_window
 
     def runs(code):
         # substream key 1 runs with the parity interleaver, key 0 without
@@ -196,7 +215,7 @@ def run_interleaver_study(config: ExperimentConfig) -> ResultTable:
 
     rows = []
     for head, _const, _k_sym, interleaved, (vals,) in _sweep(
-            config, _D_INTL, lambda s: (pslr(autocorr(s), max_lag=window),), runs):
+            config, _D_INTL, _pslr_stat(config.sidelobe_window), runs):
         rows.append(head + (int(interleaved), trials, float(np.median(vals))))
     cols = ("code", "rate", "modulation", "n", "interleaved", "trials",
             "median_pslr_db")

@@ -11,10 +11,10 @@ from ccsradar.correlation import (
     autocorr,
     crosscorr,
     idft_ratio,
-    periodic_corr,
     pslr,
     suppression_metric,
 )
+from ccsradar.experiments import _window_lags
 from ccsradar.modulation import constellation, generate_ccs_block, generate_ccs_blocks
 
 
@@ -30,6 +30,13 @@ def _direct_aperiodic(s1, s2):
                 acc += s1[t] * np.conj(s2[t - lag])
         vals[k] = acc / n
     return lags, vals
+
+
+def _periodic_corr(s, s2=None):
+    # circular correlation (1/N) sum_n s[n] s2*[(n - l) mod N], lags 0..N-1
+    other = s if s2 is None else s2
+    return np.fft.ifft(np.fft.fft(s, axis=-1) * np.conj(np.fft.fft(other, axis=-1)),
+                       axis=-1) / s.shape[-1]
 
 
 def _random_block(n, name, rng):
@@ -112,18 +119,19 @@ def test_periodic_correlation_against_circular_oracle():
     n = 24
     s = _random_block(n, "qpsk", rng)
     s2 = _random_block(n, "16qam", rng)
-    prof = periodic_corr(s, s2)
-    assert np.array_equal(prof.lags, np.arange(n))
+    vals = _periodic_corr(s, s2)
     for lag in range(n):
         want = np.mean(s * np.conj(np.roll(s2, lag)))
-        assert abs(prof.value_at(lag) - want) < 1e-12
-    # cyclic wrap in lookups
-    assert prof.value_at(n + 3) == prof.value_at(3)
+        assert abs(vals[lag] - want) < 1e-12
+    # the circular lag l folds the aperiodic lags l and l - N together
+    prof = crosscorr(s, s2)
+    for lag in range(n):
+        assert abs(prof.value_at(lag) + prof.value_at(lag - n) - vals[lag]) < 1e-12
 
 
 def test_periodic_zero_lag_matches_aperiodic():
     s = _random_block(32, "qpsk", np.random.default_rng(7))
-    assert abs(periodic_corr(s).value_at(0) - autocorr(s).value_at(0)) < 1e-12
+    assert abs(_periodic_corr(s)[0] - autocorr(s).value_at(0)) < 1e-12
 
 
 def test_idft_ratio_identity_pair_is_delta():
@@ -143,6 +151,9 @@ def test_idft_ratio_direct_sum_oracle():
     for lag in range(n):
         want = np.mean((s_q / s_i) * np.exp(2j * np.pi * k * lag / n))
         assert abs(prof.value_at(lag) - want) < 1e-12
+    # cyclic wrap in lookups
+    assert prof.value_at(n + 3) == prof.value_at(3)
+    assert prof.value_at(-1) == prof.value_at(n - 1)
 
 
 def test_idft_ratio_mean_vanishes_over_pairs():
@@ -224,17 +235,69 @@ def test_batched_profiles_match_loop():
     assert p[2] == pytest.approx(pslr(autocorr(mat[2])), abs=1e-12)
 
 
-def test_export_csv_roundtrip(tmp_path):
-    s = _random_block(8, "qpsk", np.random.default_rng(14))
-    prof = autocorr(s)
-    path = tmp_path / "chi.csv"
-    prof.export_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "lag,re,im,abs"
-    assert len(rows) == 1 + prof.lags.size
-    lag0 = rows[1 + (prof.lags.size // 2)].split(",")
-    assert int(lag0[0]) == 0
-    assert float(lag0[1]) == pytest.approx(prof.value_at(0).real, abs=1e-15)
+# -- windowed lags on the FFT route ------------------------------------------
+
+def _lag_sets(n):
+    w = min(32, n - 1)
+    return {
+        "window": np.arange(-w, w + 1),
+        "edges": np.array([-(n - 1), n - 1]),
+        "near_edges": np.arange(-(n - 1), -(n - 1) + min(3, n)),
+        "unsorted": np.array([n - 1, 0, -(n - 1), n // 2, -(n // 3), 1 % n]),
+        "negative_only": np.arange(-(n - 1), 0),
+        "repeated": np.array([0, 0, -(n - 1), -(n - 1)]),
+    }
+
+
+@pytest.mark.parametrize("shape", [(2,), (7,), (64,), (3, 256), (5, 1024)])
+def test_windowed_lags_are_full_profile_columns(shape):
+    rng = np.random.default_rng(shape[-1])
+    n = shape[-1]
+    s1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    full_a, full_c = autocorr(s1), crosscorr(s1, s2)
+    for name, lags in _lag_sets(n).items():
+        cols = lags + (n - 1)
+        a, c = autocorr(s1, lags=lags), crosscorr(s1, s2, lags=list(lags))
+        assert np.array_equal(a.lags, lags) and np.array_equal(c.lags, lags), name
+        # bit for bit: the gather selects the same quotients the full profile holds
+        assert np.array_equal(a.values, full_a.values[..., cols]), name
+        assert np.array_equal(c.values, full_c.values[..., cols]), name
+        direct_a = autocorr(s1, lags=lags, method="direct").values
+        direct_c = crosscorr(s1, s2, lags=lags, method="direct").values
+        assert np.max(np.abs(a.values - direct_a)) < 1e-12, name
+        assert np.max(np.abs(c.values - direct_c)) < 1e-12, name
+
+
+@pytest.mark.parametrize("n", [2, 16, 33, 64])
+@pytest.mark.parametrize("window", [1, 32, 63, 64, 1000])
+def test_sweep_window_clamps_to_the_block(n, window):
+    # the drivers' window |l| <= sidelobe_window, clamped to |l| <= N - 1
+    lags = _window_lags(window, n)
+    w = min(window, n - 1)
+    assert np.array_equal(lags, np.arange(-w, w + 1))
+    s = _random_block(n, "qpsk", np.random.default_rng(n + window))
+    s = np.stack([s, np.roll(s, 1)])
+    full = autocorr(s)
+    prof = autocorr(s, lags=lags)
+    assert np.array_equal(prof.values, full.values[..., lags + (n - 1)])
+    assert np.array_equal(pslr(prof, max_lag=window), pslr(full, max_lag=window))
+    s2 = s[::-1].copy()
+    assert np.array_equal(
+        suppression_metric(crosscorr(s2, s, lags=lags), max_lag=window),
+        suppression_metric(crosscorr(s2, s), max_lag=window))
+    if window >= n - 1:
+        assert np.array_equal(prof.values, full.values)
+
+
+@pytest.mark.parametrize("lags", [[8], [-8], [0, 9], range(-20, 3)])
+def test_lags_outside_the_support_are_rejected(lags):
+    s = _random_block(8, "qpsk", np.random.default_rng(15))
+    for method in ("fft", "direct"):
+        with pytest.raises(ValueError, match="outside the computable range"):
+            autocorr(s, lags=lags, method=method)
+        with pytest.raises(ValueError, match="outside the computable range"):
+            crosscorr(s, s, lags=lags, method=method)
 
 
 @settings(max_examples=40, deadline=None)

@@ -364,6 +364,36 @@ def test_cli_rejects_empty_sidelobe_window(tmp_path, capsys, command, window):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,signal,message", [
+    pytest.param("pslr", "n_list = 1\ncodes = uncoded", "n_list entry 1 ", id="pslr-n1"),
+    pytest.param("pslr", "n_list = 0", "n_list entry 0 ", id="pslr-n0"),
+    pytest.param("pslr", "n_list = 256, -4", "n_list entry -4 ", id="pslr-n-4"),
+    pytest.param("suppress", "n_list = 1\ncodes = uncoded", "n_list entry 1 ",
+                 id="suppress-n1"),
+    pytest.param("interleave", "n_list = 64, 1", "n_list entry 1 ", id="interleave-n1"),
+    pytest.param("pslr", "rates = 1/0:qpsk", "1/0 needs a positive denominator",
+                 id="pslr-rate-1/0"),
+    pytest.param("pslr", "codes = uncoded\nrates = 1/0:qpsk",
+                 "1/0 needs a positive denominator", id="pslr-uncoded-rate-1/0"),
+    pytest.param("suppress", "rates = 120/-1024:qpsk", "-1024 needs a positive denominator",
+                 id="suppress-rate-120/-1024"),
+    pytest.param("bounds", "rates = 1/0:qpsk", "1/0 needs a positive denominator",
+                 id="bounds-rate-1/0"),
+    pytest.param("nearfar", "rates = 1/0:qpsk", "1/0 needs a positive denominator",
+                 id="nearfar-rate-1/0"),
+])
+def test_cli_rejects_bad_block_length_or_rate(tmp_path, capsys, command, signal, message):
+    cfg = _write(tmp_path, f"[signal]\n{signal}\n")
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", str(cfg), "--seed", "0", "--trials", "4",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert message in err
+    assert not out.exists()
+
+
 def test_cli_rejects_nearfar_n_max_beyond_block(tmp_path, capsys):
     text = (CONFIGS / "nearfar.ini").read_text(encoding="utf-8")
     assert "n_max = 32\n" in text
