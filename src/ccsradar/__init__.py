@@ -11,28 +11,24 @@ drivers with a CSV-emitting CLI.
 __version__ = "0.1.0"
 
 from .bounds import (EmpiricalTail, TailBoundSpec, autocorr_tail_lb,
-                     autocorr_tail_ub, crosscorr_tail_lb, crosscorr_tail_ub,
-                     empirical_tail, median_pslr_from_bound,
-                     median_suppression_from_bound, ofdm_tail_lb, ofdm_tail_ub)
-from .coding import (CODE_KINDS, CodeConfig, Permutation, encode,
-                     generate_message, interleave_codeword, make_interleaver,
+                     autocorr_tail_ub, crosscorr_tail_ub, empirical_tail,
+                     median_pslr_from_bound, median_suppression_from_bound,
+                     ofdm_tail_ub)
+from .coding import (CODE_KINDS, CodeConfig, encode, interleave_codeword,
                      parity_check_matrix, polar_info_set,
                      repetition_bit_correlation)
-from .config import (ConfigError, ExperimentConfig, ResultTable,
-                     doppler_bin_for_speed, load_config, range_bin_for_distance)
+from .config import ConfigError, ExperimentConfig, ResultTable, load_config
 from .correlation import (CorrelationProfile, autocorr, crosscorr, idft_ratio,
                           pslr, suppression_metric)
-from .detection import (DetectionOutcome, RocCurves, TrialLevels, detect,
-                        estimate_pd, estimate_pf, make_eta_grid, summarize_map,
+from .detection import (RocCurves, TrialLevels, make_eta_grid, summarize_map,
                         threshold_sweep)
 from .experiments import (run_interleaver_study, run_near_far, run_pslr_sweep,
                           run_suppression_sweep, run_tail_bound_check)
-from .modulation import (CcsBlock, Constellation, constellation,
-                         generate_ccs_block, generate_ccs_blocks, map_bits,
-                         product_bound_b, ratio_bound_b)
+from .modulation import (Constellation, constellation, generate_ccs_blocks,
+                         map_bits, product_bound_b, ratio_bound_b)
 from .receiver import (RangeDopplerMap, fmcw_range_doppler, mf_bank,
                        ofdm_range_doppler, sc_range_doppler)
-from .scene import (Frame, FmcwParams, Path, TargetScene, apply_channel_ofdm,
+from .scene import (FmcwParams, Path, TargetScene, apply_channel_ofdm,
                     apply_channel_sc, awgn, read_frame_bin, synth_frame,
                     write_frame_bin)
 

@@ -25,7 +25,7 @@ class TailBoundSpec:
 
     N is the block length in symbols, lag the correlation lag l, b the symbol
     product (or ratio) bound.  Autocorrelation bounds use K and m_s; cross and
-    OFDM bounds use the per-signal pair (K_i, m_s_i), (K_q, m_s_q).  Message
+    OFDM bounds use the per-signal message symbol counts K_i and K_q.  Message
     symbol counts may be fractional (bit counts stay integral).
     """
 
@@ -36,8 +36,6 @@ class TailBoundSpec:
     m_s: int | None = None
     K_i: float | None = None
     K_q: float | None = None
-    m_s_i: int | None = None
-    m_s_q: int | None = None
 
     def __post_init__(self):
         if self.N < 2:
@@ -133,29 +131,10 @@ def crosscorr_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:
     return _clip_ub(-_hoeffding_c(spec, "cross") * u ** 2)
 
 
-def crosscorr_tail_lb(spec: TailBoundSpec) -> float:
-    return 2.0 ** crosscorr_tail_lb_log2(spec)
-
-
-def crosscorr_tail_lb_log2(spec: TailBoundSpec) -> float:
-    spec._need_pair()
-    if spec.m_s_i is None or spec.m_s_q is None:
-        raise ValueError("lower bound needs m_s_i and m_s_q")
-    return -(float(spec.m_s_i) * float(spec.K_i) + float(spec.m_s_q) * float(spec.K_q))
-
-
 def ofdm_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:
     """Tail bound for the ratio kernel V with group count K0, size M0."""
     u = _as_u(u)
     return _clip_ub(-_hoeffding_c(spec, "ofdm") * u ** 2)
-
-
-def ofdm_tail_lb(spec: TailBoundSpec) -> float:
-    return 2.0 ** crosscorr_tail_lb_log2(spec)
-
-
-def ofdm_tail_lb_log2(spec: TailBoundSpec) -> float:
-    return crosscorr_tail_lb_log2(spec)
 
 
 @dataclass(frozen=True)

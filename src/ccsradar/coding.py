@@ -25,17 +25,16 @@ _LDPC_ROW_WEIGHT = 3
 
 @dataclass(frozen=True)
 class CodeConfig:
-    """Code selection plus interleaver policy for one c.c.s stream.
+    """Code selection plus parity-interleaver draw for one c.c.s stream.
 
-    interleaver_seed picks the permutation draw; interleave=False keeps the
-    natural codeword order.  construction_seed only matters for ldpc, where it
-    seeds the pseudo-random parity-check construction.
+    interleaver_seed picks the permutation of the parity positions that
+    interleave_codeword applies.  construction_seed only matters for ldpc,
+    where it seeds the pseudo-random parity-check construction.
     """
 
     kind: str
     n_code_bits: int
     n_msg_bits: int
-    interleave: bool = True
     interleaver_seed: int | None = 0
     construction_seed: int = 0
 
@@ -65,45 +64,6 @@ class CodeConfig:
         if self.kind != "repetition":
             raise ValueError("gamma is defined for repetition codes only")
         return self.n_code_bits // self.n_msg_bits
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bit interleaver: out[p] = in[table[p]].  First n_fixed positions are identity."""
-
-    table: np.ndarray
-    n_fixed: int
-
-    def __post_init__(self):
-        t = np.asarray(self.table)
-        if sorted(t.tolist()) != list(range(t.size)):
-            raise ValueError("table is not a permutation")
-        if not np.array_equal(t[: self.n_fixed], np.arange(self.n_fixed)):
-            raise ValueError("prefix positions must be fixed")
-
-    def apply(self, bits: np.ndarray) -> np.ndarray:
-        # np.take keeps a batch C-ordered; x[..., table] would return it F-ordered
-        return np.take(np.asarray(bits), self.table, axis=-1)
-
-    def inverse(self) -> "Permutation":
-        inv = np.argsort(self.table)
-        return Permutation(table=inv, n_fixed=self.n_fixed)
-
-
-def generate_message(n_bits: int, rng) -> np.ndarray:
-    """n_bits i.i.d. equiprobable bits."""
-    if n_bits < 1:
-        raise ValueError("n_bits must be positive")
-    return as_rng(rng).integers(0, 2, size=n_bits, dtype=np.uint8)
-
-
-def make_interleaver(n_code_bits: int, n_msg_bits: int, seed) -> Permutation:
-    """Uniform random permutation of the parity positions, message prefix fixed."""
-    if not 0 < n_msg_bits <= n_code_bits:
-        raise ValueError("need 0 < n_msg_bits <= n_code_bits")
-    tail = n_msg_bits + as_rng(seed).permutation(n_code_bits - n_msg_bits)
-    table = np.concatenate([np.arange(n_msg_bits), tail])
-    return Permutation(table=table, n_fixed=n_msg_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +142,6 @@ def _polar_transform_words(words: np.ndarray, n: int) -> None:
         h *= 2
 
 
-def _polar_transform(bits: np.ndarray) -> np.ndarray:
-    """Kronecker-power transform of the lower-triangular 2x2 kernel, last axis."""
-    n = np.shape(bits)[-1]
-    if n & (n - 1):
-        raise ValueError("length must be a power of two")
-    words = _pack_bits(bits)
-    _polar_transform_words(words, n)
-    return _unpack_bits(words, n)
-
-
 def _subset_closed(info: np.ndarray, n: int) -> bool:
     """Whether clearing any set bit of any index in info stays inside info."""
     member = np.zeros(n, dtype=bool)
@@ -218,19 +168,6 @@ def polar_info_set(n_code_bits: int, n_msg_bits: int) -> tuple[int, ...]:
     if not _subset_closed(info, n_code_bits):
         raise AssertionError("info set is not subset-closed")
     return tuple(int(v) for v in info)
-
-
-def encode_polar(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
-    """Plain (non-systematic) polar transform of the frozen-bit-padded message."""
-    if config.kind != "polar":
-        raise ValueError("config is not a polar code")
-    msg = np.asarray(msg, dtype=np.uint8)
-    if msg.shape[-1] != config.n_msg_bits:
-        raise ValueError("message length mismatch")
-    info = np.array(polar_info_set(config.n_code_bits, config.n_msg_bits))
-    u = np.zeros(msg.shape[:-1] + (config.n_code_bits,), dtype=np.uint8)
-    u[..., info] = msg
-    return _polar_transform(u)
 
 
 def _encode_polar_systematic(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
@@ -327,8 +264,11 @@ def encode(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
 
 
 def interleave_codeword(codeword: np.ndarray, config: CodeConfig) -> np.ndarray:
-    """Apply the configured parity interleaver (identity when disabled)."""
-    if not config.interleave:
+    """Permute the parity positions by the draw of config.interleaver_seed; the
+    message prefix stays in place and a code without parity is returned as is."""
+    k = config.n_msg_bits
+    if config.n_code_bits == k:
         return codeword
-    perm = make_interleaver(config.n_code_bits, config.n_msg_bits, config.interleaver_seed)
-    return perm.apply(codeword)
+    tail = k + as_rng(config.interleaver_seed).permutation(config.n_code_bits - k)
+    # np.take keeps a batch C-ordered; x[..., table] would return it F-ordered
+    return np.take(codeword, np.concatenate([np.arange(k), tail]), axis=-1)

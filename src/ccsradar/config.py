@@ -1,4 +1,4 @@
-"""Experiment configuration, result tables and physical bookkeeping.
+"""Experiment configuration and result tables.
 
 Configs are flat dataclasses with defaults matching the reference desk scene
 (1 GHz sweep at 140 GHz carrier, N = M = 1024, two targets plus one interfering
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -20,8 +19,6 @@ import numpy as np
 from .coding import CodeConfig
 from .modulation import constellation
 from .scene import Path, TargetScene
-
-SPEED_OF_LIGHT = 3.0e8  # nominal, keeps the range grid at 0.15 m per bin
 
 DEFAULT_TRIALS = {"pslr": 1000, "suppress": 1000, "interleave": 1000,
                   "bounds": 10000, "nearfar": 100}
@@ -84,9 +81,6 @@ class ExperimentConfig:
     u_max: float = 0.25
     u_points: int = 20
     bounds_n_list: tuple[int, ...] = (256, 1024)
-    # physical documentation helpers
-    bandwidth_hz: float = 1.0e9
-    carrier_hz: float = 140.0e9
 
     def resolved_trials(self) -> int:
         if self.trials is not None:
@@ -96,6 +90,8 @@ class ExperimentConfig:
     def require_seed(self) -> int:
         if self.seed is None:
             raise ConfigError("seed is mandatory (set [experiment] seed or pass --seed)")
+        if self.seed < 0:
+            raise ConfigError(f"seed = {self.seed} must be nonnegative")
         return self.seed
 
     # -- derived pieces -----------------------------------------------------
@@ -123,21 +119,19 @@ class ExperimentConfig:
                 (self.far_range_bin, self.far_doppler_bin))
 
     def code_config(self, kind: str, rate_num: float, rate_den: int, n_symbols: int,
-                    modulation_name: str, interleave: bool = True,
-                    interleaver_seed: int | None = 0) -> CodeConfig:
+                    modulation_name: str, interleaver_seed: int | None = 0) -> CodeConfig:
         if rate_den < 1:
             raise ConfigError(f"rate {rate_num:g}/{rate_den} needs a positive denominator")
         m_s = constellation(modulation_name).bits_per_symbol
         n_bits = n_symbols * m_s
         if kind == "uncoded":
-            return CodeConfig("uncoded", n_bits, n_bits, interleave=False)
+            return CodeConfig("uncoded", n_bits, n_bits)
         k_bits = rate_num * n_symbols * m_s / rate_den
         if abs(k_bits - round(k_bits)) > 1e-9:
             raise ConfigError(
                 f"rate {rate_num}/{rate_den} gives a fractional bit count at "
                 f"N={n_symbols}, m_s={m_s}")
-        return CodeConfig(kind, n_bits, int(round(k_bits)), interleave=interleave,
-                          interleaver_seed=interleaver_seed,
+        return CodeConfig(kind, n_bits, int(round(k_bits)), interleaver_seed=interleaver_seed,
                           construction_seed=self.code_seed)
 
     def nearfar_code_kind(self) -> str:
@@ -152,12 +146,16 @@ class ExperimentConfig:
 
         Checks every code the experiment builds (known kind and modulation, polar
         lengths a power of two, whole message bit counts, positive rate
-        denominators), for the sidelobe sweeps a sidelobe_window of at least one
-        lag and block lengths N >= 2, and, for the near-far
-        scene, n_max < n_fast and every range and Doppler bin inside [0, n_max]
-        and [1, m_slow].
+        denominators, a nonnegative code_seed), for the sidelobe sweeps a
+        sidelobe_window of at least one lag and block lengths N >= 2, and, for
+        the near-far scene, n_max < n_fast, every range and Doppler bin inside
+        [0, n_max] and [1, m_slow], and eta_points >= 2.
         """
+        if self.code_seed < 0:
+            raise ConfigError(f"code_seed = {self.code_seed} must be nonnegative")
         if self.kind == "nearfar":
+            if self.eta_points < 2:
+                raise ConfigError(f"eta_points = {self.eta_points} must be at least 2")
             if not 0 <= self.n_max < self.n_fast:
                 raise ConfigError(f"n_max = {self.n_max} must lie in [0, n_fast = {self.n_fast})")
             for name in ("near", "far", "intf"):
@@ -234,8 +232,6 @@ _SCHEMA = {
     ("bounds", "u_max"): ("u_max", float),
     ("bounds", "u_points"): ("u_points", int),
     ("bounds", "n_list"): ("bounds_n_list", _tuple_of(int)),
-    ("physical", "bandwidth_hz"): ("bandwidth_hz", float),
-    ("physical", "carrier_hz"): ("carrier_hz", float),
 }
 
 
@@ -305,23 +301,3 @@ def result_meta(config: ExperimentConfig, wall_time_s: float | None = None) -> d
     if wall_time_s is not None:
         meta["wall_time_s"] = f"{wall_time_s:.3f}"
     return meta
-
-
-# -- physical parameter helpers (documentation grade) ------------------------
-
-def range_bin_for_distance(distance_m: float, bandwidth_hz: float) -> int:
-    """Bin index of a target at the given distance; the grid step is c/(2B)."""
-    step = SPEED_OF_LIGHT / (2.0 * bandwidth_hz)
-    return math.ceil(distance_m / step)
-
-
-def doppler_bin_for_speed(speed_mps: float, carrier_hz: float, m_slow: int,
-                          n_fast: int, bandwidth_hz: float) -> int:
-    """Doppler bin of a closing target, zero speed referenced to bin m_slow/2.
-
-    Best-effort bookkeeping for the desk geometry: the bin step is
-    lambda B / (2 M N) in speed units and fractional bins truncate.
-    """
-    lam = SPEED_OF_LIGHT / carrier_hz
-    step = lam * bandwidth_hz / (2.0 * m_slow * n_fast)
-    return int(m_slow // 2 + math.floor(speed_mps / step))

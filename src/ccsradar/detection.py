@@ -19,16 +19,6 @@ from .receiver import RangeDopplerMap
 
 
 @dataclass(frozen=True)
-class DetectionOutcome:
-    """detect() verdict at one threshold; exceeding lists non-target (l, nu) bins."""
-
-    eta: float
-    detected: tuple[bool, ...]
-    false_alarm: bool
-    exceeding: np.ndarray
-
-
-@dataclass(frozen=True)
 class TrialLevels:
     """Sufficient statistics of one map for threshold sweeps."""
 
@@ -42,36 +32,6 @@ def _false_alarm_mask(rdmap: RangeDopplerMap, target_bins) -> np.ndarray:
     for l, nu in target_bins:
         mask[l, nu % rdmap.n_slow] = False
     return mask
-
-
-def detect(rdmap: RangeDopplerMap, eta: float, target_bins) -> DetectionOutcome:
-    """Apply the threshold rule to one map with the given target bin list."""
-    if eta <= 0:
-        raise ValueError("threshold must be positive")
-    mags = np.abs(rdmap.values)
-    detected = tuple(bool(abs(rdmap.value_at(l, nu)) > eta) for l, nu in target_bins)
-    over = (mags > eta) & _false_alarm_mask(rdmap, target_bins)
-    rows, cols = np.nonzero(over)
-    nus = np.where(cols == 0, rdmap.n_slow, cols)
-    exceeding = np.stack([rows, nus], axis=1) if rows.size else np.empty((0, 2), dtype=int)
-    return DetectionOutcome(eta=eta, detected=detected,
-                            false_alarm=bool(rows.size), exceeding=exceeding)
-
-
-def estimate_pd(outcomes) -> float:
-    """Average per-target detection fraction over trials."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise ValueError("no outcomes")
-    return float(np.mean([np.mean(o.detected) for o in outcomes]))
-
-
-def estimate_pf(outcomes) -> float:
-    """Fraction of trials with at least one non-target exceedance."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise ValueError("no outcomes")
-    return float(np.mean([o.false_alarm for o in outcomes]))
 
 
 def summarize_map(rdmap: RangeDopplerMap, target_bins) -> TrialLevels:
@@ -137,28 +97,21 @@ def make_eta_grid(levels_by_waveform: dict, points: int = 200) -> np.ndarray:
     return np.geomspace(lo, hi, points)
 
 
-def threshold_sweep(levels_by_waveform: dict, eta_grid=None, target_bins=None,
-                    points: int = 200, z: float = 1.96) -> RocCurves:
-    """ROC curves over a common threshold grid.
+def threshold_sweep(levels_by_waveform: dict, points: int = 200,
+                    z: float = 1.96) -> RocCurves:
+    """ROC curves over the common make_eta_grid threshold grid.
 
-    levels_by_waveform maps a waveform label to per-trial TrialLevels (or raw
-    RangeDopplerMaps, which are summarized first; that needs target_bins).
+    levels_by_waveform maps a waveform label to its per-trial TrialLevels.
     Estimates are monotone in eta by construction.  Wilson intervals treat the
     per-target detections as independent Bernoulli draws.
     """
-    summarized = {}
-    for wf, items in levels_by_waveform.items():
-        rows = [summarize_map(it, target_bins) if isinstance(it, RangeDopplerMap) else it
-                for it in items]
+    for wf, rows in levels_by_waveform.items():
         if not rows:
             raise ValueError(f"no trials for waveform {wf!r}")
-        summarized[wf] = rows
-    if eta_grid is None:
-        eta_grid = make_eta_grid(summarized, points)
-    eta = np.asarray(eta_grid, dtype=float)
+    eta = make_eta_grid(levels_by_waveform, points)
     pd, pf, lo, hi = {}, {}, {}, {}
     n_trials = None
-    for wf, rows in summarized.items():
+    for wf, rows in levels_by_waveform.items():
         tl = np.array([r.target_levels for r in rows])  # (T, n_targets)
         mo = np.array([r.max_other for r in rows])
         n_trials = tl.shape[0] if n_trials is None else n_trials

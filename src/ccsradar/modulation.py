@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._rng import as_rng
-from .coding import CodeConfig, encode, generate_message, interleave_codeword
+from .coding import CodeConfig, encode, interleave_codeword
 
 CONSTELLATION_NAMES = ("bpsk", "qpsk", "16qam", "256qam")
 
@@ -90,38 +90,11 @@ def ratio_bound_b(num_const: Constellation, den_const: Constellation) -> float:
     return float(np.max(np.abs(num_const.points)) / np.min(np.abs(den_const.points)))
 
 
-@dataclass(frozen=True)
-class CcsBlock:
-    """One fast-time block of a c.c.s: the symbols plus their provenance."""
-
-    symbols: np.ndarray
-    code: CodeConfig
-    constellation: Constellation
-    message_bits: np.ndarray
-    seed: int | None = None
-
-    @property
-    def n_symbols(self) -> int:
-        return self.symbols.size
-
-
 def _check_sizes(n_symbols: int, code: CodeConfig, const: Constellation) -> None:
     if code.n_code_bits != n_symbols * const.bits_per_symbol:
         raise ValueError(
             f"code length {code.n_code_bits} != {n_symbols} symbols x "
             f"{const.bits_per_symbol} bits")
-
-
-def generate_ccs_block(n_symbols: int, code: CodeConfig, const: Constellation,
-                       rng) -> CcsBlock:
-    """Draw a message and run the full c.c.s pipeline for one block."""
-    _check_sizes(n_symbols, code, const)
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    gen = as_rng(rng)
-    msg = generate_message(code.n_msg_bits, gen)
-    symbols = map_bits(interleave_codeword(encode(msg, code), code), const)
-    return CcsBlock(symbols=symbols, code=code, constellation=const,
-                    message_bits=msg, seed=seed)
 
 
 def generate_ccs_blocks(n_symbols: int, code: CodeConfig, const: Constellation,

@@ -13,13 +13,12 @@ noise variance.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import as_rng
 
-WAVEFORMS = ("sc", "ofdm", "fmcw")
 _BIN_MAGIC = b"CCSFRM01"
 
 
@@ -68,61 +67,9 @@ class FmcwParams:
         return np.exp(1j * np.pi * self.slope * n * n / self.n_fast)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Transmit frame: (M, N) samples, waveform tag, and what produced it."""
-
-    samples: np.ndarray
-    waveform: str
-    source: object = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.waveform not in WAVEFORMS:
-            raise ValueError(f"unknown waveform {self.waveform!r}")
-        if self.samples.ndim != 2:
-            raise ValueError("frame samples must be (M, N)")
-
-    @property
-    def n_fast(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def n_slow(self) -> int:
-        return self.samples.shape[0]
-
-
-def _block_matrix(blocks) -> np.ndarray:
-    if hasattr(blocks, "ndim"):
-        mat = np.asarray(blocks, dtype=np.complex128)
-        if mat.ndim == 1:
-            mat = mat[None, :]
-    else:
-        mat = np.stack([b.symbols for b in blocks])
-    return mat
-
-
-def synth_frame(source, waveform: str) -> Frame:
-    """Build a frame from symbol blocks (sc, ofdm) or FmcwParams (fmcw).
-
-    sc transmits the symbols directly; ofdm applies the unitary-scaled inverse
-    DFT per block, so both waveforms radiate unit average power for unit-energy
-    constellations.
-    """
-    if waveform == "fmcw":
-        if not isinstance(source, FmcwParams):
-            raise ValueError("fmcw frames are built from FmcwParams")
-        samples = np.tile(source.chirp(), (source.n_chirps, 1))
-        return Frame(samples=samples, waveform="fmcw", source=source)
-    if isinstance(source, FmcwParams):
-        raise ValueError(f"chirp parameters cannot drive a {waveform!r} frame")
-    mat = _block_matrix(source)
-    if waveform == "sc":
-        return Frame(samples=mat.copy(), waveform="sc", source=mat)
-    if waveform == "ofdm":
-        n = mat.shape[1]
-        samples = np.fft.ifft(mat, axis=1) * np.sqrt(n)
-        return Frame(samples=samples, waveform="ofdm", source=mat)
-    raise ValueError(f"unknown waveform {waveform!r}")
+def synth_frame(params: FmcwParams) -> np.ndarray:
+    """The (M, N) FMCW transmit frame: the chirp repeated once per block."""
+    return np.tile(params.chirp(), (params.n_chirps, 1))
 
 
 def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
@@ -151,7 +98,7 @@ def _doppler_phase(m_slow: int, doppler_bin: int) -> np.ndarray:
 
 
 def _gather_frames(frames, scene: TargetScene) -> list[np.ndarray]:
-    mats = [f.samples if isinstance(f, Frame) else np.asarray(f) for f in frames]
+    mats = [np.asarray(f) for f in frames]
     if len(mats) != 1 + len(scene.interference):
         raise ValueError("need one frame per radar (own first, then interferers)")
     shape = mats[0].shape
@@ -206,7 +153,7 @@ def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> np.ndarray:
 def write_frame_bin(path, samples) -> None:
     """Dump a complex 2-D array: 16-byte header (magic, n_fast, n_slow), then
     little-endian float64 (re, im) pairs in slow-major order."""
-    mat = samples.samples if isinstance(samples, Frame) else np.asarray(samples)
+    mat = np.asarray(samples)
     if mat.ndim != 2:
         raise ValueError("expected a 2-D array")
     m_slow, n_fast = mat.shape

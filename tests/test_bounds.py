@@ -13,14 +13,10 @@ from ccsradar.bounds import (
     autocorr_tail_lb,
     autocorr_tail_lb_log2,
     autocorr_tail_ub,
-    crosscorr_tail_lb,
-    crosscorr_tail_lb_log2,
     crosscorr_tail_ub,
     empirical_tail,
     median_pslr_from_bound,
     median_suppression_from_bound,
-    ofdm_tail_lb,
-    ofdm_tail_lb_log2,
     ofdm_tail_ub,
 )
 from ccsradar.coding import CodeConfig
@@ -54,8 +50,7 @@ def test_ub_clips_to_one_for_small_u():
 def test_crosscorr_ub_reduces_to_autocorr_form():
     # symmetric full-rate pair at lag 0: K_tilde = N, M_tilde = 1
     n = 512
-    spec = TailBoundSpec(N=n, lag=0, b=1.0, K_i=float(n), K_q=float(n),
-                         m_s_i=2, m_s_q=2)
+    spec = TailBoundSpec(N=n, lag=0, b=1.0, K_i=float(n), K_q=float(n))
     assert spec.K_tilde == n and spec.M_tilde_l == 1
     for u in (0.05, 0.1, 0.2):
         want = min(1.0, 2.0 * math.exp(-(n ** 2) * u ** 2 / (2.0 * n)))
@@ -65,8 +60,7 @@ def test_crosscorr_ub_reduces_to_autocorr_form():
 
 
 def test_crosscorr_ub_plugin_value():
-    spec = TailBoundSpec(N=1024, lag=0, b=1.0, K_i=120.0, K_q=120.0,
-                         m_s_i=2, m_s_q=2)
+    spec = TailBoundSpec(N=1024, lag=0, b=1.0, K_i=120.0, K_q=120.0)
     k_t = max(120.0 - 0, 120.0)
     m_t = math.ceil(1024 / k_t)
     want = min(1.0, 2.0 * math.exp(-(1024.0 ** 2) * 0.01 / (2.0 * m_t ** 2 * k_t)))
@@ -74,8 +68,7 @@ def test_crosscorr_ub_plugin_value():
 
 
 def test_ofdm_ub_plugin_value():
-    spec = TailBoundSpec(N=1024, b=1.0, K_i=120.0, K_q=170.625,
-                         m_s_i=2, m_s_q=8)
+    spec = TailBoundSpec(N=1024, b=1.0, K_i=120.0, K_q=170.625)
     assert spec.K0 == 120.0
     m0 = math.ceil(1024 / 120)
     want = min(1.0, 2.0 * math.exp(-(1024.0 ** 2) * 0.01 / (2.0 * m0 ** 2 * 120.0)))
@@ -109,29 +102,19 @@ def test_ub_rejects_lag_reaching_k():
 def test_lb_values():
     assert autocorr_tail_lb(TailBoundSpec(N=8, lag=1, K=4.0, m_s=1)) == 1 / 16
     assert autocorr_tail_lb_log2(TailBoundSpec(N=1024, lag=1, K=120.0, m_s=2)) == -240.0
-    assert crosscorr_tail_lb(TailBoundSpec(N=8, lag=0, K_i=2.0, K_q=2.0,
-                                           m_s_i=1, m_s_q=1)) == 1 / 16
-    spec = TailBoundSpec(N=1024, lag=0, K_i=120.0, K_q=120.0, m_s_i=2, m_s_q=2)
-    assert crosscorr_tail_lb_log2(spec) == -480.0
-    assert ofdm_tail_lb_log2(spec) == -480.0
-    assert crosscorr_tail_lb(spec) == pytest.approx(2.0 ** -480, rel=1e-12)
+    assert autocorr_tail_lb(TailBoundSpec(N=1024, lag=1, K=120.0, m_s=2)) == pytest.approx(
+        2.0 ** -240, rel=1e-12)
     # exponents past float64 range underflow to 0.0 but keep an exact log2
-    deep = TailBoundSpec(N=1024, lag=0, K_i=682.5, K_q=682.5, m_s_i=8, m_s_q=8)
-    assert crosscorr_tail_lb(deep) == 0.0
-    assert crosscorr_tail_lb_log2(deep) == -2 * 8 * 682.5
-
-
-def test_lb_symmetric_in_pair_swap():
-    a = TailBoundSpec(N=64, lag=0, K_i=8.0, K_q=4.0, m_s_i=2, m_s_q=4)
-    b = TailBoundSpec(N=64, lag=0, K_i=4.0, K_q=8.0, m_s_i=4, m_s_q=2)
-    assert crosscorr_tail_lb_log2(a) == crosscorr_tail_lb_log2(b)
-    assert ofdm_tail_lb(a) == ofdm_tail_lb(b)
+    deep = TailBoundSpec(N=1024, lag=1, K=682.5, m_s=8)
+    assert autocorr_tail_lb(deep) == 0.0
+    assert autocorr_tail_lb_log2(deep) == -8 * 682.5
+    with pytest.raises(ValueError, match="needs K and m_s"):
+        autocorr_tail_lb(TailBoundSpec(N=8, lag=1, K=4.0))
 
 
 def test_lower_bound_witness_exhaustive():
     # every BPSK message of the gamma=2, K=4 repetition code, no interleaving
-    code = CodeConfig(kind="repetition", n_code_bits=8, n_msg_bits=4,
-                      interleave=False)
+    code = CodeConfig(kind="repetition", n_code_bits=8, n_msg_bits=4)
     const = constellation("bpsk")
     msgs = np.array(list(itertools.product([0, 1], repeat=4)), dtype=np.uint8)
     from ccsradar.coding import encode
@@ -227,8 +210,7 @@ def test_median_pslr_c_scaling_algebra():
 
 
 def test_median_suppression_values():
-    spec = TailBoundSpec(N=1024, lag=0, b=1.0, K_i=120.0, K_q=120.0,
-                         m_s_i=2, m_s_q=2)
+    spec = TailBoundSpec(N=1024, lag=0, b=1.0, K_i=120.0, K_q=120.0)
     c_cross = 1024.0 ** 2 / (2.0 * spec.M_tilde_l ** 2 * spec.K_tilde)
     want = -20.0 * math.log10(math.sqrt(math.log(4.0) / c_cross))
     assert median_suppression_from_bound(spec, "cross") == pytest.approx(want, abs=1e-12)

@@ -13,21 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccsradar import coding
-from ccsradar._gf2 import gf2_matmul, gf2_rank
 from ccsradar.coding import (
     CodeConfig,
-    Permutation,
     encode,
-    encode_polar,
     encode_repetition,
-    generate_message,
     interleave_codeword,
-    make_interleaver,
     parity_check_matrix,
     polar_info_set,
     repetition_bit_correlation,
-    _polar_transform,
+    _pack_bits,
+    _polar_transform_words,
     _subset_closed,
+    _unpack_bits,
 )
 from ccsradar.config import ExperimentConfig, load_config
 
@@ -36,6 +33,56 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def _bits(*vals):
     return np.array(vals, dtype=np.uint8)
+
+
+def _message(n_bits, rng):
+    return rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+
+
+# ------------------------------------------------- oracles (GF(2), polar)
+
+
+def gf2_matmul(a, b):
+    """Product a @ b over GF(2) of {0, 1} arrays; a is (..., k), b is (k, n).
+    float32 products are exact while k stays below 2**24."""
+    assert b.shape[0] < 1 << 24
+    prod = a.astype(np.float32) @ b.astype(np.float32)
+    return (prod.astype(np.int64) & 1).astype(np.uint8)
+
+
+def gf2_rank(mat):
+    """Rank over GF(2) by Gauss-Jordan elimination, scanning columns left to right."""
+    m = mat.astype(np.uint8).copy()
+    rank = 0
+    for c in range(m.shape[1]):
+        if rank == m.shape[0]:
+            break
+        hits = np.nonzero(m[rank:, c])[0]
+        if hits.size == 0:
+            continue
+        p = rank + hits[0]
+        m[[rank, p]] = m[[p, rank]]
+        clear = np.nonzero(m[:, c])[0]
+        m[clear[clear != rank]] ^= m[rank]
+        rank += 1
+    return rank
+
+
+def _polar_transform(bits):
+    """Kronecker-power transform of the lower-triangular 2x2 kernel on the last
+    axis, through the packed-word kernel the systematic encoder uses."""
+    n = np.shape(bits)[-1]
+    words = _pack_bits(bits)
+    _polar_transform_words(words, n)
+    return _unpack_bits(words, n)
+
+
+def encode_polar(msg, config):
+    """Plain (non-systematic) polar transform of the frozen-bit-padded message."""
+    info = np.array(polar_info_set(config.n_code_bits, config.n_msg_bits))
+    u = np.zeros(msg.shape[:-1] + (config.n_code_bits,), dtype=np.uint8)
+    u[..., info] = msg
+    return _polar_transform(u)
 
 
 # ---------------------------------------------------------------- kernels
@@ -85,7 +132,7 @@ def test_repetition_layout():
 def test_encode_is_systematic(kind, n_code, n_msg):
     cfg = CodeConfig(kind=kind, n_code_bits=n_code, n_msg_bits=n_msg)
     rng = np.random.default_rng(7)
-    msg = generate_message(n_msg, rng)
+    msg = _message(n_msg, rng)
     cw = encode(msg, cfg)
     assert cw.shape == (n_code,)
     assert np.array_equal(cw[:n_msg], msg)
@@ -246,8 +293,8 @@ def test_encoders_are_gf2_linear(kind, seed):
     n_code = 16 if kind == "uncoded" else 32
     cfg = CodeConfig(kind=kind, n_code_bits=n_code, n_msg_bits=n_msg)
     rng = np.random.default_rng(seed)
-    a = generate_message(n_msg, rng)
-    b = generate_message(n_msg, rng)
+    a = _message(n_msg, rng)
+    b = _message(n_msg, rng)
     lhs = encode(a ^ b, cfg)
     rhs = encode(a, cfg) ^ encode(b, cfg)
     assert np.array_equal(lhs, rhs)
@@ -257,24 +304,40 @@ def test_encoders_are_gf2_linear(kind, seed):
 # ------------------------------------------------------------ interleaver
 
 
+def _interleaver_table(cfg):
+    """The position table interleave_codeword applies: out[p] = in[table[p]]."""
+    return interleave_codeword(np.arange(cfg.n_code_bits), cfg)
+
+
 def test_interleaver_fixes_systematic_prefix():
-    perm = make_interleaver(16, 6, seed=42)
-    assert np.array_equal(perm.table[:6], np.arange(6))
-    assert sorted(perm.table.tolist()) == list(range(16))
+    table = _interleaver_table(CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8,
+                                          interleaver_seed=42))
+    assert np.array_equal(table[:8], np.arange(8))
+    assert sorted(table.tolist()) == list(range(16))
+    # the parity draw is the seeded permutation of the parity positions
+    assert np.array_equal(table[8:], 8 + np.random.default_rng(42).permutation(8))
+    # no parity: nothing to permute
+    plain = CodeConfig(kind="uncoded", n_code_bits=8, n_msg_bits=8, interleaver_seed=42)
+    cw = np.arange(8)
+    assert interleave_codeword(cw, plain) is cw
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_interleaver_roundtrip(seed):
-    perm = make_interleaver(24, 9, seed=seed)
-    bits = np.random.default_rng(seed).integers(0, 2, size=24).astype(np.uint8)
-    assert np.array_equal(perm.inverse().apply(perm.apply(bits)), bits)
+    # one seed, one permutation for every codeword: undoing the table
+    # recovers the bits
+    cfg = CodeConfig(kind="repetition", n_code_bits=24, n_msg_bits=8, interleaver_seed=seed)
+    table = _interleaver_table(cfg)
+    bits = np.random.default_rng(seed).integers(0, 2, size=(3, 24)).astype(np.uint8)
+    mixed = interleave_codeword(bits, cfg)
+    assert np.array_equal(mixed, bits[:, table])
+    assert np.array_equal(mixed[:, np.argsort(table)], bits)
 
 
 def test_interleave_codeword_permutes_parity_only():
-    cfg = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8,
-                     interleave=True, interleaver_seed=3)
-    msg = generate_message(8, np.random.default_rng(0))
+    cfg = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8, interleaver_seed=3)
+    msg = _message(8, np.random.default_rng(0))
     cw = encode(msg, cfg)
     mixed = interleave_codeword(cw, cfg)
     assert np.array_equal(mixed[:8], msg)
@@ -286,14 +349,14 @@ def test_interleave_codeword_permutes_parity_only():
                                                ("polar", 64, 20), ("ldpc", 64, 40)])
 def test_batch_codewords_are_c_contiguous(kind, n_code, n_msg, interleave):
     # row-major batches keep the mapper, channel and matched filter on unit
-    # stride; last-axis fancy indexing would hand them Fortran order
-    cfg = CodeConfig(kind=kind, n_code_bits=n_code, n_msg_bits=n_msg,
-                     interleave=interleave, interleaver_seed=5)
+    # stride, with or without the interleaver; last-axis fancy indexing
+    # would hand them Fortran order
+    cfg = CodeConfig(kind=kind, n_code_bits=n_code, n_msg_bits=n_msg, interleaver_seed=5)
     msgs = np.random.default_rng(1).integers(0, 2, size=(8, n_msg), dtype=np.uint8)
     cw = encode(msgs, cfg)
-    mixed = interleave_codeword(cw, cfg)
+    mixed = interleave_codeword(cw, cfg) if interleave else cw
     assert cw.flags.c_contiguous and mixed.flags.c_contiguous
-    assert np.array_equal(mixed, cw[:, make_interleaver(n_code, n_msg, 5).table]
+    assert np.array_equal(mixed, cw[:, _interleaver_table(cfg)]
                           if interleave else cw)
 
 
@@ -302,7 +365,8 @@ def test_interleaver_draws_are_uniform_over_seeds():
     # chi-square over 20000 seeds should sit near its df = 23 mean
     counts = {}
     for seed in range(20000):
-        key = tuple(make_interleaver(8, 4, seed=seed).table[4:].tolist())
+        cfg = CodeConfig(kind="repetition", n_code_bits=8, n_msg_bits=4, interleaver_seed=seed)
+        key = tuple(_interleaver_table(cfg)[4:].tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 24
     expect = 20000 / 24
@@ -320,8 +384,7 @@ def _pm(bits):
 def test_plain_repetition_correlation_exact_by_enumeration():
     for n_msg, gamma in [(4, 2), (2, 3)]:
         n_code = n_msg * gamma
-        cfg = CodeConfig(kind="repetition", n_code_bits=n_code, n_msg_bits=n_msg,
-                         interleave=False)
+        cfg = CodeConfig(kind="repetition", n_code_bits=n_code, n_msg_bits=n_msg)
         msgs = np.array(list(itertools.product([0, 1], repeat=n_msg)), dtype=np.uint8)
         cw = _pm(encode(msgs, cfg))
         emp = cw.T @ cw / msgs.shape[0]
@@ -337,8 +400,7 @@ def test_plain_repetition_correlation_exact_by_enumeration():
 def test_interleaved_repetition_correlation_monte_carlo(n_msg):
     gamma = 2
     n_code = gamma * n_msg
-    cfg = CodeConfig(kind="repetition", n_code_bits=n_code, n_msg_bits=n_msg,
-                     interleave=False)
+    cfg = CodeConfig(kind="repetition", n_code_bits=n_code, n_msg_bits=n_msg)
     trials = 120_000
     rng = np.random.default_rng(97)
     msgs = rng.integers(0, 2, size=(trials, n_msg), dtype=np.uint8)
@@ -389,12 +451,3 @@ def test_code_config_validation():
     with pytest.raises(ValueError, match="rate too low"):
         CodeConfig(kind="ldpc", n_code_bits=9, n_msg_bits=4)  # 5 checks, C(4, 3) = 4 supports
     CodeConfig(kind="ldpc", n_code_bits=8, n_msg_bits=4)  # exactly C(4, 3) = 4 checks
-    with pytest.raises(ValueError):
-        Permutation(table=np.array([0, 0, 1]), n_fixed=1)
-
-
-def test_generate_message_is_seeded():
-    a = generate_message(64, np.random.default_rng(123))
-    b = generate_message(64, np.random.default_rng(123))
-    assert np.array_equal(a, b)
-    assert a.dtype == np.uint8 and set(np.unique(a)) <= {0, 1}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccsradar.coding import CodeConfig
+from ccsradar.coding import CodeConfig, encode
 from ccsradar.correlation import (
     CorrelationProfile,
     autocorr,
@@ -15,7 +15,7 @@ from ccsradar.correlation import (
     suppression_metric,
 )
 from ccsradar.experiments import _window_lags
-from ccsradar.modulation import constellation, generate_ccs_block, generate_ccs_blocks
+from ccsradar.modulation import constellation, generate_ccs_blocks, map_bits
 
 
 def _direct_aperiodic(s1, s2):
@@ -172,14 +172,13 @@ def test_idft_ratio_mean_vanishes_over_pairs():
 def test_pslr_of_repetition_halves():
     # gamma=2 without interleaving repeats the symbol block, so lag N/2
     # overlaps N/2 identical unit-modulus products: |chi| = 1/2 exactly
-    code = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8,
-                      interleave=False)
-    const = constellation("qpsk")
-    block = generate_ccs_block(8, code, const, np.random.default_rng(11))
+    code = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8)
+    msg = np.random.default_rng(11).integers(0, 2, size=8, dtype=np.uint8)
+    block = map_bits(encode(msg, code), constellation("qpsk"))
     for method in ("fft", "direct"):
-        prof = autocorr(block.symbols, method=method)
+        prof = autocorr(block, method=method)
         assert abs(abs(prof.value_at(4)) - 0.5) < 1e-12
-    assert pslr(autocorr(block.symbols)) == pytest.approx(-20 * np.log10(0.5), abs=1e-9)
+    assert pslr(autocorr(block)) == pytest.approx(-20 * np.log10(0.5), abs=1e-9)
 
 
 def test_pslr_reports_inf_for_delta_profile():

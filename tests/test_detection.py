@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
+from dataclasses import dataclass
+
 from ccsradar.detection import (
-    DetectionOutcome,
-    RocCurves,
     TrialLevels,
-    detect,
-    estimate_pd,
-    estimate_pf,
     grid_pd_gap,
     make_eta_grid,
     summarize_map,
@@ -20,6 +17,53 @@ from ccsradar.receiver import RangeDopplerMap
 TARGETS = ((2, 5), (4, 9))
 M_SLOW = 16
 N_ROWS = 7  # n_max = 6
+
+
+# ------------------------------------ per-map threshold rule (the oracle)
+
+
+@dataclass(frozen=True)
+class DetectionOutcome:
+    """detect() verdict at one threshold; exceeding lists non-target (l, nu) bins."""
+
+    eta: float
+    detected: tuple[bool, ...]
+    false_alarm: bool
+    exceeding: np.ndarray
+
+
+def detect(rdmap, eta, target_bins):
+    """The threshold rule on one map: a target bin detects when |R| > eta, and
+    any other bin above eta outside the leakage row l = 0 is a false alarm."""
+    if eta <= 0:
+        raise ValueError("threshold must be positive")
+    mags = np.abs(rdmap.values)
+    detected = tuple(bool(abs(rdmap.value_at(l, nu)) > eta) for l, nu in target_bins)
+    others = np.ones(mags.shape, dtype=bool)
+    others[0, :] = False
+    for l, nu in target_bins:
+        others[l, nu % rdmap.n_slow] = False
+    rows, cols = np.nonzero((mags > eta) & others)
+    nus = np.where(cols == 0, rdmap.n_slow, cols)
+    exceeding = np.stack([rows, nus], axis=1) if rows.size else np.empty((0, 2), dtype=int)
+    return DetectionOutcome(eta=eta, detected=detected,
+                            false_alarm=bool(rows.size), exceeding=exceeding)
+
+
+def estimate_pd(outcomes):
+    """Average per-target detection fraction over trials."""
+    outcomes = list(outcomes)
+    if not outcomes:
+        raise ValueError("no outcomes")
+    return float(np.mean([np.mean(o.detected) for o in outcomes]))
+
+
+def estimate_pf(outcomes):
+    """Fraction of trials with at least one non-target exceedance."""
+    outcomes = list(outcomes)
+    if not outcomes:
+        raise ValueError("no outcomes")
+    return float(np.mean([o.false_alarm for o in outcomes]))
 
 
 def _map(near=0.0, far=0.0, extra=()):
@@ -97,7 +141,7 @@ def test_threshold_sweep_monotone_and_consistent():
                  0.3 + 0.05 * rng.standard_normal(),
                  extra=[((5, 2), abs(0.05 * rng.standard_normal()))])
             for _ in range(40)]
-    roc = threshold_sweep({"sc": maps}, target_bins=TARGETS, points=64)
+    roc = threshold_sweep({"sc": [summarize_map(m, TARGETS) for m in maps]}, points=64)
     assert roc.n_trials == 40
     pd, pf = roc.pd["sc"], roc.pf["sc"]
     assert np.all(np.diff(pd) <= 1e-12) and np.all(np.diff(pf) <= 1e-12)
@@ -110,13 +154,25 @@ def test_threshold_sweep_monotone_and_consistent():
         assert pf[g] == pytest.approx(estimate_pf(outcomes), abs=1e-12)
 
 
-def test_threshold_sweep_accepts_levels_and_custom_grid():
+def test_threshold_sweep_tallies_levels_on_its_grid():
+    # levels 0.35 < 0.4 < 0.9 < 1.0 and others 0.01, 0.02; the grid runs from
+    # 0.001 to 2.0, so every tier shows up and both ends are exact
     levels = [TrialLevels((1.0, 0.4), 0.01), TrialLevels((0.9, 0.35), 0.02)]
-    eta = np.array([0.005, 0.1, 0.38, 0.95, 2.0])
-    roc = threshold_sweep({"x": levels}, eta_grid=eta)
-    assert np.array_equal(roc.eta, eta)
-    assert roc.pd["x"].tolist() == [1.0, 1.0, 0.75, 0.25, 0.0]
-    assert roc.pf["x"].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    roc = threshold_sweep({"x": levels}, points=400)
+    assert np.array_equal(roc.eta, make_eta_grid({"x": levels}, 400))
+    tiers = {}
+    for eta, pd, pf in zip(roc.eta, roc.pd["x"], roc.pf["x"]):
+        tiers[(pd, pf)] = tiers.get((pd, pf), 0) + 1
+        if eta < 0.01:
+            assert (pd, pf) == (1.0, 1.0)
+        elif 0.02 <= eta < 0.35:
+            assert (pd, pf) == (1.0, 0.0)
+        elif 0.4 <= eta < 0.9:
+            assert (pd, pf) == (0.5, 0.0)
+        elif eta >= 1.0:
+            assert (pd, pf) == (0.0, 0.0)
+    assert set(tiers) == {(1.0, 1.0), (1.0, 0.5), (1.0, 0.0), (0.75, 0.0), (0.5, 0.0),
+                          (0.25, 0.0), (0.0, 0.0)}
     with pytest.raises(ValueError):
         threshold_sweep({"x": []})
 
@@ -147,10 +203,10 @@ ETA_STEP_GRID = np.linspace(0.20, 0.30, 11)  # one grid step is 0.01
 def _far_curves(far_levels, eta=ETA_STEP_GRID):
     """P_d of hand-built c.c.s trials and of FMCW trials whose far peaks all
     sit at 0.2505, between grid points 0.25 and 0.26; near peaks at 1.0."""
-    levels = {"ccs": [TrialLevels((1.0, f), 0.01) for f in far_levels],
-              "fmcw": [TrialLevels((1.0, 0.2505), 0.01)] * len(far_levels)}
-    roc = threshold_sweep(levels, eta_grid=eta)
-    return roc.pd["ccs"], roc.pd["fmcw"]
+    def pd(far):
+        return np.array([estimate_pd(detect(_map(1.0, f), e, TARGETS) for f in far)
+                         for e in eta])
+    return pd(far_levels), pd([0.2505] * len(far_levels))
 
 
 def test_grid_pd_gap_forgives_spread_within_one_step():

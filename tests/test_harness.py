@@ -1,4 +1,4 @@
-"""Config loading, result tables, physical bookkeeping and the CLI."""
+"""Config loading, result tables and the CLI."""
 
 import math
 import re
@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from ccsradar import cli, experiments
-from ccsradar.config import (ConfigError, ExperimentConfig, ResultTable,
-                             doppler_bin_for_speed, load_config,
-                             range_bin_for_distance, result_meta)
+from ccsradar.config import (ConfigError, ExperimentConfig, ResultTable, load_config,
+                             result_meta)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -136,8 +135,7 @@ def test_scene_assembly():
 def test_code_config_construction():
     cfg = ExperimentConfig()
     un = cfg.code_config("uncoded", 1.0, 1, 256, "qpsk")
-    assert (un.kind, un.n_code_bits, un.n_msg_bits, un.interleave) == \
-        ("uncoded", 512, 512, False)
+    assert (un.kind, un.n_code_bits, un.n_msg_bits) == ("uncoded", 512, 512)
     pol = cfg.code_config("polar", 120.0, 1024, 1024, "qpsk")
     assert (pol.n_code_bits, pol.n_msg_bits) == (2048, 240)
     qam = cfg.code_config("ldpc", 682.5, 1024, 256, "256qam")
@@ -212,6 +210,9 @@ def test_cli_config_hash_same_across_out_dirs(tmp_path, capsys):
     ({"kind": "nearfar", "intf_range_bin": -1}, "intf_range_bin = -1 outside"),
     ({"kind": "nearfar", "near_doppler_bin": 0}, "near_doppler_bin = 0 outside"),
     ({"kind": "nearfar", "m_slow": 512}, "near_doppler_bin = 516 outside"),
+    ({"kind": "interleave", "codes": ("ldpc",), "code_seed": -1}, "code_seed = -1 must"),
+    ({"kind": "nearfar", "eta_points": 0}, "eta_points = 0 must be at least 2"),
+    ({"kind": "nearfar", "eta_points": 1}, "eta_points = 1 must be at least 2"),
 ])
 def test_validate_rejects(overrides, message):
     with pytest.raises(ConfigError, match=message):
@@ -252,35 +253,20 @@ def test_result_meta_keys():
     assert result_meta(cfg, wall_time_s=1.25)["wall_time_s"] == "1.250"
 
 
-# -- physical bookkeeping helpers ----------------------------------------------
-
-def test_range_bins_for_desk_distances():
-    b = 1.0e9  # 0.15 m per bin
-    assert range_bin_for_distance(2.05, b) == 14
-    assert range_bin_for_distance(4.0, b) == 27
-    assert range_bin_for_distance(4.3, b) == 29
-    assert range_bin_for_distance(0.15, b) == 1
-
-
-def test_doppler_bins_for_desk_speeds():
-    cfg = ExperimentConfig()
-    args = (cfg.carrier_hz, cfg.m_slow, cfg.n_fast, cfg.bandwidth_hz)
-    lam = 3.0e8 / cfg.carrier_hz
-    step = lam * cfg.bandwidth_hz / (2 * cfg.m_slow * cfg.n_fast)
-    assert step == pytest.approx(1.0219, abs=2e-4)  # m/s, about 2.29 mph
-    assert doppler_bin_for_speed(0.0, *args) == 512
-    assert doppler_bin_for_speed(4.2, *args) == 516
-    assert doppler_bin_for_speed(6.3, *args) == 518
-    # closing speeds quoted in mph land on the same bins
-    assert doppler_bin_for_speed(10 * 0.44704, *args) == 516
-    assert doppler_bin_for_speed(15 * 0.44704, *args) == 518
-
+# -- the reference scene -------------------------------------------------------
 
 def test_default_bins_match_desk_geometry():
+    # README's reference-scene table: 0.15 m range bins (c / 2B at B = 1 GHz),
+    # lambda B / (2 M N) ~ 1.02 m/s Doppler bins at a 140 GHz carrier, zero
+    # speed at bin M / 2, closing speeds in mph
     cfg = ExperimentConfig()
-    assert range_bin_for_distance(2.05, cfg.bandwidth_hz) == cfg.near_range_bin
-    assert range_bin_for_distance(4.0, cfg.bandwidth_hz) == cfg.far_range_bin
-    assert range_bin_for_distance(4.3, cfg.bandwidth_hz) == cfg.intf_range_bin
+    range_step = 3.0e8 / (2 * 1.0e9)
+    for distance_m, rbin in ((2.05, cfg.near_range_bin), (4.0, cfg.far_range_bin),
+                             (4.3, cfg.intf_range_bin)):
+        assert math.ceil(distance_m / range_step) == rbin
+    speed_step = 3.0e8 / 140.0e9 * 1.0e9 / (2 * cfg.m_slow * cfg.n_fast)
+    for mph, dbin in ((10, cfg.near_doppler_bin), (15, cfg.far_doppler_bin)):
+        assert cfg.m_slow // 2 + math.floor(mph * 0.44704 / speed_step) == dbin
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -364,29 +350,39 @@ def test_cli_rejects_empty_sidelobe_window(tmp_path, capsys, command, window):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,signal,message", [
-    pytest.param("pslr", "n_list = 1\ncodes = uncoded", "n_list entry 1 ", id="pslr-n1"),
-    pytest.param("pslr", "n_list = 0", "n_list entry 0 ", id="pslr-n0"),
-    pytest.param("pslr", "n_list = 256, -4", "n_list entry -4 ", id="pslr-n-4"),
-    pytest.param("suppress", "n_list = 1\ncodes = uncoded", "n_list entry 1 ",
+@pytest.mark.parametrize("command,signal,message,seed", [
+    pytest.param("pslr", "n_list = 1\ncodes = uncoded", "n_list entry 1 ", "0", id="pslr-n1"),
+    pytest.param("pslr", "n_list = 0", "n_list entry 0 ", "0", id="pslr-n0"),
+    pytest.param("pslr", "n_list = 256, -4", "n_list entry -4 ", "0", id="pslr-n-4"),
+    pytest.param("suppress", "n_list = 1\ncodes = uncoded", "n_list entry 1 ", "0",
                  id="suppress-n1"),
-    pytest.param("interleave", "n_list = 64, 1", "n_list entry 1 ", id="interleave-n1"),
-    pytest.param("pslr", "rates = 1/0:qpsk", "1/0 needs a positive denominator",
+    pytest.param("interleave", "n_list = 64, 1", "n_list entry 1 ", "0", id="interleave-n1"),
+    pytest.param("pslr", "rates = 1/0:qpsk", "1/0 needs a positive denominator", "0",
                  id="pslr-rate-1/0"),
     pytest.param("pslr", "codes = uncoded\nrates = 1/0:qpsk",
-                 "1/0 needs a positive denominator", id="pslr-uncoded-rate-1/0"),
+                 "1/0 needs a positive denominator", "0", id="pslr-uncoded-rate-1/0"),
     pytest.param("suppress", "rates = 120/-1024:qpsk", "-1024 needs a positive denominator",
-                 id="suppress-rate-120/-1024"),
-    pytest.param("bounds", "rates = 1/0:qpsk", "1/0 needs a positive denominator",
+                 "0", id="suppress-rate-120/-1024"),
+    pytest.param("bounds", "rates = 1/0:qpsk", "1/0 needs a positive denominator", "0",
                  id="bounds-rate-1/0"),
-    pytest.param("nearfar", "rates = 1/0:qpsk", "1/0 needs a positive denominator",
+    pytest.param("nearfar", "rates = 1/0:qpsk", "1/0 needs a positive denominator", "0",
                  id="nearfar-rate-1/0"),
+    # the [signal] text may open further sections; seed None leaves --seed out
+    pytest.param("pslr", "n_list = 64", "seed = -1 must be nonnegative", "-1",
+                 id="pslr-seed-1"),
+    pytest.param("bounds", "n_list = 64\n\n[experiment]\nseed = -1",
+                 "seed = -1 must be nonnegative", None, id="bounds-config-seed-1"),
+    pytest.param("interleave", "codes = ldpc\ncode_seed = -1", "code_seed = -1 must", "0",
+                 id="interleave-ldpc-code-seed-1"),
+    pytest.param("nearfar", "n_list = 64\n\n[detection]\neta_points = 0",
+                 "eta_points = 0 must be at least 2", "0", id="nearfar-eta-points-0"),
 ])
-def test_cli_rejects_bad_block_length_or_rate(tmp_path, capsys, command, signal, message):
+def test_cli_rejects_bad_block_length_or_rate(tmp_path, capsys, command, signal, message,
+                                              seed):
     cfg = _write(tmp_path, f"[signal]\n{signal}\n")
     out = tmp_path / "o"
-    rc = cli.main([command, "--config", str(cfg), "--seed", "0", "--trials", "4",
-                   "--out", str(out)])
+    rc = cli.main([command, "--config", str(cfg), "--trials", "4", "--out", str(out)]
+                  + ([] if seed is None else ["--seed", seed]))
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("config error:")

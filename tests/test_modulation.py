@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from ccsradar.coding import CodeConfig
+from ccsradar.experiments import _symbol_batch
 from ccsradar.modulation import (
-    CcsBlock,
     constellation,
-    generate_ccs_block,
     generate_ccs_blocks,
     map_bits,
     product_bound_b,
@@ -109,13 +108,17 @@ def test_map_bits_matches_label_reference_in_either_memory_order(name, m):
         assert map_bits(x, const).tobytes() == want.tobytes()
 
 
+def _messages(n_blocks, n_msg, seed):
+    """The message bits generate_ccs_blocks draws first from a fresh rng(seed)."""
+    return np.random.default_rng(seed).integers(0, 2, size=(n_blocks, n_msg), dtype=np.uint8)
+
+
 def test_block_systematic_prefix_qpsk():
     code = CodeConfig(kind="polar", n_code_bits=512, n_msg_bits=60)
     const = constellation("qpsk")
-    block = generate_ccs_block(256, code, const, np.random.default_rng(21))
-    assert isinstance(block, CcsBlock)
-    assert block.n_symbols == 256
-    assert np.array_equal(block.symbols[:30], map_bits(block.message_bits, const))
+    mat = generate_ccs_blocks(256, code, const, 3, np.random.default_rng(21))
+    assert mat.shape == (3, 256)
+    assert np.array_equal(mat[:, :30], map_bits(_messages(3, 60, 21), const))
 
 
 def test_block_systematic_prefix_fractional_symbols():
@@ -123,24 +126,24 @@ def test_block_systematic_prefix_fractional_symbols():
     # 170.625 symbols, so exactly 170 whole symbols are pure message
     code = CodeConfig(kind="polar", n_code_bits=2048, n_msg_bits=1365)
     const = constellation("256qam")
-    block = generate_ccs_block(256, code, const, np.random.default_rng(22))
-    want = map_bits(block.message_bits[: 170 * 8], const)
-    assert np.array_equal(block.symbols[:170], want)
+    mat = generate_ccs_blocks(256, code, const, 2, np.random.default_rng(22))
+    want = map_bits(_messages(2, 1365, 22)[:, : 170 * 8], const)
+    assert np.array_equal(mat[:, :170], want)
 
 
 def test_block_generation_is_reproducible():
     code = CodeConfig(kind="ldpc", n_code_bits=128, n_msg_bits=32)
     const = constellation("qpsk")
-    a = generate_ccs_block(64, code, const, np.random.default_rng(77))
-    b = generate_ccs_block(64, code, const, np.random.default_rng(77))
-    assert np.array_equal(a.symbols, b.symbols)
-    assert np.array_equal(a.message_bits, b.message_bits)
+    a = generate_ccs_blocks(64, code, const, 4, np.random.default_rng(77))
+    b = generate_ccs_blocks(64, code, const, 4, np.random.default_rng(77))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a[0], a[1])  # messages differ between blocks
 
 
 def test_block_size_mismatch_raises():
     code = CodeConfig(kind="uncoded", n_code_bits=100, n_msg_bits=100)
     with pytest.raises(ValueError):
-        generate_ccs_block(64, code, constellation("qpsk"), np.random.default_rng(0))
+        generate_ccs_blocks(64, code, constellation("qpsk"), 2, np.random.default_rng(0))
 
 
 def test_blocks_batch_matches_marginals():
@@ -193,7 +196,12 @@ def test_interleaved_symbol_covariance_vanishes(n_symbols):
 @pytest.mark.parametrize("kind,n_msg", [("uncoded", 64), ("repetition", 32),
                                         ("polar", 20), ("ldpc", 40)])
 def test_blocks_batch_is_c_contiguous(kind, n_msg, interleave):
-    code = CodeConfig(kind=kind, n_code_bits=64, n_msg_bits=n_msg, interleave=interleave)
-    syms = generate_ccs_blocks(32, code, constellation("qpsk"), 16,
-                               np.random.default_rng(2))
-    assert syms.shape == (16, 32) and syms.flags.c_contiguous
+    # both block builders return C order: the sweep one with or without its
+    # per-row parity permutation, the near-far one (always interleaved)
+    code = CodeConfig(kind=kind, n_code_bits=64, n_msg_bits=n_msg)
+    const = constellation("qpsk")
+    batches = [_symbol_batch(code, const, 16, np.random.default_rng(2), interleave)]
+    if interleave:
+        batches.append(generate_ccs_blocks(32, code, const, 16, np.random.default_rng(2)))
+    for syms in batches:
+        assert syms.shape == (16, 32) and syms.flags.c_contiguous

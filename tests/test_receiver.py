@@ -67,7 +67,7 @@ def _direct_slow_dft(r):
 def test_mf_bank_matches_direct_sum():
     x = _blocks(8, 16, seed=1)
     scene = _scene([Path(2, 3, 0.9), Path(5, 7, 0.4j)], n_max=6)
-    y = apply_channel_sc([synth_frame(x, "sc")], scene)
+    y = apply_channel_sc([x], scene)
     got = mf_bank(y, x, 6)
     want = _direct_mf(y, x, 6)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -94,7 +94,7 @@ def test_mf_bank_identity_peak():
 def test_mf_bank_shifted_peak_location():
     x = _blocks(4, 32, seed=3)
     scene = _scene([Path(3, 4, 1.0)], n_max=6)
-    y = apply_channel_sc([synth_frame(x, "sc")], scene)
+    y = apply_channel_sc([x], scene)
     r = mf_bank(y, x, 6)
     assert np.argmax(np.mean(np.abs(r), axis=1)) == 3
     assert np.max(np.abs(np.abs(r[3]) - 1.0)) < 1e-12
@@ -103,7 +103,7 @@ def test_mf_bank_shifted_peak_location():
 def test_mf_bank_truncated_input_zero_fills():
     x = _blocks(4, 32, seed=4)
     scene = _scene([Path(2, 1, 1.0)], n_max=4)
-    y = apply_channel_sc([synth_frame(x, "sc")], scene)
+    y = apply_channel_sc([x], scene)
     full = mf_bank(y, x, 4)
     trunc = mf_bank(y[:, :32], x, 4)
     want = _direct_mf(y[:, :32], x, 4)
@@ -145,7 +145,7 @@ def test_sc_single_target_peak_is_gain():
     x = _blocks(8, 64, seed=6)
     alpha = 0.7 - 0.2j
     scene = _scene([Path(3, 5, alpha)], n_max=6)
-    y = apply_channel_sc([synth_frame(x, "sc")], scene)
+    y = apply_channel_sc([x], scene)
     rd = sc_range_doppler(mf_bank(y, x, 6))
     assert abs(rd.value_at(3, 5) - alpha) < 1e-9
 
@@ -212,7 +212,7 @@ def test_ofdm_map_rejects_zero_pilot():
 def test_fmcw_stationary_target():
     params = FmcwParams(n_fast=64, n_chirps=8)
     scene = _scene([Path(5, 8, 0.8)], n_max=10)
-    y = apply_channel_sc([synth_frame(params, "fmcw")], scene)
+    y = apply_channel_sc([synth_frame(params)], scene)
     rd = fmcw_range_doppler(y, params, 10)
     assert abs(abs(rd.value_at(5, 8)) - 0.8) < 1e-9
     # truncation leakage is real but small
@@ -224,7 +224,7 @@ def test_fmcw_stationary_target():
 def test_fmcw_doppler_column():
     params = FmcwParams(n_fast=64, n_chirps=16)
     scene = _scene([Path(3, 11, 1.0)], n_max=8)
-    y = apply_channel_sc([synth_frame(params, "fmcw")], scene)
+    y = apply_channel_sc([synth_frame(params)], scene)
     rd = fmcw_range_doppler(y, params, 8)
     peak = np.unravel_index(np.argmax(np.abs(rd.values)), rd.values.shape)
     assert peak == (3, 11)
@@ -253,12 +253,12 @@ def test_peak_equivalence_across_waveforms():
     s = _blocks(m_slow, n_fast, seed=12)
     maps = {
         "sc": sc_range_doppler(mf_bank(
-            apply_channel_sc([synth_frame(s, "sc")], scene), s, n_max)),
+            apply_channel_sc([s], scene), s, n_max)),
         "ofdm": ofdm_range_doppler(apply_channel_ofdm([s], scene), s, n_max),
     }
     params = FmcwParams(n_fast=n_fast, n_chirps=m_slow)
     maps["fmcw"] = fmcw_range_doppler(
-        apply_channel_sc([synth_frame(params, "fmcw")], scene), params, n_max)
+        apply_channel_sc([synth_frame(params)], scene), params, n_max)
     for p in targets:
         levels = [abs(m.value_at(p.range_bin, p.doppler_bin)) for m in maps.values()]
         # each chain reads |gain| up to cross-target sidelobe contamination,
@@ -275,7 +275,7 @@ def test_doppler_dft_suppresses_sidelobe_ridge():
     m_slow, n_fast, n_max = 1024, 256, 8
     s = _blocks(m_slow, n_fast, seed=13)
     scene = _scene([Path(0, m_slow, 1.0)], n_max=n_max)
-    y = apply_channel_sc([synth_frame(s, "sc")], scene)
+    y = apply_channel_sc([s], scene)
     r = mf_bank(y, s, n_max)
     rd = sc_range_doppler(r)
     pre = np.median(np.abs(r[1:]), axis=1)

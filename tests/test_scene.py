@@ -1,4 +1,4 @@
-"""Frame synthesis, channel application, noise, and the binary frame format."""
+"""FMCW frame synthesis, channel application, noise, and the binary frame format."""
 
 import copy
 import struct
@@ -10,7 +10,6 @@ from ccsradar.coding import CodeConfig
 from ccsradar.modulation import constellation, generate_ccs_blocks
 from ccsradar.scene import (
     FmcwParams,
-    Frame,
     Path,
     TargetScene,
     apply_channel_ofdm,
@@ -37,54 +36,17 @@ def _scene(targets, interference=(), noise_var=0.0, n_max=8):
 # ------------------------------------------------------------- synthesis
 
 
-def test_sc_frame_is_symbol_matrix():
-    mat = _blocks(4, 16)
-    frame = synth_frame(mat, "sc")
-    assert frame.waveform == "sc"
-    assert np.array_equal(frame.samples, mat)
-    assert frame.n_fast == 16 and frame.n_slow == 4
-
-
-def test_ofdm_frame_roundtrip_and_power():
-    mat = _blocks(4, 64)
-    frame = synth_frame(mat, "ofdm")
-    # unitary pair: forward DFT / sqrt(N) recovers the symbols
-    rec = np.fft.fft(frame.samples, axis=1) / np.sqrt(64)
-    assert np.max(np.abs(rec - mat)) < 1e-9
-    # same average power in both domains
-    assert np.mean(np.abs(frame.samples) ** 2) == pytest.approx(
-        np.mean(np.abs(mat) ** 2), rel=1e-12)
-
-
-def test_ofdm_impulse_spreads_flat():
-    s = np.zeros((1, 32), dtype=np.complex128)
-    s[0, 0] = 1.0
-    frame = synth_frame(s, "ofdm")
-    assert np.max(np.abs(frame.samples - 1.0 / np.sqrt(32))) < 1e-12
-
-
 def test_fmcw_frame_repeats_reference():
     params = FmcwParams(n_fast=32, n_chirps=5)
-    frame = synth_frame(params, "fmcw")
-    assert frame.samples.shape == (5, 32)
+    frame = synth_frame(params)
+    assert frame.shape == (5, 32)
     ref = params.chirp()
     assert np.max(np.abs(np.abs(ref) - 1.0)) < 1e-12
     for m in range(5):
-        assert np.array_equal(frame.samples[m], ref)
+        assert np.array_equal(frame[m], ref)
     # quadratic phase law
     n = np.arange(32)
     assert np.max(np.abs(ref - np.exp(1j * np.pi * n * n / 32))) < 1e-12
-
-
-def test_synth_frame_validation():
-    with pytest.raises(ValueError):
-        synth_frame(_blocks(2, 8), "fmcw")
-    with pytest.raises(ValueError):
-        synth_frame(FmcwParams(8, 2), "sc")
-    with pytest.raises(ValueError):
-        synth_frame(_blocks(2, 8), "dsss")
-    with pytest.raises(ValueError):
-        Frame(samples=np.zeros(8, dtype=complex), waveform="sc")
 
 
 # --------------------------------------------------------------- channel
@@ -93,7 +55,7 @@ def test_synth_frame_validation():
 def test_identity_channel_sc():
     mat = _blocks(6, 32)
     scene = _scene([Path(0, 6, 1.0)], n_max=4)
-    y = apply_channel_sc([synth_frame(mat, "sc")], scene, rng=None)
+    y = apply_channel_sc([mat], scene, rng=None)
     assert y.shape == (6, 36)
     assert np.max(np.abs(y[:, :32] - mat)) < 1e-12
     assert np.max(np.abs(y[:, 32:])) == 0.0
@@ -102,7 +64,7 @@ def test_identity_channel_sc():
 def test_delay_and_doppler_placement_sc():
     mat = _blocks(8, 16)
     scene = _scene([Path(3, 2, 0.5)], n_max=4)
-    y = apply_channel_sc([synth_frame(mat, "sc")], scene)
+    y = apply_channel_sc([mat], scene)
     phases = np.exp(2j * np.pi * 2 * np.arange(8) / 8)
     assert np.max(np.abs(y[:, 3:19] - 0.5 * mat * phases[:, None])) < 1e-12
     assert np.max(np.abs(y[:, :3])) == 0.0
@@ -112,7 +74,7 @@ def test_interference_only_sc():
     own = _blocks(4, 16, seed=1)
     other = _blocks(4, 16, seed=2)
     scene = _scene([], interference=[(Path(0, 4, 2.0),)], n_max=4)
-    y = apply_channel_sc([synth_frame(own, "sc"), synth_frame(other, "sc")], scene)
+    y = apply_channel_sc([own, other], scene)
     assert np.max(np.abs(y[:, :16] - 2.0 * other)) < 1e-12
 
 
@@ -125,7 +87,7 @@ def test_channel_linearity_in_gains():
     doubled = _scene([Path(p.range_bin, p.doppler_bin, 2 * p.gain) for p in paths],
                      [tuple(Path(p.range_bin, p.doppler_bin, 2 * p.gain) for p in q)
                       for q in ipaths], n_max=4)
-    frames = [synth_frame(mat, "sc"), synth_frame(intf, "sc")]
+    frames = [mat, intf]
     y1 = apply_channel_sc(frames, base)
     y2 = apply_channel_sc(frames, doubled)
     assert np.max(np.abs(y2 - 2 * y1)) < 1e-12
@@ -134,7 +96,7 @@ def test_channel_linearity_in_gains():
 def test_stationary_target_uses_top_doppler_bin():
     mat = np.ones((4, 8), dtype=np.complex128)
     scene = _scene([Path(0, 4, 1.0)], n_max=2)  # bin M = 4 is phase zero
-    y = apply_channel_sc([synth_frame(mat, "sc")], scene)
+    y = apply_channel_sc([mat], scene)
     assert np.max(np.abs(y[1:, :] - y[:1, :])) < 1e-12
 
 
@@ -143,7 +105,7 @@ def test_doppler_bin_bounds():
     for bad in (0, 5):
         scene = _scene([Path(0, bad, 1.0)], n_max=2)
         with pytest.raises(ValueError):
-            apply_channel_sc([synth_frame(mat, "sc")], scene)
+            apply_channel_sc([mat], scene)
 
 
 def test_scene_validation():
@@ -152,7 +114,7 @@ def test_scene_validation():
     with pytest.raises(ValueError):
         _scene([Path(0, 1, 1.0)], noise_var=-1.0)
     with pytest.raises(ValueError):
-        apply_channel_sc([synth_frame(_blocks(2, 8), "sc")],
+        apply_channel_sc([_blocks(2, 8)],
                          _scene([], interference=[(Path(0, 1, 1.0),)], n_max=2))
 
 
@@ -164,9 +126,9 @@ def test_sir_energy_bookkeeping():
     alpha_i = 10.0 ** (11.0 / 20.0)
     near = _scene([Path(1, 3, 1.0)], n_max=4)
     direct = _scene([], interference=[(Path(0, 7, alpha_i),)], n_max=4)
-    e_near = np.mean(np.abs(apply_channel_sc([synth_frame(own, "sc")], near)) ** 2)
+    e_near = np.mean(np.abs(apply_channel_sc([own], near)) ** 2)
     e_intf = np.mean(np.abs(apply_channel_sc(
-        [synth_frame(own, "sc"), synth_frame(other, "sc")], direct)) ** 2)
+        [own, other], direct)) ** 2)
     ratio_db = 10.0 * np.log10(e_intf / e_near)
     assert abs(ratio_db - 11.0) < 0.1
 
@@ -177,8 +139,8 @@ def test_snr_bookkeeping():
     own = _blocks(m_slow, n_fast, seed=8)
     noisy = _scene([Path(0, 3, 1.0)], noise_var=1.0, n_max=4)
     clean = _scene([Path(0, 3, 1.0)], noise_var=0.0, n_max=4)
-    y = apply_channel_sc([synth_frame(own, "sc")], noisy, rng=rng)
-    y0 = apply_channel_sc([synth_frame(own, "sc")], clean)
+    y = apply_channel_sc([own], noisy, rng=rng)
+    y0 = apply_channel_sc([own], clean)
     snr_db = 10.0 * np.log10(np.mean(np.abs(own) ** 2)
                              / np.mean(np.abs(y - y0) ** 2))
     assert abs(snr_db - 0.0) < 0.1
@@ -320,7 +282,7 @@ def test_frame_binary_roundtrip(tmp_path):
 def test_frame_binary_header_layout(tmp_path):
     mat = np.arange(6, dtype=np.complex128).reshape(2, 3) + 0.5j
     path = tmp_path / "frame.bin"
-    write_frame_bin(path, synth_frame(mat, "sc"))
+    write_frame_bin(path, mat)
     raw = path.read_bytes()
     assert len(raw) == 16 + 2 * 3 * 2 * 8
     assert raw[:8] == b"CCSFRM01"
