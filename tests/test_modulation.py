@@ -196,7 +196,7 @@ def test_interleaved_symbol_covariance_vanishes(n_symbols):
 @pytest.mark.parametrize("kind,n_msg", [("uncoded", 64), ("repetition", 32),
                                         ("polar", 20), ("ldpc", 40)])
 def test_blocks_batch_is_c_contiguous(kind, n_msg, interleave):
-    # both block builders return C order: the sweep one with or without its
+    # both block generators return C order: the sweep one with or without its
     # per-row parity permutation, the near-far one (always interleaved)
     code = CodeConfig(kind=kind, n_code_bits=64, n_msg_bits=n_msg)
     const = constellation("qpsk")
