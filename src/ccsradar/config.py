@@ -147,7 +147,8 @@ class ExperimentConfig:
         Checks every code the experiment builds (known kind and modulation, polar
         lengths a power of two, whole message bit counts, positive rate
         denominators, a nonnegative code_seed), for the sidelobe sweeps a
-        sidelobe_window of at least one lag and block lengths N >= 2, and, for
+        sidelobe_window of at least one lag and block lengths N >= 2, for the
+        bounds driver a u grid of u_points >= 2 in 0 < u_min < u_max, and, for
         the near-far scene, n_max < n_fast, every range and Doppler bin inside
         [0, n_max] and [1, m_slow], and eta_points >= 2.
         """
@@ -169,6 +170,7 @@ class ExperimentConfig:
                         f"{name}_doppler_bin = {dbin} outside [1, m_slow = {self.m_slow}]")
             combos = [(self.nearfar_code_kind(), self.rates[0], self.n_fast)]
         elif self.kind == "bounds":
+            self.u_grid()
             combos = [("polar", self.rates[0], n) for n in self.bounds_n_list]
         elif self.kind in ("pslr", "suppress", "interleave"):
             if self.sidelobe_window < 1:
@@ -186,8 +188,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{code} {num:g}/{den}:{mod} at N = {n}: {exc}") from exc
 
     def u_grid(self) -> np.ndarray:
-        if not (0 < self.u_min < self.u_max and self.u_points >= 2):
-            raise ConfigError("bad u grid")
+        """The bounds driver's thresholds u; ConfigError names the first bad key."""
+        if self.u_points < 2:
+            raise ConfigError(f"u_points = {self.u_points} must be at least 2")
+        if not self.u_min > 0:
+            raise ConfigError(f"u_min = {self.u_min:g} must be positive")
+        if not self.u_min < self.u_max:
+            raise ConfigError(f"u_min = {self.u_min:g} must be below u_max = {self.u_max:g}")
         return np.linspace(self.u_min, self.u_max, self.u_points)
 
     # -- serialization ------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import random_bits, substream
 from .bounds import (TailBoundSpec, autocorr_tail_lb, autocorr_tail_ub,
                      crosscorr_tail_ub, empirical_tail, median_pslr_from_bound,
                      median_suppression_from_bound, ofdm_tail_ub)
@@ -42,15 +42,18 @@ NEARFAR_VARIANTS = ("ccs_sc", "ccs_sc_nointf", "ccs_ofdm", "ccs_ofdm_nointf", "f
 
 
 def _permute_rows(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """bits[r, keys[r].argsort()] for every row r, by a value sort.
+    """bits[r, keys[r].argsort()] for every row r, by a value sort; keys is scaled in place.
 
-    keys lie in [0, 1): their IEEE-754 patterns read as int64 sort like the
-    values and stay below 2**62, so each key shifted left by one carries its
-    bit in bit 0 through the sort.  A row with two equal keys (a few in 10**9
-    rows of rng.random at N <= 4096) takes argsort itself, whose order among
-    the tied bits a value sort cannot reproduce.
+    keys lie in [0, 1).  Scaling them by 2**31 is exact and keeps their order,
+    so each key's integer part floor(key * 2**31) shifted left by one carries
+    its bit in bit 0 of a uint32 word through the sort.  A row where two sorted
+    neighbours share that integer part (equal keys, or keys equal above
+    2**-31: about m**2 / 2**32 rows of m rng.random keys) takes argsort of its
+    scaled keys, which orders them, ties included, as argsort of the keys.
     """
-    words = keys.view(np.int64) << 1
+    keys *= 2.0 ** 31
+    words = keys.astype(np.uint32)
+    words <<= 1
     words |= bits
     words.sort(axis=1)
     out = np.bitwise_and(words, 1, out=np.empty(bits.shape, np.uint8), casting="unsafe")
@@ -63,7 +66,7 @@ def _permute_rows(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng,
                   interleaved: bool = True) -> np.ndarray:
     """(n_blocks, N) symbol matrix with a fresh message and parity permutation per row."""
-    msgs = rng.integers(0, 2, size=(n_blocks, cfg.n_msg_bits), dtype=np.uint8)
+    msgs = random_bits(rng, (n_blocks, cfg.n_msg_bits))
     cw = encode(msgs, cfg)  # a fresh array for every code: permuted in place
     k = cfg.n_msg_bits
     if interleaved and cfg.n_code_bits > k:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._rng import as_rng
+from ._rng import as_rng, random_bits
 from .coding import CodeConfig, encode, interleave_codeword
 
 CONSTELLATION_NAMES = ("bpsk", "qpsk", "16qam", "256qam")
@@ -65,19 +65,29 @@ def constellation(name: str) -> Constellation:
     return Constellation(name, pts)
 
 
+# multiplier and shift that gather the m bit-bytes of one little-endian word
+# (bit t in byte t) into the label sum_t bit_t * 2^(m-1-t): bit t lands at
+# bit (m-1-t) of the top byte, every other product term lies below it or
+# beyond the word, and no two terms share a bit, so nothing carries
+_LABEL_GATHER = {
+    2: (np.uint16(0x201), 8),
+    4: (np.uint32(0x8040201), 24),
+    8: (np.uint64(sum(1 << (63 - 9 * i) for i in range(8))), 56),
+}
+
+
 def map_bits(bits: np.ndarray, const: Constellation) -> np.ndarray:
     """Gray-map a bit stream to symbols; length must divide into whole symbols."""
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)
     m = const.bits_per_symbol
     if bits.shape[-1] % m:
         raise ValueError(f"bit count {bits.shape[-1]} not divisible by {m}")
-    # labels = sum_t bit_t * 2^(m-1-t), one strided pass per bit position: a
-    # length-m reduction over the last axis is slow on C-ordered batches
-    weights = 1 << np.arange(m - 1, -1, -1)
-    labels = bits[..., 0::m] * weights[0]
-    for t in range(1, m):
-        labels += bits[..., t::m] * weights[t]
-    return const.points[labels]
+    if m == 1:
+        return const.points.take(bits)
+    mult, shift = _LABEL_GATHER[m]
+    words = bits.view(f"<u{m}") * mult
+    words >>= shift
+    return const.points.take(words)
 
 
 def product_bound_b(const: Constellation) -> float:
@@ -105,5 +115,5 @@ def generate_ccs_blocks(n_symbols: int, code: CodeConfig, const: Constellation,
     """
     _check_sizes(n_symbols, code, const)
     gen = as_rng(rng)
-    msgs = gen.integers(0, 2, size=(n_blocks, code.n_msg_bits), dtype=np.uint8)
+    msgs = random_bits(gen, (n_blocks, code.n_msg_bits))
     return map_bits(interleave_codeword(encode(msgs, code), code), const)

@@ -151,9 +151,9 @@ def test_code_config_fractional_bits():
 def test_u_grid():
     grid = ExperimentConfig(u_min=0.1, u_max=0.2, u_points=3).u_grid()
     assert np.allclose(grid, [0.1, 0.15, 0.2])
-    with pytest.raises(ConfigError, match="bad u grid"):
+    with pytest.raises(ConfigError, match="u_min = 0 must be positive"):
         ExperimentConfig(u_min=0.0).u_grid()
-    with pytest.raises(ConfigError, match="bad u grid"):
+    with pytest.raises(ConfigError, match="u_min = 0.3 must be below u_max = 0.2"):
         ExperimentConfig(u_min=0.3, u_max=0.2).u_grid()
 
 
@@ -213,6 +213,12 @@ def test_cli_config_hash_same_across_out_dirs(tmp_path, capsys):
     ({"kind": "interleave", "codes": ("ldpc",), "code_seed": -1}, "code_seed = -1 must"),
     ({"kind": "nearfar", "eta_points": 0}, "eta_points = 0 must be at least 2"),
     ({"kind": "nearfar", "eta_points": 1}, "eta_points = 1 must be at least 2"),
+    ({"kind": "bounds", "u_points": 1}, "u_points = 1 must be at least 2"),
+    ({"kind": "bounds", "u_points": 0}, "u_points = 0 must be at least 2"),
+    ({"kind": "bounds", "u_min": 0.0}, "u_min = 0 must be positive"),
+    ({"kind": "bounds", "u_min": -0.1}, "u_min = -0.1 must be positive"),
+    ({"kind": "bounds", "u_min": 0.25}, r"u_min = 0.25 must be below u_max = 0.25"),
+    ({"kind": "bounds", "u_min": 0.3, "u_max": 0.2}, "u_min = 0.3 must be below u_max = 0.2"),
 ])
 def test_validate_rejects(overrides, message):
     with pytest.raises(ConfigError, match=message):
@@ -376,6 +382,12 @@ def test_cli_rejects_empty_sidelobe_window(tmp_path, capsys, command, window):
                  id="interleave-ldpc-code-seed-1"),
     pytest.param("nearfar", "n_list = 64\n\n[detection]\neta_points = 0",
                  "eta_points = 0 must be at least 2", "0", id="nearfar-eta-points-0"),
+    pytest.param("bounds", "n_list = 64\n\n[bounds]\nu_points = 1",
+                 "u_points = 1 must be at least 2", "0", id="bounds-u-points-1"),
+    pytest.param("bounds", "n_list = 64\n\n[bounds]\nu_min = 0",
+                 "u_min = 0 must be positive", "0", id="bounds-u-min-0"),
+    pytest.param("bounds", "n_list = 64\n\n[bounds]\nu_min = 0.3\nu_max = 0.2",
+                 "u_min = 0.3 must be below u_max = 0.2", "0", id="bounds-u-min-above-u-max"),
 ])
 def test_cli_rejects_bad_block_length_or_rate(tmp_path, capsys, command, signal, message,
                                               seed):

@@ -108,6 +108,45 @@ def test_map_bits_matches_label_reference_in_either_memory_order(name, m):
         assert map_bits(x, const).tobytes() == want.tobytes()
 
 
+def _strided_labels(bits, m):
+    # the per-bit label formula map_bits used before its word-level gather:
+    # label = sum_t bit_t * 2^(m-1-t), one strided pass per bit position
+    weights = 1 << np.arange(m - 1, -1, -1)
+    labels = bits[..., 0::m] * weights[0]
+    for t in range(1, m):
+        labels += bits[..., t::m] * weights[t]
+    return labels
+
+
+@pytest.mark.parametrize("name,m", [("bpsk", 1), ("qpsk", 2), ("16qam", 4), ("256qam", 8)])
+def test_map_bits_matches_strided_label_oracle(name, m):
+    const = constellation(name)
+    rng = np.random.default_rng(100 + m)
+    labels = rng.permutation(np.repeat(np.arange(1 << m), 3))  # every label, 3 times
+    bits = ((labels[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8).ravel()
+    assert np.array_equal(_strided_labels(bits, m), labels)
+    batch = rng.integers(0, 2, size=(2, 3, bits.size), dtype=np.uint8)
+    batch[1, 2] = bits
+    wide = rng.integers(0, 2, size=(4, 2 * bits.size + 3), dtype=np.uint8)
+    wide[1, 3:3 + bits.size] = bits
+    wide[2, 0:2 * bits.size:2] = bits
+    inputs = {
+        "1d": bits,
+        "batched": batch,
+        "tail_view": wide[:, 3:3 + bits.size],  # rows contiguous, row stride wider
+        "step_view": wide[:, 0:2 * bits.size:2],  # no contiguous axis
+        "fortran": np.asfortranarray(batch[1]),
+    }
+    for key, x in inputs.items():
+        want = const.points[_strided_labels(x, m)]
+        got = map_bits(x, const)
+        assert got.shape == want.shape and got.flags.c_contiguous, key
+        assert got.tobytes() == want.tobytes(), key
+    if m > 1:
+        with pytest.raises(ValueError, match="not divisible"):
+            map_bits(batch[..., 1:], const)
+
+
 def _messages(n_blocks, n_msg, seed):
     """The message bits generate_ccs_blocks draws first from a fresh rng(seed)."""
     return np.random.default_rng(seed).integers(0, 2, size=(n_blocks, n_msg), dtype=np.uint8)

@@ -1,8 +1,8 @@
 """The per-block parity permutation of the sweep and bound drivers.
 
-experiments._permute_rows sorts each parity bit with its random key; the tests
-here hold it, and _symbol_batch through it, to the argsort of those keys, ties
-included.
+experiments._permute_rows sorts each parity bit under its scaled random key as
+one uint32 word; the tests here hold it, and _symbol_batch through it, to the
+argsort of those keys, exact ties and keys equal in their top 31 bits included.
 """
 
 import numpy as np
@@ -23,7 +23,8 @@ def _argsort_oracle(bits, keys):
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(1, 8), cols=st.integers(1, 300),
        seed=st.integers(0, 2**32 - 1),
-       ties=st.sets(st.sampled_from(["dup_column", "equal_row", "zero_row", "edge", "coarse"])))
+       ties=st.sets(st.sampled_from(["dup_column", "equal_row", "zero_row", "edge", "coarse",
+                                     "near_tie"])))
 def test_permute_rows_matches_argsort(rows, cols, seed, ties):
     rng = np.random.default_rng(seed)
     # a tail view of a wider codeword batch, as _symbol_batch passes it
@@ -40,9 +41,18 @@ def test_permute_rows_matches_argsort(rows, cols, seed, ties):
         keys[(r + 1) % rows] = 0.0
     if "edge" in ties:
         keys[:, rng.integers(cols, size=2)] = _EDGE_KEY
-    got = _permute_rows(bits, keys)
+    if "near_tie" in ties and cols > 1:
+        # distinct keys equal in their top 31 bits: one 32-bit word per key
+        # cannot order them, so every row takes the argsort fallback; the bits
+        # are set so that ordering by the word's bit instead would show.  The
+        # step is downward: upward, the edge key would become 1.0, which
+        # rng.random never returns (a zero key stays an exact tie)
+        keys[:, -1] = np.nextafter(keys[:, 0], 0.0)
+        bits[:, 0], bits[:, -1] = 0, 1
+    want = _argsort_oracle(bits, keys)
+    got = _permute_rows(bits, keys)  # scales keys in place
     assert got.dtype == np.uint8 and got.flags.c_contiguous
-    assert np.array_equal(got, _argsort_oracle(bits, keys))
+    assert np.array_equal(got, want)
 
 
 class _TiedKeys:
