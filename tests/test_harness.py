@@ -217,7 +217,7 @@ def test_cli_config_hash_same_across_out_dirs(tmp_path, capsys):
     ({"kind": "bounds", "u_points": 0}, "u_points = 0 must be at least 2"),
     ({"kind": "bounds", "u_min": 0.0}, "u_min = 0 must be positive"),
     ({"kind": "bounds", "u_min": -0.1}, "u_min = -0.1 must be positive"),
-    ({"kind": "bounds", "u_min": 0.25}, r"u_min = 0.25 must be below u_max = 0.25"),
+    ({"kind": "bounds", "u_min": 0.25}, "u_min = 0.25 must be below u_max = 0.25"),
     ({"kind": "bounds", "u_min": 0.3, "u_max": 0.2}, "u_min = 0.3 must be below u_max = 0.2"),
 ])
 def test_validate_rejects(overrides, message):
