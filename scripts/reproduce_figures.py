@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Run all five experiments at their reference settings and emit CSVs plus
-standalone plot scripts.
+"""Run all five experiments at their reference settings and write their CSVs.
 
 Roughly four minutes on one core at the default trial counts.  Pass --trials
 to downscale everything for a quick smoke run; property checks only run at
 the reference trial counts (their tolerances assume them) and print as
 '[check] name: PASS/FAIL (detail)' lines.  The exit code is 0 only if every
-experiment ran and every executed check passed.
+experiment ran and every executed check passed.  The figures come from
+scripts/plot_results.py, which the summary names.
 
 Note: the two near-far '*_matches_fmcw_pd' checks compare the coded
 signals' detection curves with the interference-free FMCW reference at the
@@ -30,8 +30,7 @@ KINDS = ("pslr", "suppress", "interleave", "bounds", "nearfar")
 
 def run(kind: str, args) -> int:
     config = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{kind}.ini"
-    argv = [kind, "--config", str(config), "--out", str(args.out / kind),
-            "--plot-script"]
+    argv = [kind, "--config", str(config), "--out", str(args.out / kind)]
     if args.seed is not None:
         argv += ["--seed", str(args.seed)]
     if args.trials is not None:
@@ -56,6 +55,7 @@ def main() -> int:
     print("== summary ==")
     for kind, code in codes.items():
         print(f"{kind}: exit {code}")
+    print(f"figures: python3 scripts/plot_results.py {args.out}")
     return max(codes.values())
 
 

@@ -56,10 +56,6 @@ class CodeConfig:
             raise ValueError("ldpc rate too low for distinct parity checks")
 
     @property
-    def rate(self) -> float:
-        return self.n_msg_bits / self.n_code_bits
-
-    @property
     def gamma(self) -> int:
         if self.kind != "repetition":
             raise ValueError("gamma is defined for repetition codes only")

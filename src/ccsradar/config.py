@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -28,11 +29,18 @@ class ConfigError(ValueError):
     """Invalid or missing configuration; the CLI maps this to exit code 2."""
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_rate(token: str) -> tuple[float, int, str]:
     try:
         frac, mod = token.strip().split(":")
         num, den = frac.split("/")
-        return float(num), int(den), mod.strip()
+        return _finite(num), int(den), mod.strip()
     except ValueError as exc:
         raise ConfigError(f"bad rate spec {token!r}, expected num/den:modulation") from exc
 
@@ -127,6 +135,8 @@ class ExperimentConfig:
         if kind == "uncoded":
             return CodeConfig("uncoded", n_bits, n_bits)
         k_bits = rate_num * n_symbols * m_s / rate_den
+        if not k_bits <= n_bits:
+            raise ConfigError(f"rate {rate_num:g}/{rate_den} is above 1")
         if abs(k_bits - round(k_bits)) > 1e-9:
             raise ConfigError(
                 f"rate {rate_num}/{rate_den} gives a fractional bit count at "
@@ -146,11 +156,12 @@ class ExperimentConfig:
 
         Checks every code the experiment builds (known kind and modulation, polar
         lengths a power of two, whole message bit counts, positive rate
-        denominators, a nonnegative code_seed), for the sidelobe sweeps a
-        sidelobe_window of at least one lag and block lengths N >= 2, for the
-        bounds driver a u grid of u_points >= 2 in 0 < u_min < u_max, and, for
-        the near-far scene, n_max < n_fast, every range and Doppler bin inside
-        [0, n_max] and [1, m_slow], and eta_points >= 2.
+        denominators, rates at most 1, a nonnegative code_seed), for the
+        sidelobe sweeps a sidelobe_window of at least one lag and block lengths
+        N >= 2, for the bounds driver a u grid of u_points >= 2 in
+        0 < u_min < u_max, and, for the near-far scene, n_max < n_fast, every
+        range and Doppler bin inside [0, n_max] and [1, m_slow], and
+        eta_points >= 2.
         """
         if self.code_seed < 0:
             raise ConfigError(f"code_seed = {self.code_seed} must be nonnegative")
@@ -225,9 +236,9 @@ _SCHEMA = {
     ("signal", "code_seed"): ("code_seed", int),
     ("signal", "sidelobe_window"): ("sidelobe_window", int),
     ("scene", "n_max"): ("n_max", int),
-    ("scene", "snr_db"): ("snr_db", float),
-    ("scene", "sir_db"): ("sir_db", float),
-    ("scene", "far_gain_db"): ("far_gain_db", float),
+    ("scene", "snr_db"): ("snr_db", _finite),
+    ("scene", "sir_db"): ("sir_db", _finite),
+    ("scene", "far_gain_db"): ("far_gain_db", _finite),
     ("scene", "near_range_bin"): ("near_range_bin", int),
     ("scene", "near_doppler_bin"): ("near_doppler_bin", int),
     ("scene", "far_range_bin"): ("far_range_bin", int),
@@ -235,8 +246,8 @@ _SCHEMA = {
     ("scene", "intf_range_bin"): ("intf_range_bin", int),
     ("scene", "intf_doppler_bin"): ("intf_doppler_bin", int),
     ("detection", "eta_points"): ("eta_points", int),
-    ("bounds", "u_min"): ("u_min", float),
-    ("bounds", "u_max"): ("u_max", float),
+    ("bounds", "u_min"): ("u_min", _finite),
+    ("bounds", "u_max"): ("u_max", _finite),
     ("bounds", "u_points"): ("u_points", int),
     ("bounds", "n_list"): ("bounds_n_list", _tuple_of(int)),
 }

@@ -271,7 +271,8 @@ def _lb_witness_rows(u: float = 0.01) -> list:
 
 def run_tail_bound_check(config: ExperimentConfig) -> ResultTable:
     """Empirical tails vs analytic bounds on a u grid, plus the enumeration
-    witness for the lower bound.
+    witness for the lower bound.  Always compares uncoded and polar at the
+    first of config.rates; config.codes is not read.
 
     dominated means the 3-sigma Wilson lower limit stays below the upper bound
     (side ub) or the exact tail stays above the lower bound (side lb).

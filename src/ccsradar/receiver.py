@@ -23,7 +23,6 @@ class RangeDopplerMap:
 
     values: np.ndarray
     waveform: str
-    normalization: str
 
     @property
     def n_max(self) -> int:
@@ -88,8 +87,7 @@ def mf_bank(y: np.ndarray, x: np.ndarray, n_max: int) -> np.ndarray:
 
 def sc_range_doppler(r: np.ndarray) -> RangeDopplerMap:
     """Slow-time DFT of the matched-filter bank, 1/M normalized."""
-    return RangeDopplerMap(values=_slow_dft(r), waveform="sc",
-                           normalization="1/N fast, 1/M slow")
+    return RangeDopplerMap(values=_slow_dft(r), waveform="sc")
 
 
 def ofdm_range_doppler(y_freq: np.ndarray, s: np.ndarray, n_max: int) -> RangeDopplerMap:
@@ -104,9 +102,7 @@ def ofdm_range_doppler(y_freq: np.ndarray, s: np.ndarray, n_max: int) -> RangeDo
     if np.any(np.abs(s) < 1e-12):
         raise ValueError("reference symbols contain a (near) zero")
     per_block = np.fft.ifft(y_freq / s, axis=1)  # (m, l)
-    return RangeDopplerMap(values=_slow_dft(per_block.T[: n_max + 1]),
-                           waveform="ofdm",
-                           normalization="zero-forcing, 1/N fast, 1/M slow")
+    return RangeDopplerMap(values=_slow_dft(per_block.T[: n_max + 1]), waveform="ofdm")
 
 
 def fmcw_range_doppler(y: np.ndarray, params: FmcwParams, n_max: int) -> RangeDopplerMap:
@@ -126,6 +122,4 @@ def fmcw_range_doppler(y: np.ndarray, params: FmcwParams, n_max: int) -> RangeDo
     per_chirp = np.fft.ifft(mixed, axis=1)[:, : n_max + 1]  # (m, l)
     lags = np.arange(n_max + 1)
     comp = n_fast / (n_fast - lags)
-    return RangeDopplerMap(values=_slow_dft(per_chirp.T * comp[:, None]),
-                           waveform="fmcw",
-                           normalization="window-loss compensated, 1/M slow")
+    return RangeDopplerMap(values=_slow_dft(per_chirp.T * comp[:, None]), waveform="fmcw")

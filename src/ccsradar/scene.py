@@ -56,15 +56,14 @@ class TargetScene:
 
 @dataclass(frozen=True)
 class FmcwParams:
-    """Repeated-chirp reference; slope 1.0 sweeps the full bandwidth in N samples."""
+    """Repeated-chirp reference; each chirp sweeps the full bandwidth in N samples."""
 
     n_fast: int
     n_chirps: int
-    slope: float = 1.0
 
     def chirp(self) -> np.ndarray:
         n = np.arange(self.n_fast)
-        return np.exp(1j * np.pi * self.slope * n * n / self.n_fast)
+        return np.exp(1j * np.pi * n * n / self.n_fast)
 
 
 def synth_frame(params: FmcwParams) -> np.ndarray:

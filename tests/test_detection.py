@@ -73,7 +73,7 @@ def _map(near=0.0, far=0.0, extra=()):
     vals[0, 3] = 10.0  # leakage row, must never count as a false alarm
     for (l, nu), level in extra:
         vals[l, nu % M_SLOW] = level
-    return RangeDopplerMap(values=vals, waveform="sc", normalization="test")
+    return RangeDopplerMap(values=vals, waveform="sc")
 
 
 def test_detect_tiers():

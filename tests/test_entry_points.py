@@ -3,13 +3,15 @@
 bench/tracer.py rebinds named functions and methods of the package to timed
 wrappers; every name it lists must exist and be callable.  The tables are
 read here without installing the tracer, which would rebind module globals.
-The two scripts under scripts/ run end to end as subprocesses.
+The two experiment scripts under scripts/ run end to end as subprocesses, and
+scripts/plot_results.py plots their outputs through a stub matplotlib.pyplot.
 """
 
 import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -17,14 +19,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+def _load(name, relpath):
+    spec = importlib.util.spec_from_file_location(name, ROOT / relpath)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _tracer()
+tracer = _load("bench_tracer", "bench/tracer.py")
 
 
 @pytest.mark.parametrize("namespace,attr", [
@@ -56,8 +58,34 @@ def test_demo_scene_script_runs(tmp_path):
     assert out.stat().st_size > 0
 
 
-def test_reproduce_figures_script_runs(tmp_path):
+class _Pyplot:
+    """Stand-in for matplotlib.pyplot, also serving as every figure and axes:
+    any call is accepted, and savefig records its path."""
+
+    def __init__(self):
+        self.saved = []
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+    def subplots(self, nrows=1, ncols=1, **kwargs):
+        return self, [[self] * ncols for _ in range(nrows)]
+
+    def savefig(self, path, **kwargs):
+        self.saved.append(Path(path))
+
+
+def test_reproduce_figures_script_runs(tmp_path, monkeypatch, capsys):
     proc = _run_script("reproduce_figures.py", "--trials", "2", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    for kind in ("pslr", "suppress", "interleave", "bounds", "nearfar"):
-        assert (tmp_path / kind / f"plot_{kind}.py").is_file()
+    assert f"scripts/plot_results.py {tmp_path}" in proc.stdout
+    pyplot = _Pyplot()
+    monkeypatch.setitem(sys.modules, "matplotlib", types.SimpleNamespace(pyplot=pyplot))
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    plot_results = _load("plot_results", "scripts/plot_results.py")
+    assert plot_results.main([str(tmp_path)]) == 0
+    results = ("pslr/pslr_sweep", "suppress/suppression_sweep", "interleave/interleaver_study",
+               "bounds/tail_bounds", "nearfar/roc_curves")
+    assert sorted(pyplot.saved) == sorted(tmp_path / f"{r}.png" for r in results)
+    assert capsys.readouterr().out.count("wrote ") == len(results)
+    assert plot_results.main([str(tmp_path / "missing")]) == 1

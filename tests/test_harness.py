@@ -301,6 +301,9 @@ def test_parser_shape():
     for cmd in ("pslr", "suppress", "interleave", "bounds", "nearfar"):
         args = parser.parse_args([cmd, "--seed", "0"])
         assert args.command == cmd and args.seed == 0
+    with pytest.raises(SystemExit) as exc:  # figures come from scripts/plot_results.py
+        parser.parse_args(["pslr", "--seed", "0", "--plot-script"])
+    assert exc.value.code == 2
 
 
 def test_cli_requires_seed(tmp_path, capsys):
@@ -388,6 +391,15 @@ def test_cli_rejects_empty_sidelobe_window(tmp_path, capsys, command, window):
                  "u_min = 0 must be positive", "0", id="bounds-u-min-0"),
     pytest.param("bounds", "n_list = 64\n\n[bounds]\nu_min = 0.3\nu_max = 0.2",
                  "u_min = 0.3 must be below u_max = 0.2", "0", id="bounds-u-min-above-u-max"),
+    # non-finite numbers fail in load_config, before validate
+    pytest.param("nearfar", "n_list = 64\n\n[scene]\nsnr_db = nan",
+                 "bad value for [scene] snr_db: 'nan'", "0", id="nearfar-snr-nan"),
+    pytest.param("bounds", "n_list = 64\n\n[bounds]\nu_max = inf",
+                 "bad value for [bounds] u_max: 'inf'", "0", id="bounds-u-max-inf"),
+    pytest.param("pslr", "rates = inf/1024:qpsk", "bad value for [signal] rates", "0",
+                 id="pslr-rate-inf"),
+    pytest.param("pslr", "rates = 1e308/1024:qpsk", "rate 1e+308/1024 is above 1", "0",
+                 id="pslr-rate-1e308"),
 ])
 def test_cli_rejects_bad_block_length_or_rate(tmp_path, capsys, command, signal, message,
                                               seed):
@@ -571,14 +583,3 @@ eta_points = 40
         assert (out / f"map_{v}.bin").exists()
     assert (out / "frame_ccs_sc.bin").exists()
     assert (out / "frame_fmcw.bin").exists()
-
-
-def test_cli_plot_script_emission(tmp_path, capsys):
-    cfg = _write(tmp_path, SMALL_PSLR_INI)
-    out = tmp_path / "out"
-    rc = cli.main(["pslr", "--config", str(cfg), "--seed", "1",
-                   "--out", str(out), "--plot-script"])
-    capsys.readouterr()
-    assert rc == 0
-    script = (out / "plot_pslr.py").read_text(encoding="utf-8")
-    assert "matplotlib" in script and "pslr_sweep.csv" in script

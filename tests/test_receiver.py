@@ -290,7 +290,7 @@ def test_doppler_dft_suppresses_sidelobe_ridge():
 def test_map_accessors_and_validation():
     vals = np.zeros((3, 4), dtype=complex)
     vals[1, 0] = 2.0
-    rd = RangeDopplerMap(values=vals, waveform="sc", normalization="test")
+    rd = RangeDopplerMap(values=vals, waveform="sc")
     assert rd.n_max == 2 and rd.n_slow == 4
     assert rd.value_at(1, 4) == 2.0  # bin M wraps to column 0
     with pytest.raises(ValueError):
@@ -305,7 +305,7 @@ def test_map_csv_export(tmp_path):
     vals = np.zeros((2, 4), dtype=complex)
     vals[0, 0] = 1.0
     vals[1, 2] = 0.1
-    rd = RangeDopplerMap(values=vals, waveform="ofdm", normalization="test")
+    rd = RangeDopplerMap(values=vals, waveform="ofdm")
     path = tmp_path / "map.csv"
     rd.export_csv(path)
     rows = path.read_text().strip().splitlines()
@@ -323,7 +323,7 @@ def test_map_csv_export_matches_csv_writer_bytes(tmp_path):
     vals = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     vals[1, 0] = 0.0  # exact zero: clipped at -400 dB
     vals[2, 3] = 1e-30j
-    rd = RangeDopplerMap(values=vals, waveform="sc", normalization="test")
+    rd = RangeDopplerMap(values=vals, waveform="sc")
     rd.export_csv(tmp_path / "map.csv")
     with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -340,7 +340,7 @@ def test_map_csv_export_matches_csv_writer_bytes(tmp_path):
 def test_map_binary_export(tmp_path):
     rng = np.random.default_rng(14)
     vals = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    rd = RangeDopplerMap(values=vals, waveform="sc", normalization="test")
+    rd = RangeDopplerMap(values=vals, waveform="sc")
     path = tmp_path / "map.bin"
     rd.export_binary(path)
     assert np.array_equal(read_frame_bin(path), vals)
