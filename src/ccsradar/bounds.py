@@ -141,11 +141,9 @@ def ofdm_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:
 class EmpiricalTail:
     """Monte Carlo exceedance curve with a Wilson score interval per point."""
 
-    u: np.ndarray
     p: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    n_samples: int
 
 
 def wilson_interval(p, n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
@@ -162,10 +160,8 @@ def empirical_tail(samples, u_grid, z: float = 1.96) -> EmpiricalTail:
     if samples.size == 0:
         raise ValueError("no samples")
     u = _as_u(u_grid)
-    n = samples.size
     p = (samples[None, :] > u.ravel()[:, None]).mean(axis=1).reshape(u.shape)
-    lo, hi = wilson_interval(p, n, z)
-    return EmpiricalTail(u=u, p=p, lo=lo, hi=hi, n_samples=n)
+    return EmpiricalTail(p, *wilson_interval(p, samples.size, z))
 
 
 def _median_db(c: float) -> float:

@@ -103,15 +103,21 @@ class ExperimentConfig:
         return self.seed
 
     # -- derived pieces -----------------------------------------------------
+    def _from_db(self, key: str, sign: float, per_decade: float) -> float:
+        """10 ** (sign * self.<key> / per_decade); ConfigError when it overflows."""
+        value = getattr(self, key)
+        try:
+            return 10.0 ** (sign * value / per_decade)
+        except OverflowError:
+            raise ConfigError(f"{key} = {value:g} overflows as a linear value") from None
+
     def gains(self) -> tuple[float, float, float]:
         """(near, far, interferer) magnitudes with the near target at 0 dB."""
-        near = 1.0
-        far = 10.0 ** (self.far_gain_db / 20.0)
-        direct = 10.0 ** (-self.sir_db / 20.0)
-        return near, far, direct
+        return (1.0, self._from_db("far_gain_db", 1.0, 20.0),
+                self._from_db("sir_db", -1.0, 20.0))
 
     def noise_var(self) -> float:
-        return 10.0 ** (-self.snr_db / 10.0)
+        return self._from_db("snr_db", -1.0, 10.0)
 
     def scene(self, with_interference: bool = True) -> TargetScene:
         near, far, direct = self.gains()
@@ -159,13 +165,15 @@ class ExperimentConfig:
         denominators, rates at most 1, a nonnegative code_seed), for the
         sidelobe sweeps a sidelobe_window of at least one lag and block lengths
         N >= 2, for the bounds driver a u grid of u_points >= 2 in
-        0 < u_min < u_max, and, for the near-far scene, n_max < n_fast, every
-        range and Doppler bin inside [0, n_max] and [1, m_slow], and
-        eta_points >= 2.
+        0 < u_min < u_max, and, for the near-far scene, snr_db, sir_db and
+        far_gain_db whose linear values stay finite, n_max < n_fast, every range
+        and Doppler bin inside [0, n_max] and [1, m_slow], and eta_points >= 2.
         """
         if self.code_seed < 0:
             raise ConfigError(f"code_seed = {self.code_seed} must be nonnegative")
         if self.kind == "nearfar":
+            self.gains()
+            self.noise_var()
             if self.eta_points < 2:
                 raise ConfigError(f"eta_points = {self.eta_points} must be at least 2")
             if not 0 <= self.n_max < self.n_fast:

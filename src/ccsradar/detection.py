@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import wilson_interval
+from .bounds import empirical_tail
 from .receiver import RangeDopplerMap
 
 
@@ -51,7 +51,6 @@ class RocCurves:
     pf: dict
     pd_lo: dict
     pd_hi: dict
-    n_trials: int
 
     def export_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -86,12 +85,9 @@ def grid_pd_gap(pd, pd_ref) -> float:
 def make_eta_grid(levels_by_waveform: dict, points: int = 200) -> np.ndarray:
     """Log grid from a tenth of the lowest sidelobe ceiling up to twice the
     largest peak, shared by every waveform in the sweep."""
-    floors, peaks = [], []
-    for levels in levels_by_waveform.values():
-        for t in levels:
-            floors.append(t.max_other)
-            peaks.append(max(t.target_levels))
-    lo, hi = 0.1 * min(floors), 2.0 * max(peaks)
+    trials = [t for levels in levels_by_waveform.values() for t in levels]
+    lo = 0.1 * min(t.max_other for t in trials)
+    hi = 2.0 * max(max(t.target_levels) for t in trials)
     if lo <= 0 or hi <= lo:
         raise ValueError("degenerate level spread for eta grid")
     return np.geomspace(lo, hi, points)
@@ -102,20 +98,17 @@ def threshold_sweep(levels_by_waveform: dict, points: int = 200,
     """ROC curves over the common make_eta_grid threshold grid.
 
     levels_by_waveform maps a waveform label to its per-trial TrialLevels.
-    Estimates are monotone in eta by construction.  Wilson intervals treat the
-    per-target detections as independent Bernoulli draws.
+    P_d is the empirical_tail of the target levels and P_f that of the
+    off-target maxima, so both are monotone in eta; the Wilson interval of P_d
+    treats the per-target detections as independent Bernoulli draws.
     """
     for wf, rows in levels_by_waveform.items():
         if not rows:
             raise ValueError(f"no trials for waveform {wf!r}")
     eta = make_eta_grid(levels_by_waveform, points)
     pd, pf, lo, hi = {}, {}, {}, {}
-    n_trials = None
     for wf, rows in levels_by_waveform.items():
-        tl = np.array([r.target_levels for r in rows])  # (T, n_targets)
-        mo = np.array([r.max_other for r in rows])
-        n_trials = tl.shape[0] if n_trials is None else n_trials
-        pd[wf] = (tl[None, :, :] > eta[:, None, None]).mean(axis=(1, 2))
-        pf[wf] = (mo[None, :] > eta[:, None]).mean(axis=1)
-        lo[wf], hi[wf] = wilson_interval(pd[wf], tl.size, z)
-    return RocCurves(eta=eta, pd=pd, pf=pf, pd_lo=lo, pd_hi=hi, n_trials=n_trials)
+        hits = empirical_tail([r.target_levels for r in rows], eta, z)
+        pd[wf], lo[wf], hi[wf] = hits.p, hits.lo, hits.hi
+        pf[wf] = empirical_tail([r.max_other for r in rows], eta).p
+    return RocCurves(eta=eta, pd=pd, pf=pf, pd_lo=lo, pd_hi=hi)

@@ -315,58 +315,66 @@ def run_tail_bound_check(config: ExperimentConfig) -> ResultTable:
 # ---------------------------------------------------------------------------
 # near-far study
 
+def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray):
+    """Trial t of the near-far study: (own frame s1, {variant: RangeDopplerMap}).
+
+    Radar j in (0, 1) draws from substreams (_D_NF_PERM | _D_NF_MSG, t, j), and
+    variant k of NEARFAR_VARIANTS its noise from (_D_NF_NOISE, t, k)."""
+    seed = config.require_seed()
+    n, m_slow, n_max = config.n_fast, config.m_slow, config.n_max
+    num, den, mod = config.rates[0]
+    const = constellation(mod)
+    frames = []
+    for j in (0, 1):
+        iseed = int(substream(seed, _D_NF_PERM, t, j).integers(2 ** 62))
+        cfg = config.code_config(config.nearfar_code_kind(), num, den, n, mod,
+                                 interleaver_seed=iseed)
+        frames.append(generate_ccs_blocks(n, cfg, const, m_slow,
+                                          substream(seed, _D_NF_MSG, t, j)))
+    s1 = frames[0]
+    scene_i = config.scene(with_interference=True)
+    scene_n = config.scene(with_interference=False)
+    noise = [substream(seed, _D_NF_NOISE, t, k) for k in range(len(NEARFAR_VARIANTS))]
+    maps = dict(zip(NEARFAR_VARIANTS, (
+        sc_range_doppler(mf_bank(apply_channel_sc(frames, scene_i, noise[0]), s1, n_max)),
+        sc_range_doppler(mf_bank(apply_channel_sc([s1], scene_n, noise[1]), s1, n_max)),
+        ofdm_range_doppler(apply_channel_ofdm(frames, scene_i, noise[2]), s1, n_max),
+        ofdm_range_doppler(apply_channel_ofdm([s1], scene_n, noise[3]), s1, n_max),
+        fmcw_range_doppler(apply_channel_sc([fmcw_frame], scene_n, noise[4]),
+                           FmcwParams(n_fast=n, n_chirps=m_slow), n_max))))
+    return s1, maps
+
+
 def run_near_far(config: ExperimentConfig, dump_dir=None):
     """Monte Carlo of the two-target scene with one interfering radar.
 
-    Five map variants per trial: c.c.s single-carrier and OFDM each with and
-    without the interferer, plus an interference-free FMCW reference.  Returns
-    (summary ResultTable, RocCurves, per-variant TrialLevels lists); when
-    dump_dir is set the trial-0 maps and transmit frames are written there.
+    Runs _near_far_trial for t = 0..trials-1 on one FMCW frame and reduces each
+    trial's five maps (c.c.s single-carrier and OFDM each with and without the
+    interferer, plus an interference-free FMCW reference) to TrialLevels.
+    Returns (summary ResultTable, RocCurves, per-variant TrialLevels lists);
+    when dump_dir is set the trial-0 maps and transmit frames are written there.
     """
     t0 = time.perf_counter()
-    seed = config.require_seed()
     trials = config.resolved_trials()
-    n, m_slow = config.n_fast, config.m_slow
-    num, den, mod = config.rates[0]
-    kind = config.nearfar_code_kind()
-    const = constellation(mod)
-    scene_i = config.scene(with_interference=True)
-    scene_n = config.scene(with_interference=False)
     tbins = config.target_bins()
-    params = FmcwParams(n_fast=n, n_chirps=m_slow)
-    fmcw_frame = synth_frame(params)
+    fmcw_frame = synth_frame(FmcwParams(n_fast=config.n_fast, n_chirps=config.m_slow))
     levels = {v: [] for v in NEARFAR_VARIANTS}
     for t in range(trials):
-        iseeds = [int(substream(seed, _D_NF_PERM, t, j).integers(2 ** 62)) for j in (0, 1)]
-        cfgs = [config.code_config(kind, num, den, n, mod, interleaver_seed=s)
-                for s in iseeds]
-        s1 = generate_ccs_blocks(n, cfgs[0], const, m_slow, substream(seed, _D_NF_MSG, t, 0))
-        s2 = generate_ccs_blocks(n, cfgs[1], const, m_slow, substream(seed, _D_NF_MSG, t, 1))
-        y = apply_channel_sc([s1, s2], scene_i, substream(seed, _D_NF_NOISE, t, 0))
-        maps = {"ccs_sc": sc_range_doppler(mf_bank(y, s1, config.n_max))}
-        y = apply_channel_sc([s1], scene_n, substream(seed, _D_NF_NOISE, t, 1))
-        maps["ccs_sc_nointf"] = sc_range_doppler(mf_bank(y, s1, config.n_max))
-        yf = apply_channel_ofdm([s1, s2], scene_i, substream(seed, _D_NF_NOISE, t, 2))
-        maps["ccs_ofdm"] = ofdm_range_doppler(yf, s1, config.n_max)
-        yf = apply_channel_ofdm([s1], scene_n, substream(seed, _D_NF_NOISE, t, 3))
-        maps["ccs_ofdm_nointf"] = ofdm_range_doppler(yf, s1, config.n_max)
-        y = apply_channel_sc([fmcw_frame], scene_n, substream(seed, _D_NF_NOISE, t, 4))
-        maps["fmcw"] = fmcw_range_doppler(y, params, config.n_max)
+        s1, maps = _near_far_trial(config, t, fmcw_frame)
         for v in NEARFAR_VARIANTS:
             levels[v].append(summarize_map(maps[v], tbins))
         if t == 0 and dump_dir is not None:
             out = Path(dump_dir)
-            for v in NEARFAR_VARIANTS:
-                maps[v].export_csv(out / f"map_{v}.csv")
-                maps[v].export_binary(out / f"map_{v}.bin")
+            for v, rdmap in maps.items():
+                rdmap.export_csv(out / f"map_{v}.csv")
+                rdmap.export_binary(out / f"map_{v}.bin")
             write_frame_bin(out / "frame_ccs_sc.bin", s1)
             write_frame_bin(out / "frame_fmcw.bin", fmcw_frame)
     roc = threshold_sweep(levels, points=config.eta_points)
     rows = []
     for v in NEARFAR_VARIANTS:
-        near = np.array([tl.target_levels[0] for tl in levels[v]])
-        far = np.array([tl.target_levels[1] for tl in levels[v]])
-        other = np.array([tl.max_other for tl in levels[v]])
+        near, far, other = np.array([tl.target_levels + (tl.max_other,)
+                                     for tl in levels[v]]).T
         lo, hi, pts = _sweet_band(roc, v)
         rows.append((v, trials, float(near.mean()), float(near.min()),
                      float(far.mean()), float(far.min()), float(far.max()),

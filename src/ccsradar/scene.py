@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -43,15 +44,9 @@ class TargetScene:
     def __post_init__(self):
         if self.noise_var < 0:
             raise ValueError("noise variance must be nonnegative")
-        for p in self.all_paths():
+        for p in chain(self.targets, *self.interference):
             if not 0 <= p.range_bin <= self.n_max:
                 raise ValueError(f"range bin {p.range_bin} outside [0, {self.n_max}]")
-
-    def all_paths(self):
-        for p in self.targets:
-            yield p
-        for paths in self.interference:
-            yield from paths
 
 
 @dataclass(frozen=True)
@@ -96,14 +91,14 @@ def _doppler_phase(m_slow: int, doppler_bin: int) -> np.ndarray:
     return np.exp(2j * np.pi * doppler_bin * np.arange(m_slow) / m_slow)
 
 
-def _gather_frames(frames, scene: TargetScene) -> list[np.ndarray]:
+def _gather_frames(frames, scene: TargetScene) -> list[tuple[np.ndarray, tuple]]:
+    """(frame, paths) per radar: own frame and scene.targets, then each interferer."""
     mats = [np.asarray(f) for f in frames]
     if len(mats) != 1 + len(scene.interference):
         raise ValueError("need one frame per radar (own first, then interferers)")
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats):
+    if any(m.shape != mats[0].shape for m in mats):
         raise ValueError("mismatched frame sizes")
-    return mats
+    return list(zip(mats, [scene.targets, *scene.interference]))
 
 
 def apply_channel_sc(frames, scene: TargetScene, rng=None) -> np.ndarray:
@@ -112,12 +107,11 @@ def apply_channel_sc(frames, scene: TargetScene, rng=None) -> np.ndarray:
     frames[0] is the own transmission (echoes per scene.targets); frames[1:]
     line up with scene.interference.
     """
-    mats = _gather_frames(frames, scene)
-    m_slow, n_fast = mats[0].shape
+    radars = _gather_frames(frames, scene)
+    m_slow, n_fast = radars[0][0].shape
     y = np.zeros((m_slow, n_fast + scene.n_max), dtype=np.complex128)
     echo = np.empty((m_slow, n_fast), dtype=np.complex128)
-    per_radar = [scene.targets] + [tuple(p) for p in scene.interference]
-    for mat, paths in zip(mats, per_radar):
+    for mat, paths in radars:
         for p in paths:
             # gain * mat * phase in that order, so the sum is unchanged bit for bit
             np.multiply(p.gain, mat, out=echo)
@@ -133,13 +127,12 @@ def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> np.ndarray:
     noise is i.i.d. complex Gaussian with the time-domain variance, which is
     exact under the unitary DFT convention.
     """
-    mats = _gather_frames(blocks, scene)
-    m_slow, n_fast = mats[0].shape
+    radars = _gather_frames(blocks, scene)
+    m_slow, n_fast = radars[0][0].shape
     k = np.arange(n_fast)
     y = np.zeros((m_slow, n_fast), dtype=np.complex128)
     echo = np.empty((m_slow, n_fast), dtype=np.complex128)
-    per_radar = [scene.targets] + [tuple(p) for p in scene.interference]
-    for mat, paths in zip(mats, per_radar):
+    for mat, paths in radars:
         for p in paths:
             # gain * mat * ramp * phase in that order, so the sum is unchanged bit for bit
             np.multiply(p.gain, mat, out=echo)

@@ -142,7 +142,6 @@ def test_threshold_sweep_monotone_and_consistent():
                  extra=[((5, 2), abs(0.05 * rng.standard_normal()))])
             for _ in range(40)]
     roc = threshold_sweep({"sc": [summarize_map(m, TARGETS) for m in maps]}, points=64)
-    assert roc.n_trials == 40
     pd, pf = roc.pd["sc"], roc.pf["sc"]
     assert np.all(np.diff(pd) <= 1e-12) and np.all(np.diff(pf) <= 1e-12)
     assert np.all((roc.pd_lo["sc"] <= pd) & (pd <= roc.pd_hi["sc"]))

@@ -8,11 +8,15 @@ output byte, or a random stream, changes the hash; a deliberate change must
 re-record it and say so.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from ccsradar import cli
+from ccsradar import cli, experiments
+from ccsradar.config import load_config
+from ccsradar.detection import summarize_map
+from ccsradar.scene import FmcwParams, synth_frame
 
 NEARFAR_128_INI = """\
 [signal]
@@ -110,3 +114,18 @@ def test_driver_golden_fingerprint(tmp_path, capsys, case):
     assert any(out.iterdir())
     got = output_fingerprint(out)
     assert got == want, f"{case} output changed: got {got}"
+
+
+def test_nearfar_trial_runs_alone(tmp_path):
+    # trial 1 computed on its own equals trial 1 of a two-trial run, so
+    # trials can be merged in any order
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=2)
+    _table, _roc, levels = experiments.run_near_far(config)
+    frame = synth_frame(FmcwParams(n_fast=config.n_fast, n_chirps=config.m_slow))
+    _s1, maps = experiments._near_far_trial(config, 1, frame)
+    alone = {v: summarize_map(maps[v], config.target_bins())
+             for v in experiments.NEARFAR_VARIANTS}
+    assert alone == {v: levels[v][1] for v in experiments.NEARFAR_VARIANTS}
+    assert alone != {v: levels[v][0] for v in experiments.NEARFAR_VARIANTS}

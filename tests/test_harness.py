@@ -400,6 +400,13 @@ def test_cli_rejects_empty_sidelobe_window(tmp_path, capsys, command, window):
                  id="pslr-rate-inf"),
     pytest.param("pslr", "rates = 1e308/1024:qpsk", "rate 1e+308/1024 is above 1", "0",
                  id="pslr-rate-1e308"),
+    # finite dB values whose linear form overflows fail in validate
+    pytest.param("nearfar", "n_list = 64\n\n[scene]\nsnr_db = -4000",
+                 "snr_db = -4000 overflows", "0", id="nearfar-snr-db-overflow"),
+    pytest.param("nearfar", "n_list = 64\n\n[scene]\nsir_db = -8000",
+                 "sir_db = -8000 overflows", "0", id="nearfar-sir-db-overflow"),
+    pytest.param("nearfar", "n_list = 64\n\n[scene]\nfar_gain_db = 8000",
+                 "far_gain_db = 8000 overflows", "0", id="nearfar-far-gain-db-overflow"),
 ])
 def test_cli_rejects_bad_block_length_or_rate(tmp_path, capsys, command, signal, message,
                                               seed):
