@@ -370,6 +370,7 @@ def run_near_far(config: ExperimentConfig, dump_dir=None):
                 rdmap.export_binary(out / f"map_{v}.bin")
             write_frame_bin(out / "frame_ccs_sc.bin", s1)
             write_frame_bin(out / "frame_fmcw.bin", fmcw_frame)
+        del s1, maps  # freed before the next trial allocates its frames
     roc = threshold_sweep(levels, points=config.eta_points)
     rows = []
     for v in NEARFAR_VARIANTS:

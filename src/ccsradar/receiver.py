@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import FmcwParams, write_frame_bin
+from .scene import FmcwParams, row_tiles, write_frame_bin
 
 _DB_FLOOR = 1e-20
 
@@ -99,10 +99,12 @@ def ofdm_range_doppler(y_freq: np.ndarray, s: np.ndarray, n_max: int) -> RangeDo
         raise ValueError("received and reference symbol shapes differ")
     if n_max >= s.shape[1]:
         raise ValueError("n_max must be smaller than the block length")
-    if np.any(np.abs(s) < 1e-12):
-        raise ValueError("reference symbols contain a (near) zero")
-    per_block = np.fft.ifft(y_freq / s, axis=1)  # (m, l)
-    return RangeDopplerMap(values=_slow_dft(per_block.T[: n_max + 1]), waveform="ofdm")
+    per_block = np.empty((s.shape[0], n_max + 1), dtype=np.complex128)  # (m, l)
+    for rows in row_tiles(s.shape[0]):
+        if np.any(np.abs(s[rows]) < 1e-12):
+            raise ValueError("reference symbols contain a (near) zero")
+        per_block[rows] = np.fft.ifft(y_freq[rows] / s[rows], axis=1)[:, : n_max + 1]
+    return RangeDopplerMap(values=_slow_dft(per_block.T), waveform="ofdm")
 
 
 def fmcw_range_doppler(y: np.ndarray, params: FmcwParams, n_max: int) -> RangeDopplerMap:
@@ -118,8 +120,9 @@ def fmcw_range_doppler(y: np.ndarray, params: FmcwParams, n_max: int) -> RangeDo
         raise ValueError("n_max must be smaller than the chirp length")
     if y.shape[0] != params.n_chirps or y.shape[1] < n_fast:
         raise ValueError("received frame incompatible with FMCW parameters")
-    mixed = y[:, :n_fast] * np.conj(params.chirp())
-    per_chirp = np.fft.ifft(mixed, axis=1)[:, : n_max + 1]  # (m, l)
-    lags = np.arange(n_max + 1)
-    comp = n_fast / (n_fast - lags)
+    ref = np.conj(params.chirp())
+    per_chirp = np.empty((params.n_chirps, n_max + 1), dtype=np.complex128)  # (m, l)
+    for rows in row_tiles(params.n_chirps):
+        per_chirp[rows] = np.fft.ifft(y[rows, :n_fast] * ref, axis=1)[:, : n_max + 1]
+    comp = n_fast / (n_fast - np.arange(n_max + 1))
     return RangeDopplerMap(values=_slow_dft(per_chirp.T * comp[:, None]), waveform="fmcw")

@@ -22,6 +22,15 @@ from ._rng import as_rng
 
 _BIN_MAGIC = b"CCSFRM01"
 
+# The channel, the noise and the OFDM / FMCW receivers work ROW_TILE rows at a
+# time (256 KiB at N = 1024), so they make no frame-sized temporary.
+ROW_TILE = 16
+
+
+def row_tiles(m: int):
+    """Consecutive slices of at most ROW_TILE rows covering rows 0..m-1."""
+    return (slice(i, min(i + ROW_TILE, m)) for i in range(0, m, ROW_TILE))
+
 
 @dataclass(frozen=True)
 class Path:
@@ -74,14 +83,19 @@ def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
         return np.array(x, copy=True)
     # Same draws and arithmetic as x + sqrt(v/2) * (a + 1j*b), one plane at a
     # time into one output: draw a, scale it, add x.real; then b and x.imag.
+    # Consecutive row-tile fills of a plane draw what one fill of it would.
     gen = as_rng(rng)
     scale = np.sqrt(noise_var / 2.0)
     out = np.empty(x.shape, dtype=np.result_type(x.dtype, np.complex128))
-    draw = np.empty(x.shape)
-    for x_part, out_part in ((x.real, out.real), (x.imag, out.imag)):
-        gen.standard_normal(out=draw)
-        draw *= scale
-        np.add(x_part, draw, out=out_part)
+    rows_x = x.reshape(1, -1) if x.ndim < 2 else x
+    rows_out = out.reshape(rows_x.shape)
+    draw = np.empty((min(ROW_TILE, len(rows_x)),) + rows_x.shape[1:])
+    for plane in (np.real, np.imag):
+        for rows in row_tiles(len(rows_x)):
+            tile = draw[: rows.stop - rows.start]
+            gen.standard_normal(out=tile)
+            tile *= scale
+            np.add(plane(rows_x[rows]), tile, out=plane(rows_out[rows]))
     return out
 
 
@@ -110,13 +124,16 @@ def apply_channel_sc(frames, scene: TargetScene, rng=None) -> np.ndarray:
     radars = _gather_frames(frames, scene)
     m_slow, n_fast = radars[0][0].shape
     y = np.zeros((m_slow, n_fast + scene.n_max), dtype=np.complex128)
-    echo = np.empty((m_slow, n_fast), dtype=np.complex128)
-    for mat, paths in radars:
-        for p in paths:
+    terms = [(mat, p, _doppler_phase(m_slow, p.doppler_bin)[:, None])
+             for mat, paths in radars for p in paths]
+    echo = np.empty((min(ROW_TILE, m_slow), n_fast), dtype=np.complex128)
+    for rows in row_tiles(m_slow):
+        tile = echo[: rows.stop - rows.start]
+        for mat, p, phase in terms:
             # gain * mat * phase in that order, so the sum is unchanged bit for bit
-            np.multiply(p.gain, mat, out=echo)
-            echo *= _doppler_phase(m_slow, p.doppler_bin)[:, None]
-            y[:, p.range_bin:p.range_bin + n_fast] += echo
+            np.multiply(p.gain, mat[rows], out=tile)
+            tile *= phase[rows]
+            y[rows, p.range_bin:p.range_bin + n_fast] += tile
     return awgn(y, scene.noise_var, rng)
 
 
@@ -129,16 +146,19 @@ def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> np.ndarray:
     """
     radars = _gather_frames(blocks, scene)
     m_slow, n_fast = radars[0][0].shape
-    k = np.arange(n_fast)
     y = np.zeros((m_slow, n_fast), dtype=np.complex128)
-    echo = np.empty((m_slow, n_fast), dtype=np.complex128)
-    for mat, paths in radars:
-        for p in paths:
+    terms = [(mat, p, np.exp(-2j * np.pi * p.range_bin * np.arange(n_fast) / n_fast),
+              _doppler_phase(m_slow, p.doppler_bin)[:, None])
+             for mat, paths in radars for p in paths]
+    echo = np.empty((min(ROW_TILE, m_slow), n_fast), dtype=np.complex128)
+    for rows in row_tiles(m_slow):
+        tile = echo[: rows.stop - rows.start]
+        for mat, p, ramp, phase in terms:
             # gain * mat * ramp * phase in that order, so the sum is unchanged bit for bit
-            np.multiply(p.gain, mat, out=echo)
-            echo *= np.exp(-2j * np.pi * p.range_bin * k / n_fast)[None, :]
-            echo *= _doppler_phase(m_slow, p.doppler_bin)[:, None]
-            y += echo
+            np.multiply(p.gain, mat[rows], out=tile)
+            tile *= ramp
+            tile *= phase[rows]
+            y[rows] += tile
     return awgn(y, scene.noise_var, rng)
 
 
@@ -149,12 +169,10 @@ def write_frame_bin(path, samples) -> None:
     if mat.ndim != 2:
         raise ValueError("expected a 2-D array")
     m_slow, n_fast = mat.shape
-    inter = np.empty((m_slow, n_fast, 2), dtype="<f8")
-    inter[..., 0] = mat.real
-    inter[..., 1] = mat.imag
     with open(path, "wb") as fh:
         fh.write(_BIN_MAGIC + struct.pack("<II", n_fast, m_slow))
-        fh.write(inter.tobytes())
+        # a C-ordered little-endian complex128 buffer is those (re, im) pairs
+        fh.write(np.ascontiguousarray(mat, dtype="<c16"))
 
 
 def read_frame_bin(path) -> np.ndarray:

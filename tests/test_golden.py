@@ -10,6 +10,7 @@ re-record it and say so.
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -129,3 +130,22 @@ def test_nearfar_trial_runs_alone(tmp_path):
              for v in experiments.NEARFAR_VARIANTS}
     assert alone == {v: levels[v][1] for v in experiments.NEARFAR_VARIANTS}
     assert alone != {v: levels[v][0] for v in experiments.NEARFAR_VARIANTS}
+
+
+def test_nearfar_trial_peak_memory(tmp_path):
+    # One trial's traced peak at the 128 x 128 config, in frames of M x N
+    # complex samples (256 KiB): 6.39 frames when the channel, the noise and the
+    # OFDM / FMCW receivers each built whole-frame temporaries, 5.04 with their
+    # row-tiled loops (numpy 2.4).  The bound sits between the two.
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=1)
+    frame = synth_frame(FmcwParams(n_fast=config.n_fast, n_chirps=config.m_slow))
+    experiments._near_far_trial(config, 0, frame)  # fill the code caches first
+    tracemalloc.start()
+    try:
+        experiments._near_far_trial(config, 0, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * frame.nbytes, f"peak {peak / frame.nbytes:.2f} frames"

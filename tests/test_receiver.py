@@ -16,6 +16,7 @@ from ccsradar.receiver import (
     sc_range_doppler,
 )
 from ccsradar.scene import (
+    ROW_TILE,
     FmcwParams,
     Path,
     TargetScene,
@@ -238,6 +239,40 @@ def test_fmcw_validation():
         fmcw_range_doppler(y, params, 16)
     with pytest.raises(ValueError):
         fmcw_range_doppler(y[:2], params, 4)
+
+
+# ------------------------------------------- row tiles against one shot
+
+
+@pytest.mark.parametrize("m_slow", [1, ROW_TILE, ROW_TILE + 1, 37])
+def test_ofdm_and_fmcw_maps_match_one_shot_bytes(m_slow):
+    # both receivers work ROW_TILE rows at a time; the whole-frame expressions
+    # below are what they compute, bit for bit
+    n_fast, n_max = 32, 6
+    s = _blocks(m_slow, n_fast, seed=12)
+    scene = _scene([Path(2, m_slow, 0.9)], interference=[(Path(5, 1, 1.4),)],
+                   noise_var=0.2, n_max=n_max)
+    y_freq = apply_channel_ofdm([s, _blocks(m_slow, n_fast, seed=13)], scene,
+                                np.random.default_rng(3))
+    per_block = np.fft.ifft(y_freq / s, axis=1)
+    want = np.fft.fft(per_block.T[: n_max + 1], axis=1) / m_slow
+    assert ofdm_range_doppler(y_freq, s, n_max).values.tobytes() == want.tobytes()
+
+    params = FmcwParams(n_fast=n_fast, n_chirps=m_slow)
+    y = apply_channel_sc([synth_frame(params)], _scene([Path(3, 1, 0.7)], noise_var=0.2,
+                                                        n_max=n_max),
+                         np.random.default_rng(4))
+    per_chirp = np.fft.ifft(y[:, :n_fast] * np.conj(params.chirp()), axis=1)[:, : n_max + 1]
+    comp = n_fast / (n_fast - np.arange(n_max + 1))
+    want = np.fft.fft(per_chirp.T * comp[:, None], axis=1) / m_slow
+    assert fmcw_range_doppler(y, params, n_max).values.tobytes() == want.tobytes()
+
+
+def test_ofdm_map_rejects_zero_pilot_in_a_later_tile():
+    s = _blocks(ROW_TILE + 3, 16, seed=14).copy()
+    s[ROW_TILE + 1, 5] = 0.0
+    with pytest.raises(ValueError):
+        ofdm_range_doppler(s, s, 2)
 
 
 # ------------------------------------------------- cross-waveform checks

@@ -9,6 +9,7 @@ import pytest
 from ccsradar.coding import CodeConfig
 from ccsradar.modulation import constellation, generate_ccs_blocks
 from ccsradar.scene import (
+    ROW_TILE,
     FmcwParams,
     Path,
     TargetScene,
@@ -237,6 +238,36 @@ def test_awgn_matches_reference_bytes(x):
     assert rng.random() == twin.random()  # same number of draws consumed
 
 
+@pytest.mark.parametrize("ofdm", [False, True])
+def test_channel_matches_reference_bytes_across_row_tiles(ofdm):
+    # 37 rows: two full tiles and a short one, in both memory orders
+    for order in "CF":
+        own = np.asarray(_blocks(37, 24, seed=5), order=order)
+        other = np.asarray(_blocks(37, 24, seed=6), order=order)
+        scene = _scene([Path(1, 37, 0.8), Path(4, 20, -0.3j)],
+                       interference=[(Path(3, 19, 2.5),)], noise_var=0.4, n_max=5)
+        rng = np.random.default_rng(21)
+        want = _reference_channel([own, other], scene, copy.deepcopy(rng), ofdm)
+        channel = apply_channel_ofdm if ofdm else apply_channel_sc
+        got = channel([own, other], scene, rng)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (ROW_TILE, 7), (ROW_TILE + 1, 7), (37, 7),
+                                   (50,), (37, 3, 4)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_awgn_matches_reference_bytes_across_row_tiles(shape, order):
+    x = np.asarray(np.random.default_rng(2).standard_normal(shape + (2,)) @ [1, 1j],
+                   order=order)
+    rng = np.random.default_rng(31)
+    twin = copy.deepcopy(rng)
+    got = awgn(x, 0.3, rng)
+    want = _reference_awgn(x, 0.3, twin)
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert rng.random() == twin.random()
+
+
 def test_awgn_zero_variance_is_copy():
     x = _blocks(2, 8)
     y = awgn(x, 0.0, np.random.default_rng(0))
@@ -290,6 +321,20 @@ def test_frame_binary_header_layout(tmp_path):
     assert (n_fast, m_slow) == (3, 2)
     first_re, first_im = struct.unpack("<dd", raw[16:32])
     assert first_re == 0.0 and first_im == 0.5
+
+
+@pytest.mark.parametrize("mat", [np.asfortranarray(_blocks(3, 5, seed=14)),
+                                 _blocks(4, 6, seed=15)[:, ::-2],
+                                 _blocks(2, 3, seed=16).astype(np.complex64),
+                                 _blocks(2, 3, seed=17).astype(">c16"),
+                                 np.arange(6).reshape(2, 3)])
+def test_frame_binary_payload_is_interleaved_float64(tmp_path, mat):
+    inter = np.empty(mat.shape + (2,), dtype="<f8")
+    inter[..., 0] = mat.real
+    inter[..., 1] = mat.imag
+    path = tmp_path / "frame.bin"
+    write_frame_bin(path, mat)
+    assert path.read_bytes()[16:] == inter.tobytes()
 
 
 def test_frame_binary_rejects_corruption(tmp_path):
