@@ -35,12 +35,14 @@ class CodeConfig:
     kind: str
     n_code_bits: int
     n_msg_bits: int
-    interleaver_seed: int | None = 0
+    interleaver_seed: int = 0
     construction_seed: int = 0
 
     def __post_init__(self):
         if self.kind not in CODE_KINDS:
             raise ValueError(f"unknown code kind {self.kind!r}")
+        if self.interleaver_seed is None:
+            raise ValueError("interleaver_seed None would draw a new permutation per call")
         if self.n_msg_bits < 1 or self.n_code_bits < self.n_msg_bits:
             raise ValueError(f"bad code dimensions ({self.n_msg_bits}, {self.n_code_bits})")
         if self.kind == "uncoded" and self.n_code_bits != self.n_msg_bits:

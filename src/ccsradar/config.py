@@ -133,7 +133,7 @@ class ExperimentConfig:
                 (self.far_range_bin, self.far_doppler_bin))
 
     def code_config(self, kind: str, rate_num: float, rate_den: int, n_symbols: int,
-                    modulation_name: str, interleaver_seed: int | None = 0) -> CodeConfig:
+                    modulation_name: str, interleaver_seed: int = 0) -> CodeConfig:
         if rate_den < 1:
             raise ConfigError(f"rate {rate_num:g}/{rate_den} needs a positive denominator")
         m_s = constellation(modulation_name).bits_per_symbol

@@ -65,17 +65,11 @@ def _aperiodic(s1: np.ndarray, s2: np.ndarray, lags: np.ndarray, method: str) ->
     if method == "fft":
         f1 = np.fft.fft(s1, 2 * n, axis=-1)
         f2 = f1 if s2 is s1 else np.fft.fft(s2, 2 * n, axis=-1)
-        # keep this product as written: an in-place or reordered complex
-        # multiply changes last-ulp bits of the sweep medians.  From 256 KiB
-        # (rows x N >= 8192) numpy's temporary elision evaluates it as
-        # np.conj(f2) * f1 in place into the temporary; smaller products (the
-        # 16-trial golden at N = 256, 128 KiB) take the order as written, and
-        # the two orders differ in the last ulp of the imaginary parts.  So
-        # experiments._row_tiles splits a batch only from rows x N >= 2T (T =
-        # _TILE_POINTS = 65536), and np.array_split leaves each tile at least
-        # max(1, T // N) rows, i.e. rows x N > T / 2 >= 8192: every tile's
-        # product stays on the batch's side of 256 KiB.
-        prod = f1 * np.conj(f2)
+        # the order numpy's temporary elision gives f1 * np.conj(f2) only from
+        # 256 KiB up (smaller products differ in last-ulp imaginary bits); one
+        # order at every size keeps each row's bytes independent of its batch
+        prod = np.conj(f2)
+        prod *= f1
         del f1, f2
         c = np.fft.ifft(prod, axis=-1)
         del prod

@@ -26,13 +26,14 @@ from .detection import RocCurves, grid_pd_gap, summarize_map, threshold_sweep
 from .modulation import (constellation, generate_ccs_blocks, map_bits,
                          product_bound_b, ratio_bound_b)
 from .receiver import fmcw_range_doppler, mf_bank, ofdm_range_doppler, sc_range_doppler
-from .scene import FmcwParams, apply_channel_ofdm, apply_channel_sc, synth_frame, write_frame_bin
+from .scene import (FmcwParams, apply_channel_ofdm, apply_channel_sc, row_tiles,
+                    synth_frame, write_frame_bin)
 
 # substream domains, one per independent randomness consumer
 _D_PSLR, _D_SUPP, _D_INTL, _D_BND, _D_NF_MSG, _D_NF_PERM, _D_NF_NOISE = range(7)
 
 _CHUNK = 256
-# rows x N per sweep-statistic call: cache-sized row tiles (see _row_tiles)
+# rows x N per sweep-statistic call: cache-sized row tiles
 _TILE_POINTS = 65536
 # Parity-check construction cost grows cubically with the codeword length;
 # beyond this cap the sweep gains nothing at desk scale.
@@ -116,12 +117,6 @@ def _pslr_stat(window: int):
                            max_lag=window),)
 
 
-def _row_tiles(m: int, n: int) -> int:
-    """Row tiles of an (m, N) batch, about _TILE_POINTS points each and none
-    with rows x N < 8192 unless the batch has (see correlation._aperiodic)."""
-    return max(1, min(m, m * n // _TILE_POINTS))
-
-
 # ---------------------------------------------------------------------------
 # sidelobe sweeps
 
@@ -130,10 +125,10 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
 
     For each curve point and each (interleaved, keys) entry of runs(code),
     draws one symbol stream per key from substream(seed, domain, ci, ri, ni,
-    *key) in _CHUNK-row batches and applies stat to the _row_tiles of each
-    batch.  Yields (head, const, k_sym, interleaved, values): head = (code,
-    rate, modulation, n) leads every row, values holds stat's per-trial
-    statistics over all trials.
+    *key) in _CHUNK-row batches and applies stat to each batch max(1,
+    _TILE_POINTS // N) rows at a time.  Yields (head, const, k_sym,
+    interleaved, values): head = (code, rate, modulation, n) leads every row,
+    values holds stat's per-trial statistics over all trials.
     """
     seed = config.require_seed()
     trials = config.resolved_trials()
@@ -150,8 +145,8 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
                 for start in range(0, trials, _CHUNK):
                     m = min(_CHUNK, trials - start)
                     syms = [_symbol_batch(cfg, const, m, rng, interleaved) for rng in rngs]
-                    tiles = zip(*(np.array_split(s, _row_tiles(m, n)) for s in syms))
-                    batches += [stat(*tile) for tile in tiles]
+                    batches += [stat(*(s[rows] for s in syms))
+                                for rows in row_tiles(m, max(1, _TILE_POINTS // n))]
                 values = [np.concatenate(v) for v in zip(*batches)]
                 yield head, const, _k_symbols(cfg, const), interleaved, values
 

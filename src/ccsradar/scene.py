@@ -27,9 +27,9 @@ _BIN_MAGIC = b"CCSFRM01"
 ROW_TILE = 16
 
 
-def row_tiles(m: int):
-    """Consecutive slices of at most ROW_TILE rows covering rows 0..m-1."""
-    return (slice(i, min(i + ROW_TILE, m)) for i in range(0, m, ROW_TILE))
+def row_tiles(m: int, rows: int = ROW_TILE):
+    """Consecutive slices of at most `rows` rows covering rows 0..m-1."""
+    return (slice(i, min(i + rows, m)) for i in range(0, m, rows))
 
 
 @dataclass(frozen=True)

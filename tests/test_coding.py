@@ -322,6 +322,18 @@ def test_interleaver_fixes_systematic_prefix():
     assert interleave_codeword(cw, plain) is cw
 
 
+def test_interleaver_seed_none_is_rejected():
+    # None would seed a fresh OS-entropy permutation on every interleave call
+    with pytest.raises(ValueError, match="interleaver_seed"):
+        CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8, interleaver_seed=None)
+    with pytest.raises(ValueError, match="interleaver_seed"):
+        ExperimentConfig().code_config("polar", 120.0, 1024, 64, "qpsk", interleaver_seed=None)
+    # an int seed gives one codeword, call after call
+    cfg = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8, interleaver_seed=7)
+    cw = encode(_message(8, np.random.default_rng(0)), cfg)
+    assert np.array_equal(interleave_codeword(cw, cfg), interleave_codeword(cw, cfg))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_interleaver_roundtrip(seed):

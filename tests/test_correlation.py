@@ -234,6 +234,19 @@ def test_batched_profiles_match_loop():
     assert p[2] == pytest.approx(pslr(autocorr(mat[2])), abs=1e-12)
 
 
+@pytest.mark.parametrize("m,n", [(64, 256), (32, 512), (256, 64)])
+def test_fft_rows_alone_equal_batched_bytes(m, n):
+    # each batch's 2N-point product reaches numpy's 256 KiB temporary-elision
+    # size (rows x N >= 8192) and a single row's does not; a row's bytes must
+    # not depend on the batch it is computed in
+    rng = np.random.default_rng(m * n)
+    s1, s2 = (_random_block((m, n), "qpsk", rng) for _ in range(2))
+    auto, cross = autocorr(s1).values, crosscorr(s1, s2).values
+    for k in range(m):
+        assert autocorr(s1[k]).values.tobytes() == auto[k].tobytes()
+        assert crosscorr(s1[k], s2[k]).values.tobytes() == cross[k].tobytes()
+
+
 # -- windowed lags on the FFT route ------------------------------------------
 
 def _lag_sets(n):

@@ -60,8 +60,14 @@ n_list = 256, 1024
 # 300-trial sweeps run one full 256-row batch and a partial one, so the batch
 # boundary and the concatenation across batches are pinned too.
 GOLDEN = {
+    # Re-recorded when correlation._aperiodic took one FFT product order at
+    # every size: 16 x 256 products (128 KiB) had kept the written order, and
+    # the 16-trial suppress and interleave rows still print the same digits.
+    # One row moved, in its last digits:
+    # ldpc,120/1024,qpsk,256 median_pslr_db ...316318 -> ...31632 and p75_db
+    # ...376495 -> ...3765.
     "pslr": ("pslr", SWEEP_INI, 16,
-             "9373a0bd9e5be72a7aa6a377544183f4342d16dd27a7c0fe5c9c35ecb68ff41d"),
+             "22026ef9b5cb15debf7711d42cacc864f71b0f1d5cf7ee6f6ac67322e068cb0a"),
     "suppress": ("suppress", SWEEP_INI, 16,
                  "749873958c65129c78e295fcb42b0397e61b2de4902bac9ab336fb0ddbf6105b"),
     "interleave": ("interleave", SWEEP_INI, 16,

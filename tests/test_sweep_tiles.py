@@ -1,10 +1,10 @@
 """The sweep engine's row tiles: tiled statistics equal untiled ones byte for byte.
 
-experiments._sweep applies each sidelobe statistic to experiments._row_tiles(m,
-N) row tiles of an (m, N) batch.  The tiles are byte-identical to one call on
-the whole batch only while every 2N-point FFT product in
-correlation._aperiodic stays on the same side of numpy's 256 KiB
-temporary-elision threshold (rows x N >= 8192) as the untiled batch's.
+experiments._sweep applies each sidelobe statistic to max(1, _TILE_POINTS // N)
+rows of an (m, N) batch at a time.  Every row's correlation bytes are the same
+whatever batch it is computed in (tests/test_correlation.py), so any row
+tiling, down to one row per call, gives the bytes of one call on the whole
+batch.
 """
 
 import numpy as np
@@ -13,15 +13,11 @@ import pytest
 from ccsradar import experiments
 from ccsradar.config import ExperimentConfig
 from ccsradar.correlation import autocorr, crosscorr, idft_ratio, pslr, suppression_metric
-from ccsradar.experiments import _pslr_stat, _row_tiles, _window_lags
+from ccsradar.experiments import _pslr_stat, _window_lags
 from ccsradar.modulation import constellation
+from ccsradar.scene import row_tiles
 
-ELISION_POINTS = 8192  # rows x N of a 256 KiB product: 16 B x 2N per row
 WINDOW = 32
-
-
-def _tile_rows(m, n):
-    return [t.size for t in np.array_split(np.arange(m), _row_tiles(m, n))]
 
 
 def _suppress_stat(s_i, s_q):
@@ -30,47 +26,42 @@ def _suppress_stat(s_i, s_q):
             suppression_metric(idft_ratio(s_i, s_q), max_lag=WINDOW))
 
 
-def _tiled(stat, syms):
-    k = _row_tiles(syms[0].shape[0], syms[0].shape[1])
-    parts = [stat(*tile) for tile in zip(*(np.array_split(s, k) for s in syms))]
+def _tiled(stat, syms, rows):
+    parts = [stat(*(s[t] for s in syms)) for t in row_tiles(syms[0].shape[0], rows)]
     return [np.concatenate(v) for v in zip(*parts)]
+
+
+def _assert_tiles_equal_whole(syms, rows):
+    for stat, args in ((_pslr_stat(WINDOW), syms[:1]), (_suppress_stat, syms)):
+        whole = stat(*args)
+        tiled = _tiled(stat, args, rows)
+        assert len(tiled) == len(whole)
+        for a, b in zip(tiled, whole):
+            assert a.tobytes() == b.tobytes()
+
+
+def _qpsk_batches(m, n, seed):
+    const = constellation("qpsk")
+    rng = np.random.default_rng(seed)
+    return [const.points[rng.integers(0, 4, size=(m, n))] for _ in range(2)]
 
 
 @pytest.mark.parametrize("m", [16, 74, 232, 256])
 @pytest.mark.parametrize("n", [64, 256, 512, 4096])
 def test_tiled_statistics_equal_untiled_bytes(n, m):
-    const = constellation("qpsk")
-    rng = np.random.default_rng(1000 * n + m)
-    syms = [const.points[rng.integers(0, 4, size=(m, n))] for _ in range(2)]
-    for stat, args in ((_pslr_stat(WINDOW), syms[:1]), (_suppress_stat, syms)):
-        whole = stat(*args)
-        tiled = _tiled(stat, args)
-        assert len(tiled) == len(whole)
-        for a, b in zip(tiled, whole):
-            assert a.tobytes() == b.tobytes()
+    syms = _qpsk_batches(m, n, 1000 * n + m)
+    # the sweep's own tiles, and one row per call
+    for rows in (max(1, experiments._TILE_POINTS // n), 1):
+        _assert_tiles_equal_whole(syms, rows)
     # and the windowed statistic reads what the full profile reads
     full = pslr(autocorr(syms[0]), max_lag=WINDOW)
     assert full.tobytes() == _pslr_stat(WINDOW)(syms[0])[0].tobytes()
 
 
-def test_tiles_keep_the_elision_side():
-    # every batch size the sweeps draw, at the reference N and beyond
-    ns = sorted({2, 3, 100, 255, 4095, 8191, 40000, 65535, 65537, 200000}
-                | {2 ** e for e in range(1, 19)})
-    for n in ns:
-        for m in range(1, experiments._CHUNK + 1):
-            rows = _tile_rows(m, n)
-            assert sum(rows) == m and min(rows) >= 1 and max(rows) - min(rows) <= 1
-            if len(rows) > 1:
-                assert m * n >= 2 * experiments._TILE_POINTS, (n, m)
-            if m * n >= ELISION_POINTS:
-                assert min(rows) * n >= ELISION_POINTS, (n, m)
-
-
-def test_uncoded_n64_stays_untiled():
-    # fixed 64-row tiles once changed the last digit of this median
-    # (128 KiB tiles of a 512 KiB batch product)
-    assert all(_row_tiles(m, 64) == 1 for m in range(1, experiments._CHUNK + 1))
+def test_uncoded_n64_tiles_equal_the_batch():
+    # 64-row tiles (128 KiB products) of a 256 x 64 batch (a 512 KiB product)
+    # once changed the last digit of the uncoded N = 64 median
+    _assert_tiles_equal_whole(_qpsk_batches(experiments._CHUNK, 64, 64), 64)
 
 
 @pytest.mark.parametrize("kind", ["pslr", "suppress", "interleave"])
@@ -83,6 +74,7 @@ def test_driver_rows_equal_untiled(kind, monkeypatch):
               "suppress": experiments.run_suppression_sweep,
               "interleave": experiments.run_interleaver_study}[kind]
     tiled = driver(config).rows
-    monkeypatch.setattr(experiments, "_TILE_POINTS", 10 ** 12)
-    assert _row_tiles(experiments._CHUNK, 4096) == 1
-    assert driver(config).rows == tiled
+    # one untiled call per batch, then one row per call
+    for points in (10 ** 12, 1):
+        monkeypatch.setattr(experiments, "_TILE_POINTS", points)
+        assert driver(config).rows == tiled
