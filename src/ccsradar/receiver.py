@@ -43,13 +43,17 @@ class RangeDopplerMap:
         """Rows (l, nu, abs_db); magnitudes are clipped at -400 dB.
 
         The text is what csv.writer's default dialect writes for these rows
-        (no field needs quoting, rows end in CRLF), built in one join.
+        (no field needs quoting, rows end in CRLF), built in one join: one
+        %-format string per map row, fed that row's interleaved (l, value).
         """
         mags = 20.0 * np.log10(np.maximum(np.abs(self.values), _DB_FLOOR))
-        nus = [col if col else self.n_slow for col in range(self.n_slow)]
+        row_fmt = "".join(f"%d,{col if col else self.n_slow},%.6f\r\n"
+                          for col in range(self.n_slow))
         text = ["l,nu,abs_db\r\n"]
         for l, row in enumerate(mags.tolist()):
-            text.extend(f"{l},{nu},{v:.6f}\r\n" for nu, v in zip(nus, row))
+            fields = [l] * (2 * self.n_slow)
+            fields[1::2] = row
+            text.append(row_fmt % tuple(fields))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("".join(text))
 
@@ -75,13 +79,14 @@ def mf_bank(y: np.ndarray, x: np.ndarray, n_max: int) -> np.ndarray:
         raise ValueError("n_max must be smaller than the block length")
     if y.shape[0] != m_slow or y.shape[1] < n_fast:
         raise ValueError("received frame incompatible with reference frame")
-    if y.shape[1] < n_fast + n_max:
-        pad = np.zeros((m_slow, n_fast + n_max - y.shape[1]), dtype=np.complex128)
+    # Overlapping windows keep matmul off BLAS: each output sums from zero in
+    # order, as a per-lag einsum does.  One window would go to BLAS zdotu: take two.
+    lags = max(n_max, 1) + 1
+    if y.shape[1] < n_fast + lags - 1:
+        pad = np.zeros((m_slow, n_fast + lags - 1 - y.shape[1]), dtype=np.complex128)
         y = np.concatenate([y, pad], axis=1)
-    xc = np.conj(x)
-    r = np.empty((n_max + 1, m_slow), dtype=np.complex128)
-    for lag in range(n_max + 1):
-        r[lag] = np.einsum("mn,mn->m", y[:, lag:lag + n_fast], xc)
+    win = np.lib.stride_tricks.sliding_window_view(y, n_fast, axis=1)[:, :lags]
+    r = np.matmul(win, np.conj(x)[:, :, None])[:, : n_max + 1, 0].T
     return r / n_fast
 
 

@@ -81,12 +81,19 @@ def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
         raise ValueError("noise variance must be nonnegative")
     if noise_var == 0:
         return np.array(x, copy=True)
-    # Same draws and arithmetic as x + sqrt(v/2) * (a + 1j*b), one plane at a
-    # time into one output: draw a, scale it, add x.real; then b and x.imag.
-    # Consecutive row-tile fills of a plane draw what one fill of it would.
+    out = np.empty(x.shape, dtype=np.result_type(x.dtype, np.complex128))
+    return _add_noise(x, noise_var, rng, out)
+
+
+def _add_noise(x: np.ndarray, noise_var: float, rng, out: np.ndarray) -> np.ndarray:
+    """Write x plus noise into out (which may be x itself); returns out.
+
+    Same draws and arithmetic as x + sqrt(v/2) * (a + 1j*b), one plane at a
+    time: draw a, scale it, add x.real; then b and x.imag.  Consecutive
+    row-tile fills of a plane draw what one fill of it would.
+    """
     gen = as_rng(rng)
     scale = np.sqrt(noise_var / 2.0)
-    out = np.empty(x.shape, dtype=np.result_type(x.dtype, np.complex128))
     rows_x = x.reshape(1, -1) if x.ndim < 2 else x
     rows_out = out.reshape(rows_x.shape)
     draw = np.empty((min(ROW_TILE, len(rows_x)),) + rows_x.shape[1:])
@@ -134,7 +141,7 @@ def apply_channel_sc(frames, scene: TargetScene, rng=None) -> np.ndarray:
             np.multiply(p.gain, mat[rows], out=tile)
             tile *= phase[rows]
             y[rows, p.range_bin:p.range_bin + n_fast] += tile
-    return awgn(y, scene.noise_var, rng)
+    return _add_noise(y, scene.noise_var, rng, y) if scene.noise_var else y
 
 
 def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> np.ndarray:
@@ -159,7 +166,7 @@ def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> np.ndarray:
             tile *= ramp
             tile *= phase[rows]
             y[rows] += tile
-    return awgn(y, scene.noise_var, rng)
+    return _add_noise(y, scene.noise_var, rng, y) if scene.noise_var else y
 
 
 def write_frame_bin(path, samples) -> None:
@@ -182,8 +189,8 @@ def read_frame_bin(path) -> np.ndarray:
         if len(head) != 16 or head[:8] != _BIN_MAGIC:
             raise ValueError("bad frame file header")
         n_fast, m_slow = struct.unpack("<II", head[8:])
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != 2 * n_fast * m_slow:
+        data = fh.read()
+    if len(data) != 16 * n_fast * m_slow:
         raise ValueError("truncated frame file")
-    inter = raw.reshape(m_slow, n_fast, 2)
-    return inter[..., 0] + 1j * inter[..., 1]
+    # a native-order copy of the (re, im) pairs: exact for inf, nan and -0.0
+    return np.frombuffer(data, dtype="<c16").reshape(m_slow, n_fast).astype(np.complex128)

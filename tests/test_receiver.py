@@ -123,6 +123,35 @@ def test_mf_bank_validation():
         mf_bank(x[:1], x, 2)
 
 
+def _einsum_mf(y, x, n_max):
+    # the per-lag einsum the bank replaced, as it read: the byte oracle
+    y = np.asarray(y, dtype=np.complex128)
+    m_slow, n_fast = x.shape
+    if y.shape[1] < n_fast + n_max:
+        pad = np.zeros((m_slow, n_fast + n_max - y.shape[1]), dtype=np.complex128)
+        y = np.concatenate([y, pad], axis=1)
+    xc = np.conj(x)
+    r = np.empty((n_max + 1, m_slow), dtype=np.complex128)
+    for lag in range(n_max + 1):
+        r[lag] = np.einsum("mn,mn->m", y[:, lag:lag + n_fast], xc)
+    return r / n_fast
+
+
+@pytest.mark.parametrize("n_fast,n_max", [(n, l) for n in (2, 33, 256) for l in (0, 1, 5, 32)
+                                          if l < n])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mf_bank_equals_per_lag_einsum_bytes(n_fast, n_max, order):
+    # n_max = 0 pins the two-lag rule: a one-lag matmul is a BLAS dot
+    rng = np.random.default_rng(n_fast + n_max)
+    x = np.asarray(rng.standard_normal((7, n_fast)) + 1j * rng.standard_normal((7, n_fast)),
+                   order=order)
+    for width in (n_fast, n_fast + n_max, n_fast + n_max + 3):
+        y = np.asarray(rng.standard_normal((7, width)) + 1j * rng.standard_normal((7, width)),
+                       order=order)
+        got, want = mf_bank(y, x, n_max), _einsum_mf(y, x, n_max)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------- sc map
 
 
@@ -370,6 +399,21 @@ def test_map_csv_export_matches_csv_writer_bytes(tmp_path):
     got = (tmp_path / "map.csv").read_bytes()
     assert got == (tmp_path / "ref.csv").read_bytes()
     assert b"1,5,-400.000000\r\n" in got and b"2,3,-400.000000\r\n" in got
+
+
+def test_map_csv_export_matches_f_string_bytes(tmp_path):
+    rng = np.random.default_rng(12)
+    vals = rng.standard_normal((33, 64)) + 1j * rng.standard_normal((33, 64))
+    vals[0, 0] = 0.0
+    vals[7, 5] = np.nan
+    vals[32, 63] = np.inf
+    RangeDopplerMap(values=vals, waveform="sc").export_csv(tmp_path / "map.csv")
+    mags = (20.0 * np.log10(np.maximum(np.abs(vals), 1e-20))).tolist()
+    want = "l,nu,abs_db\r\n" + "".join(f"{l},{col if col else 64},{mags[l][col]:.6f}\r\n"
+                                       for l in range(33) for col in range(64))
+    got = (tmp_path / "map.csv").read_bytes()
+    assert got == want.encode()
+    assert b"0,64,-400.000000\r\n" in got and b"7,5,nan\r\n" in got and b"32,63,inf\r\n" in got
 
 
 def test_map_binary_export(tmp_path):

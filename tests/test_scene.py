@@ -268,6 +268,17 @@ def test_awgn_matches_reference_bytes_across_row_tiles(shape, order):
     assert rng.random() == twin.random()
 
 
+def test_channel_noise_leaves_input_frames_untouched():
+    own, other = _blocks(20, 16, seed=11), _blocks(20, 16, seed=12)
+    before = own.tobytes(), other.tobytes()
+    scene = _scene([Path(0, 20, 1.0)], interference=[(Path(0, 20, 1.0),)],
+                   noise_var=0.5, n_max=4)
+    for channel in (apply_channel_sc, apply_channel_ofdm):
+        y = channel([own, other], scene, np.random.default_rng(3))
+        assert (own.tobytes(), other.tobytes()) == before
+        assert not np.shares_memory(y, own) and not np.shares_memory(y, other)
+
+
 def test_awgn_zero_variance_is_copy():
     x = _blocks(2, 8)
     y = awgn(x, 0.0, np.random.default_rng(0))
@@ -308,6 +319,17 @@ def test_frame_binary_roundtrip(tmp_path):
     back = read_frame_bin(path)
     assert back.dtype == np.complex128
     assert np.array_equal(back, mat)
+
+
+def test_frame_binary_roundtrip_keeps_inf_nan_and_signed_zero(tmp_path):
+    # built from (re, im) pairs: 1 + inf*1j would itself read nan + inf j
+    pairs = np.array([[1.0, np.inf], [-0.0, 2.0], [np.nan, -np.inf],
+                      [np.inf, 0.0], [0.0, -0.0], [-np.inf, np.nan]])
+    mat = pairs.view(np.complex128)[:, 0].reshape(2, 3)
+    path = tmp_path / "frame.bin"
+    write_frame_bin(path, mat)
+    back = read_frame_bin(path)
+    assert back.dtype == np.complex128 and back.tobytes() == mat.tobytes()
 
 
 def test_frame_binary_header_layout(tmp_path):
