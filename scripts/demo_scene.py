@@ -39,12 +39,11 @@ def main() -> int:
     y = apply_channel_sc([own, intf], config.scene(), rng)
     rdmap = sc_range_doppler(mf_bank(y, own, config.n_max))
 
-    levels = summarize_map(rdmap, config.target_bins())
-    near, far = levels.target_levels
+    near, far, other = summarize_map(rdmap, config.target_bins())
     print(f"near target  (bin 14, nu 516): {near:8.4f}  (transmit gain 1.0000)")
     print(f"far target   (bin 27, nu 518): {far:8.4f}  (transmit gain "
           f"{config.gains()[1]:.4f})")
-    print(f"strongest other cell:          {levels.max_other:8.4f}")
+    print(f"strongest other cell:          {other:8.4f}")
     rdmap.export_csv(args.out)
     print(f"wrote {args.out}")
     return 0

@@ -20,16 +20,14 @@ from .coding import (CODE_KINDS, CodeConfig, encode, interleave_codeword,
 from .config import ConfigError, ExperimentConfig, ResultTable, load_config
 from .correlation import (CorrelationProfile, autocorr, crosscorr, idft_ratio,
                           pslr, suppression_metric)
-from .detection import (RocCurves, TrialLevels, make_eta_grid, summarize_map,
-                        threshold_sweep)
+from .detection import RocCurves, make_eta_grid, summarize_map, threshold_sweep
 from .experiments import (run_interleaver_study, run_near_far, run_pslr_sweep,
                           run_suppression_sweep, run_tail_bound_check)
 from .modulation import (Constellation, constellation, generate_ccs_blocks,
                          map_bits, product_bound_b, ratio_bound_b)
 from .receiver import (RangeDopplerMap, fmcw_range_doppler, mf_bank,
                        ofdm_range_doppler, sc_range_doppler)
-from .scene import (FmcwParams, Path, TargetScene, apply_channel_ofdm,
-                    apply_channel_sc, awgn, read_frame_bin, synth_frame,
-                    write_frame_bin)
+from .scene import (Path, TargetScene, apply_channel_ofdm, apply_channel_sc, awgn,
+                    chirp, read_frame_bin, synth_frame, write_frame_bin)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,8 +4,7 @@ Upper bounds are Hoeffding-style over groups of symbols that share no message
 bits; with K message symbols per block the group count and size enter through
 the TailBoundSpec fields below.  Lower bounds come from the all-zero-message
 event.
-Probabilities that underflow double precision are reported as 0.0; the log2
-companions stay finite for bookkeeping.
+Probabilities that underflow double precision are reported as 0.0.
 
 Exceedance is always two-sided: P(|X| > u) for the real or imaginary part of
 the statistic under test.
@@ -116,13 +115,9 @@ def autocorr_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:
 
 def autocorr_tail_lb(spec: TailBoundSpec) -> float:
     """All-zero-message floor 2^(-m_s K); 0.0 when it underflows."""
-    return 2.0 ** autocorr_tail_lb_log2(spec)
-
-
-def autocorr_tail_lb_log2(spec: TailBoundSpec) -> float:
     if spec.K is None or spec.m_s is None:
         raise ValueError("lower bound needs K and m_s")
-    return -float(spec.m_s) * float(spec.K)
+    return 2.0 ** (-float(spec.m_s) * float(spec.K))
 
 
 def crosscorr_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:

@@ -18,14 +18,6 @@ from .bounds import empirical_tail
 from .receiver import RangeDopplerMap
 
 
-@dataclass(frozen=True)
-class TrialLevels:
-    """Sufficient statistics of one map for threshold sweeps."""
-
-    target_levels: tuple[float, ...]
-    max_other: float
-
-
 def _false_alarm_mask(rdmap: RangeDopplerMap, target_bins) -> np.ndarray:
     mask = np.ones_like(rdmap.values, dtype=bool)
     mask[0, :] = False
@@ -34,12 +26,12 @@ def _false_alarm_mask(rdmap: RangeDopplerMap, target_bins) -> np.ndarray:
     return mask
 
 
-def summarize_map(rdmap: RangeDopplerMap, target_bins) -> TrialLevels:
-    """Reduce a map to its target magnitudes and the largest other magnitude."""
+def summarize_map(rdmap: RangeDopplerMap, target_bins) -> np.ndarray:
+    """A map's levels row, the sufficient statistics of threshold sweeps:
+    [target magnitudes..., largest other magnitude] as float64."""
     mags = np.abs(rdmap.values)
-    levels = tuple(float(abs(rdmap.value_at(l, nu))) for l, nu in target_bins)
-    return TrialLevels(target_levels=levels,
-                       max_other=float(mags[_false_alarm_mask(rdmap, target_bins)].max()))
+    levels = [abs(rdmap.value_at(l, nu)) for l, nu in target_bins]
+    return np.array(levels + [mags[_false_alarm_mask(rdmap, target_bins)].max()])
 
 
 @dataclass(frozen=True)
@@ -85,30 +77,30 @@ def grid_pd_gap(pd, pd_ref) -> float:
 def make_eta_grid(levels_by_waveform: dict, points: int = 200) -> np.ndarray:
     """Log grid from a tenth of the lowest sidelobe ceiling up to twice the
     largest peak, shared by every waveform in the sweep."""
-    trials = [t for levels in levels_by_waveform.values() for t in levels]
-    lo = 0.1 * min(t.max_other for t in trials)
-    hi = 2.0 * max(max(t.target_levels) for t in trials)
+    trials = np.concatenate(list(levels_by_waveform.values()))
+    lo = 0.1 * trials[:, -1].min()
+    hi = 2.0 * trials[:, :-1].max()
     if lo <= 0 or hi <= lo:
         raise ValueError("degenerate level spread for eta grid")
     return np.geomspace(lo, hi, points)
 
 
-def threshold_sweep(levels_by_waveform: dict, points: int = 200,
-                    z: float = 1.96) -> RocCurves:
+def threshold_sweep(levels_by_waveform: dict, points: int = 200) -> RocCurves:
     """ROC curves over the common make_eta_grid threshold grid.
 
-    levels_by_waveform maps a waveform label to its per-trial TrialLevels.
-    P_d is the empirical_tail of the target levels and P_f that of the
-    off-target maxima, so both are monotone in eta; the Wilson interval of P_d
-    treats the per-target detections as independent Bernoulli draws.
+    levels_by_waveform maps a waveform label to its (trials, targets + 1)
+    levels array, one summarize_map row per trial.  P_d is the empirical_tail
+    of the target columns and P_f that of the last (off-target maximum)
+    column, so both are monotone in eta; the Wilson interval of P_d treats the
+    per-target detections as independent Bernoulli draws.
     """
     for wf, rows in levels_by_waveform.items():
-        if not rows:
+        if len(rows) == 0:
             raise ValueError(f"no trials for waveform {wf!r}")
     eta = make_eta_grid(levels_by_waveform, points)
     pd, pf, lo, hi = {}, {}, {}, {}
     for wf, rows in levels_by_waveform.items():
-        hits = empirical_tail([r.target_levels for r in rows], eta, z)
+        hits = empirical_tail(rows[:, :-1], eta)
         pd[wf], lo[wf], hi[wf] = hits.p, hits.lo, hits.hi
-        pf[wf] = empirical_tail([r.max_other for r in rows], eta).p
+        pf[wf] = empirical_tail(rows[:, -1], eta).p
     return RocCurves(eta=eta, pd=pd, pf=pf, pd_lo=lo, pd_hi=hi)

@@ -26,8 +26,8 @@ from .detection import RocCurves, grid_pd_gap, summarize_map, threshold_sweep
 from .modulation import (constellation, generate_ccs_blocks, map_bits,
                          product_bound_b, ratio_bound_b)
 from .receiver import fmcw_range_doppler, mf_bank, ofdm_range_doppler, sc_range_doppler
-from .scene import (FmcwParams, apply_channel_ofdm, apply_channel_sc, row_tiles,
-                    synth_frame, write_frame_bin)
+from .scene import (apply_channel_ofdm, apply_channel_sc, row_tiles, synth_frame,
+                    write_frame_bin)
 
 # substream domains, one per independent randomness consumer
 _D_PSLR, _D_SUPP, _D_INTL, _D_BND, _D_NF_MSG, _D_NF_PERM, _D_NF_NOISE = range(7)
@@ -35,8 +35,9 @@ _D_PSLR, _D_SUPP, _D_INTL, _D_BND, _D_NF_MSG, _D_NF_PERM, _D_NF_NOISE = range(7)
 _CHUNK = 256
 # rows x N per sweep-statistic call: cache-sized row tiles
 _TILE_POINTS = 65536
-# Parity-check construction cost grows cubically with the codeword length;
-# beyond this cap the sweep gains nothing at desk scale.
+# LDPC rows stop at this block length.  Not for cost (building the tables
+# takes well under a second even at N = 4096): the goldens and the benchmark
+# reference pin this row set, so lifting the cap waits for a re-recording.
 LDPC_N_CAP = 1024
 
 NEARFAR_VARIANTS = ("ccs_sc", "ccs_sc_nointf", "ccs_ofdm", "ccs_ofdm_nointf", "fmcw")
@@ -313,6 +314,7 @@ def run_tail_bound_check(config: ExperimentConfig) -> ResultTable:
 def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray):
     """Trial t of the near-far study: (own frame s1, {variant: RangeDopplerMap}).
 
+    fmcw_frame is the synth_frame transmission; its first row is the chirp.
     Radar j in (0, 1) draws from substreams (_D_NF_PERM | _D_NF_MSG, t, j), and
     variant k of NEARFAR_VARIANTS its noise from (_D_NF_NOISE, t, k)."""
     seed = config.require_seed()
@@ -336,7 +338,7 @@ def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray):
         ofdm_range_doppler(apply_channel_ofdm(frames, scene_i, noise[2]), s1, n_max),
         ofdm_range_doppler(apply_channel_ofdm([s1], scene_n, noise[3]), s1, n_max),
         fmcw_range_doppler(apply_channel_sc([fmcw_frame], scene_n, noise[4]),
-                           FmcwParams(n_fast=n, n_chirps=m_slow), n_max))))
+                           fmcw_frame[0], n_max))))
     return s1, maps
 
 
@@ -345,19 +347,20 @@ def run_near_far(config: ExperimentConfig, dump_dir=None):
 
     Runs _near_far_trial for t = 0..trials-1 on one FMCW frame and reduces each
     trial's five maps (c.c.s single-carrier and OFDM each with and without the
-    interferer, plus an interference-free FMCW reference) to TrialLevels.
-    Returns (summary ResultTable, RocCurves, per-variant TrialLevels lists);
+    interferer, plus an interference-free FMCW reference) to summarize_map rows.
+    Returns (summary ResultTable, RocCurves, {variant: levels array}), one
+    [near, far, max_other] row per trial;
     when dump_dir is set the trial-0 maps and transmit frames are written there.
     """
     t0 = time.perf_counter()
     trials = config.resolved_trials()
     tbins = config.target_bins()
-    fmcw_frame = synth_frame(FmcwParams(n_fast=config.n_fast, n_chirps=config.m_slow))
-    levels = {v: [] for v in NEARFAR_VARIANTS}
+    fmcw_frame = synth_frame(config.n_fast, config.m_slow)
+    levels = {v: np.empty((trials, len(tbins) + 1)) for v in NEARFAR_VARIANTS}
     for t in range(trials):
         s1, maps = _near_far_trial(config, t, fmcw_frame)
         for v in NEARFAR_VARIANTS:
-            levels[v].append(summarize_map(maps[v], tbins))
+            levels[v][t] = summarize_map(maps[v], tbins)
         if t == 0 and dump_dir is not None:
             out = Path(dump_dir)
             for v, rdmap in maps.items():
@@ -369,8 +372,7 @@ def run_near_far(config: ExperimentConfig, dump_dir=None):
     roc = threshold_sweep(levels, points=config.eta_points)
     rows = []
     for v in NEARFAR_VARIANTS:
-        near, far, other = np.array([tl.target_levels + (tl.max_other,)
-                                     for tl in levels[v]]).T
+        near, far, other = levels[v].T
         lo, hi, pts = _sweet_band(roc, v)
         rows.append((v, trials, float(near.mean()), float(near.min()),
                      float(far.mean()), float(far.min()), float(far.max()),
@@ -551,7 +553,7 @@ def check_nearfar(table: ResultTable, roc: RocCurves, config: ExperimentConfig,
     gap_sc_ofdm = float(np.max(np.abs(roc.pd["ccs_sc"] - roc.pd["ccs_ofdm"])))
     checks.append(("sc_vs_ofdm_pd", gap_sc_ofdm <= 0.05,
                    f"max gap {gap_sc_ofdm:.3f} (want <= 0.05)"))
-    far_std = {v: float(np.std([tl.target_levels[1] for tl in levels[v]]))
+    far_std = {v: float(np.std(levels[v][:, 1]))
                for v in ("ccs_sc", "ccs_ofdm", "fmcw")}
     for v in ("ccs_sc", "ccs_ofdm"):
         gap = grid_pd_gap(roc.pd[v], roc.pd["fmcw"])

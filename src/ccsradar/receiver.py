@@ -12,17 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import FmcwParams, row_tiles, write_frame_bin
+from .scene import row_tiles, write_frame_bin
 
 _DB_FLOOR = 1e-20
 
 
 @dataclass(frozen=True)
 class RangeDopplerMap:
-    """(n_max + 1, M) complex map plus provenance; values[l, (nu % M)]."""
+    """(n_max + 1, M) complex map; values[l, (nu % M)]."""
 
     values: np.ndarray
-    waveform: str
 
     @property
     def n_max(self) -> int:
@@ -92,7 +91,7 @@ def mf_bank(y: np.ndarray, x: np.ndarray, n_max: int) -> np.ndarray:
 
 def sc_range_doppler(r: np.ndarray) -> RangeDopplerMap:
     """Slow-time DFT of the matched-filter bank, 1/M normalized."""
-    return RangeDopplerMap(values=_slow_dft(r), waveform="sc")
+    return RangeDopplerMap(_slow_dft(r))
 
 
 def ofdm_range_doppler(y_freq: np.ndarray, s: np.ndarray, n_max: int) -> RangeDopplerMap:
@@ -109,25 +108,28 @@ def ofdm_range_doppler(y_freq: np.ndarray, s: np.ndarray, n_max: int) -> RangeDo
         if np.any(np.abs(s[rows]) < 1e-12):
             raise ValueError("reference symbols contain a (near) zero")
         per_block[rows] = np.fft.ifft(y_freq[rows] / s[rows], axis=1)[:, : n_max + 1]
-    return RangeDopplerMap(values=_slow_dft(per_block.T), waveform="ofdm")
+    return RangeDopplerMap(_slow_dft(per_block.T))
 
 
-def fmcw_range_doppler(y: np.ndarray, params: FmcwParams, n_max: int) -> RangeDopplerMap:
-    """Dechirp against the reference, range IDFT, slow-time DFT.
+def fmcw_range_doppler(y: np.ndarray, ref: np.ndarray, n_max: int) -> RangeDopplerMap:
+    """Dechirp every block against the one chirp ref, range IDFT, slow-time DFT.
 
     A delay-l beat tone only occupies N - l samples of the reference window,
     so each range bin is rescaled by N / (N - l); on-bin peaks then read |gain|
     exactly while the rectangular-window leakage of the truncated tone stays.
     """
     y = np.asarray(y, dtype=np.complex128)
-    n_fast = params.n_fast
+    ref = np.asarray(ref, dtype=np.complex128)
+    if ref.ndim != 1:
+        raise ValueError("the FMCW reference is one chirp")
+    n_fast = ref.size
     if n_max >= n_fast:
         raise ValueError("n_max must be smaller than the chirp length")
-    if y.shape[0] != params.n_chirps or y.shape[1] < n_fast:
-        raise ValueError("received frame incompatible with FMCW parameters")
-    ref = np.conj(params.chirp())
-    per_chirp = np.empty((params.n_chirps, n_max + 1), dtype=np.complex128)  # (m, l)
-    for rows in row_tiles(params.n_chirps):
+    if y.ndim != 2 or y.shape[1] < n_fast:
+        raise ValueError("received frame shorter than the chirp")
+    ref = np.conj(ref)  # broadcast over rows: a per-row reference moves bits
+    per_chirp = np.empty((y.shape[0], n_max + 1), dtype=np.complex128)  # (m, l)
+    for rows in row_tiles(y.shape[0]):
         per_chirp[rows] = np.fft.ifft(y[rows, :n_fast] * ref, axis=1)[:, : n_max + 1]
     comp = n_fast / (n_fast - np.arange(n_max + 1))
-    return RangeDopplerMap(values=_slow_dft(per_chirp.T * comp[:, None]), waveform="fmcw")
+    return RangeDopplerMap(_slow_dft(per_chirp.T * comp[:, None]))

@@ -58,21 +58,15 @@ class TargetScene:
                 raise ValueError(f"range bin {p.range_bin} outside [0, {self.n_max}]")
 
 
-@dataclass(frozen=True)
-class FmcwParams:
-    """Repeated-chirp reference; each chirp sweeps the full bandwidth in N samples."""
-
-    n_fast: int
-    n_chirps: int
-
-    def chirp(self) -> np.ndarray:
-        n = np.arange(self.n_fast)
-        return np.exp(1j * np.pi * n * n / self.n_fast)
+def chirp(n_fast: int) -> np.ndarray:
+    """The FMCW reference: one chirp sweeping the full bandwidth in N samples."""
+    n = np.arange(n_fast)
+    return np.exp(1j * np.pi * n * n / n_fast)
 
 
-def synth_frame(params: FmcwParams) -> np.ndarray:
+def synth_frame(n_fast: int, n_chirps: int) -> np.ndarray:
     """The (M, N) FMCW transmit frame: the chirp repeated once per block."""
-    return np.tile(params.chirp(), (params.n_chirps, 1))
+    return np.tile(chirp(n_fast), (n_chirps, 1))
 
 
 def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:

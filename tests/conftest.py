@@ -45,7 +45,8 @@ def bounds_table(base_config):
 
 @pytest.fixture(scope="session")
 def nearfar_results(base_config):
-    """(summary table, RocCurves, per-variant TrialLevels lists) at 100 trials."""
+    """(summary table, RocCurves, {variant: levels array}) at 100 trials; each
+    levels array has one [near, far, max_other] row per trial."""
     return experiments.run_near_far(_with_kind(base_config, "nearfar"))
 
 

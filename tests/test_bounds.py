@@ -11,7 +11,6 @@ import pytest
 from ccsradar.bounds import (
     TailBoundSpec,
     autocorr_tail_lb,
-    autocorr_tail_lb_log2,
     autocorr_tail_ub,
     crosscorr_tail_ub,
     empirical_tail,
@@ -101,13 +100,12 @@ def test_ub_rejects_lag_reaching_k():
 
 def test_lb_values():
     assert autocorr_tail_lb(TailBoundSpec(N=8, lag=1, K=4.0, m_s=1)) == 1 / 16
-    assert autocorr_tail_lb_log2(TailBoundSpec(N=1024, lag=1, K=120.0, m_s=2)) == -240.0
-    assert autocorr_tail_lb(TailBoundSpec(N=1024, lag=1, K=120.0, m_s=2)) == pytest.approx(
-        2.0 ** -240, rel=1e-12)
-    # exponents past float64 range underflow to 0.0 but keep an exact log2
+    # exponent -m_s K exactly, fractional K included, while it stays in range
+    assert autocorr_tail_lb(TailBoundSpec(N=1024, lag=1, K=120.0, m_s=2)) == 2.0 ** -240
+    assert autocorr_tail_lb(TailBoundSpec(N=1024, lag=1, K=120.5, m_s=8)) == 2.0 ** -964
+    # exponents past float64 range underflow to 0.0
     deep = TailBoundSpec(N=1024, lag=1, K=682.5, m_s=8)
     assert autocorr_tail_lb(deep) == 0.0
-    assert autocorr_tail_lb_log2(deep) == -8 * 682.5
     with pytest.raises(ValueError, match="needs K and m_s"):
         autocorr_tail_lb(TailBoundSpec(N=8, lag=1, K=4.0))
 

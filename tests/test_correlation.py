@@ -188,11 +188,20 @@ def test_pslr_reports_inf_for_delta_profile():
     assert pslr(prof) == np.inf
 
 
-def test_pslr_rejects_non_unit_peak():
-    prof = CorrelationProfile(lags=np.arange(-1, 2),
-                              values=np.array([0.1, 0.2 + 0j, 0.1]),
+def test_pslr_scales_out_block_energy():
+    # the ratio to the realized peak: a profile at a fifth of unit energy
+    # reads the unit profile's PSLR
+    values = np.array([0.1, 1.0 + 0j, 0.1])
+    unit = CorrelationProfile(lags=np.arange(-1, 2), values=values, kind="auto", n=2)
+    scaled = CorrelationProfile(lags=np.arange(-1, 2), values=0.2 * values, kind="auto", n=2)
+    assert pslr(unit) == pytest.approx(20.0, abs=1e-12)
+    assert pslr(scaled) == pytest.approx(pslr(unit), abs=1e-12)
+
+
+def test_pslr_rejects_zero_peak():
+    prof = CorrelationProfile(lags=np.arange(-1, 2), values=np.zeros(3, dtype=complex),
                               kind="auto", n=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero-lag"):
         pslr(prof)
 
 

@@ -6,7 +6,6 @@ import pytest
 from dataclasses import dataclass
 
 from ccsradar.detection import (
-    TrialLevels,
     grid_pd_gap,
     make_eta_grid,
     summarize_map,
@@ -73,7 +72,7 @@ def _map(near=0.0, far=0.0, extra=()):
     vals[0, 3] = 10.0  # leakage row, must never count as a false alarm
     for (l, nu), level in extra:
         vals[l, nu % M_SLOW] = level
-    return RangeDopplerMap(values=vals, waveform="sc")
+    return RangeDopplerMap(vals)
 
 
 def test_detect_tiers():
@@ -118,21 +117,22 @@ def test_detect_validation():
 
 def test_summarize_map():
     rd = _map(0.8, 0.3, extra=[((5, 2), 0.07)])
-    tl = summarize_map(rd, TARGETS)
-    assert tl.target_levels == (0.8, 0.3)
-    assert tl.max_other == pytest.approx(0.07)
+    row = summarize_map(rd, TARGETS)
+    assert row.dtype == np.float64 and row.shape == (3,)
+    assert row.tolist()[:2] == [0.8, 0.3]
+    assert row[2] == pytest.approx(0.07)
 
 
 def test_make_eta_grid_range():
-    levels = {"a": [TrialLevels((1.0, 0.4), 0.02)],
-              "b": [TrialLevels((0.9, 0.5), 0.05)]}
+    levels = {"a": np.array([[1.0, 0.4, 0.02]]),
+              "b": np.array([[0.9, 0.5, 0.05]])}
     grid = make_eta_grid(levels, points=50)
     assert grid.size == 50
     assert grid[0] == pytest.approx(0.002)
     assert grid[-1] == pytest.approx(2.0)
     assert np.all(np.diff(grid) > 0)
     with pytest.raises(ValueError):
-        make_eta_grid({"a": [TrialLevels((1.0,), 0.0)]})
+        make_eta_grid({"a": np.array([[1.0, 0.0]])})
 
 
 def test_threshold_sweep_monotone_and_consistent():
@@ -141,7 +141,8 @@ def test_threshold_sweep_monotone_and_consistent():
                  0.3 + 0.05 * rng.standard_normal(),
                  extra=[((5, 2), abs(0.05 * rng.standard_normal()))])
             for _ in range(40)]
-    roc = threshold_sweep({"sc": [summarize_map(m, TARGETS) for m in maps]}, points=64)
+    roc = threshold_sweep({"sc": np.array([summarize_map(m, TARGETS) for m in maps])},
+                          points=64)
     pd, pf = roc.pd["sc"], roc.pf["sc"]
     assert np.all(np.diff(pd) <= 1e-12) and np.all(np.diff(pf) <= 1e-12)
     assert np.all((roc.pd_lo["sc"] <= pd) & (pd <= roc.pd_hi["sc"]))
@@ -156,7 +157,7 @@ def test_threshold_sweep_monotone_and_consistent():
 def test_threshold_sweep_tallies_levels_on_its_grid():
     # levels 0.35 < 0.4 < 0.9 < 1.0 and others 0.01, 0.02; the grid runs from
     # 0.001 to 2.0, so every tier shows up and both ends are exact
-    levels = [TrialLevels((1.0, 0.4), 0.01), TrialLevels((0.9, 0.35), 0.02)]
+    levels = np.array([[1.0, 0.4, 0.01], [0.9, 0.35, 0.02]])
     roc = threshold_sweep({"x": levels}, points=400)
     assert np.array_equal(roc.eta, make_eta_grid({"x": levels}, 400))
     tiers = {}
@@ -173,18 +174,16 @@ def test_threshold_sweep_tallies_levels_on_its_grid():
     assert set(tiers) == {(1.0, 1.0), (1.0, 0.5), (1.0, 0.0), (0.75, 0.0), (0.5, 0.0),
                           (0.25, 0.0), (0.0, 0.0)}
     with pytest.raises(ValueError):
-        threshold_sweep({"x": []})
+        threshold_sweep({"x": np.empty((0, 3))})
 
 
 def test_single_trial_curve_steps():
-    levels = [TrialLevels((1.0, 0.4), 0.01)]
-    roc = threshold_sweep({"x": levels}, points=100)
+    roc = threshold_sweep({"x": np.array([[1.0, 0.4, 0.01]])}, points=100)
     assert set(np.unique(roc.pd["x"])) <= {0.0, 0.5, 1.0}
 
 
 def test_roc_export_csv(tmp_path):
-    levels = {"a": [TrialLevels((1.0, 0.4), 0.01)],
-              "b": [TrialLevels((0.8, 0.3), 0.02)]}
+    levels = {"a": np.array([[1.0, 0.4, 0.01]]), "b": np.array([[0.8, 0.3, 0.02]])}
     roc = threshold_sweep(levels, points=10)
     path = tmp_path / "roc.csv"
     roc.export_csv(path)

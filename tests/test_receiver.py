@@ -17,11 +17,11 @@ from ccsradar.receiver import (
 )
 from ccsradar.scene import (
     ROW_TILE,
-    FmcwParams,
     Path,
     TargetScene,
     apply_channel_ofdm,
     apply_channel_sc,
+    chirp,
     read_frame_bin,
     synth_frame,
 )
@@ -160,7 +160,7 @@ def test_sc_map_hand_dft():
     r = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
     rd = sc_range_doppler(r)
     assert isinstance(rd, RangeDopplerMap)
-    assert rd.waveform == "sc" and rd.values.shape == (3, 8)
+    assert rd.values.shape == (3, 8)
     assert np.max(np.abs(rd.values - _direct_slow_dft(r))) < 1e-12
 
 
@@ -240,10 +240,9 @@ def test_ofdm_map_rejects_zero_pilot():
 
 
 def test_fmcw_stationary_target():
-    params = FmcwParams(n_fast=64, n_chirps=8)
     scene = _scene([Path(5, 8, 0.8)], n_max=10)
-    y = apply_channel_sc([synth_frame(params)], scene)
-    rd = fmcw_range_doppler(y, params, 10)
+    y = apply_channel_sc([synth_frame(64, 8)], scene)
+    rd = fmcw_range_doppler(y, chirp(64), 10)
     assert abs(abs(rd.value_at(5, 8)) - 0.8) < 1e-9
     # truncation leakage is real but small
     mags = np.abs(rd.values)
@@ -252,22 +251,22 @@ def test_fmcw_stationary_target():
 
 
 def test_fmcw_doppler_column():
-    params = FmcwParams(n_fast=64, n_chirps=16)
     scene = _scene([Path(3, 11, 1.0)], n_max=8)
-    y = apply_channel_sc([synth_frame(params)], scene)
-    rd = fmcw_range_doppler(y, params, 8)
+    y = apply_channel_sc([synth_frame(64, 16)], scene)
+    rd = fmcw_range_doppler(y, chirp(64), 8)
     peak = np.unravel_index(np.argmax(np.abs(rd.values)), rd.values.shape)
     assert peak == (3, 11)
     assert abs(abs(rd.value_at(3, 11)) - 1.0) < 1e-9
 
 
 def test_fmcw_validation():
-    params = FmcwParams(n_fast=16, n_chirps=4)
     y = np.zeros((4, 16), dtype=complex)
     with pytest.raises(ValueError):
-        fmcw_range_doppler(y, params, 16)
+        fmcw_range_doppler(y, chirp(16), 16)
     with pytest.raises(ValueError):
-        fmcw_range_doppler(y[:2], params, 4)
+        fmcw_range_doppler(y[:, :8], chirp(16), 4)
+    with pytest.raises(ValueError):
+        fmcw_range_doppler(y, synth_frame(16, 4), 4)
 
 
 # ------------------------------------------- row tiles against one shot
@@ -287,14 +286,13 @@ def test_ofdm_and_fmcw_maps_match_one_shot_bytes(m_slow):
     want = np.fft.fft(per_block.T[: n_max + 1], axis=1) / m_slow
     assert ofdm_range_doppler(y_freq, s, n_max).values.tobytes() == want.tobytes()
 
-    params = FmcwParams(n_fast=n_fast, n_chirps=m_slow)
-    y = apply_channel_sc([synth_frame(params)], _scene([Path(3, 1, 0.7)], noise_var=0.2,
-                                                        n_max=n_max),
+    y = apply_channel_sc([synth_frame(n_fast, m_slow)],
+                         _scene([Path(3, 1, 0.7)], noise_var=0.2, n_max=n_max),
                          np.random.default_rng(4))
-    per_chirp = np.fft.ifft(y[:, :n_fast] * np.conj(params.chirp()), axis=1)[:, : n_max + 1]
+    per_chirp = np.fft.ifft(y[:, :n_fast] * np.conj(chirp(n_fast)), axis=1)[:, : n_max + 1]
     comp = n_fast / (n_fast - np.arange(n_max + 1))
     want = np.fft.fft(per_chirp.T * comp[:, None], axis=1) / m_slow
-    assert fmcw_range_doppler(y, params, n_max).values.tobytes() == want.tobytes()
+    assert fmcw_range_doppler(y, chirp(n_fast), n_max).values.tobytes() == want.tobytes()
 
 
 def test_ofdm_map_rejects_zero_pilot_in_a_later_tile():
@@ -320,9 +318,8 @@ def test_peak_equivalence_across_waveforms():
             apply_channel_sc([s], scene), s, n_max)),
         "ofdm": ofdm_range_doppler(apply_channel_ofdm([s], scene), s, n_max),
     }
-    params = FmcwParams(n_fast=n_fast, n_chirps=m_slow)
     maps["fmcw"] = fmcw_range_doppler(
-        apply_channel_sc([synth_frame(params)], scene), params, n_max)
+        apply_channel_sc([synth_frame(n_fast, m_slow)], scene), chirp(n_fast), n_max)
     for p in targets:
         levels = [abs(m.value_at(p.range_bin, p.doppler_bin)) for m in maps.values()]
         # each chain reads |gain| up to cross-target sidelobe contamination,
@@ -354,7 +351,7 @@ def test_doppler_dft_suppresses_sidelobe_ridge():
 def test_map_accessors_and_validation():
     vals = np.zeros((3, 4), dtype=complex)
     vals[1, 0] = 2.0
-    rd = RangeDopplerMap(values=vals, waveform="sc")
+    rd = RangeDopplerMap(vals)
     assert rd.n_max == 2 and rd.n_slow == 4
     assert rd.value_at(1, 4) == 2.0  # bin M wraps to column 0
     with pytest.raises(ValueError):
@@ -369,7 +366,7 @@ def test_map_csv_export(tmp_path):
     vals = np.zeros((2, 4), dtype=complex)
     vals[0, 0] = 1.0
     vals[1, 2] = 0.1
-    rd = RangeDopplerMap(values=vals, waveform="ofdm")
+    rd = RangeDopplerMap(vals)
     path = tmp_path / "map.csv"
     rd.export_csv(path)
     rows = path.read_text().strip().splitlines()
@@ -387,7 +384,7 @@ def test_map_csv_export_matches_csv_writer_bytes(tmp_path):
     vals = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     vals[1, 0] = 0.0  # exact zero: clipped at -400 dB
     vals[2, 3] = 1e-30j
-    rd = RangeDopplerMap(values=vals, waveform="sc")
+    rd = RangeDopplerMap(vals)
     rd.export_csv(tmp_path / "map.csv")
     with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -407,7 +404,7 @@ def test_map_csv_export_matches_f_string_bytes(tmp_path):
     vals[0, 0] = 0.0
     vals[7, 5] = np.nan
     vals[32, 63] = np.inf
-    RangeDopplerMap(values=vals, waveform="sc").export_csv(tmp_path / "map.csv")
+    RangeDopplerMap(vals).export_csv(tmp_path / "map.csv")
     mags = (20.0 * np.log10(np.maximum(np.abs(vals), 1e-20))).tolist()
     want = "l,nu,abs_db\r\n" + "".join(f"{l},{col if col else 64},{mags[l][col]:.6f}\r\n"
                                        for l in range(33) for col in range(64))
@@ -419,7 +416,7 @@ def test_map_csv_export_matches_f_string_bytes(tmp_path):
 def test_map_binary_export(tmp_path):
     rng = np.random.default_rng(14)
     vals = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    rd = RangeDopplerMap(values=vals, waveform="sc")
+    rd = RangeDopplerMap(vals)
     path = tmp_path / "map.bin"
     rd.export_binary(path)
     assert np.array_equal(read_frame_bin(path), vals)

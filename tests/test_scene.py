@@ -10,12 +10,12 @@ from ccsradar.coding import CodeConfig
 from ccsradar.modulation import constellation, generate_ccs_blocks
 from ccsradar.scene import (
     ROW_TILE,
-    FmcwParams,
     Path,
     TargetScene,
     apply_channel_ofdm,
     apply_channel_sc,
     awgn,
+    chirp,
     read_frame_bin,
     synth_frame,
     write_frame_bin,
@@ -38,10 +38,10 @@ def _scene(targets, interference=(), noise_var=0.0, n_max=8):
 
 
 def test_fmcw_frame_repeats_reference():
-    params = FmcwParams(n_fast=32, n_chirps=5)
-    frame = synth_frame(params)
+    frame = synth_frame(32, 5)
     assert frame.shape == (5, 32)
-    ref = params.chirp()
+    ref = chirp(32)
+    assert ref.shape == (32,)
     assert np.max(np.abs(np.abs(ref) - 1.0)) < 1e-12
     for m in range(5):
         assert np.array_equal(frame[m], ref)
