@@ -4,7 +4,8 @@ The c.c.s pipeline is message bits -> systematic encoder -> parity interleaver
 -> Gray-labeled constellation symbols.  Gray labelings follow the published
 3GPP TS 38.211 tables for QPSK/16QAM/256QAM (bit 0 first, even-indexed bits on
 the in-phase axis); BPSK is the classic real +-1 mapping.  All constellations
-are zero mean with unit average energy and contain no zero point.
+are zero mean with unit average energy and contain no zero point.  A
+LabelFrame holds a frame as its labels, mapped row tile by row tile where read.
 """
 
 from __future__ import annotations
@@ -76,18 +77,51 @@ _LABEL_GATHER = {
 }
 
 
-def map_bits(bits: np.ndarray, const: Constellation) -> np.ndarray:
-    """Gray-map a bit stream to symbols; length must divide into whole symbols."""
+def gray_labels(bits: np.ndarray, const: Constellation) -> np.ndarray:
+    """One integer label (index into const.points) per symbol of a bit stream."""
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
     m = const.bits_per_symbol
     if bits.shape[-1] % m:
         raise ValueError(f"bit count {bits.shape[-1]} not divisible by {m}")
     if m == 1:
-        return const.points.take(bits)
+        return bits
     mult, shift = _LABEL_GATHER[m]
     words = bits.view(f"<u{m}") * mult
     words >>= shift
-    return const.points.take(words)
+    return words
+
+
+def map_bits(bits: np.ndarray, const: Constellation) -> np.ndarray:
+    """Gray-map a bit stream to symbols; length must divide into whole symbols."""
+    return const.points.take(gray_labels(bits, const))
+
+
+@dataclass(frozen=True)
+class LabelFrame:
+    """An (M, N) symbol frame held as its uint8 Gray labels (indices into points).
+
+    frame[rows] maps only those rows, so a reader that takes a row tile at a
+    time never holds the 16-byte complex frame; np.asarray(frame) maps it whole.
+    """
+
+    labels: np.ndarray
+    points: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.labels.shape
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self.points.take(self.labels[rows])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[...], dtype=dtype)
+
+
+def as_frame(frame, dtype=None):
+    """A LabelFrame as it is, anything else as np.asarray(frame, dtype): both
+    give their complex rows as frame[rows], one code path for their readers."""
+    return frame if isinstance(frame, LabelFrame) else np.asarray(frame, dtype=dtype)
 
 
 def product_bound_b(const: Constellation) -> float:
@@ -107,13 +141,20 @@ def _check_sizes(n_symbols: int, code: CodeConfig, const: Constellation) -> None
             f"{const.bits_per_symbol} bits")
 
 
+def generate_ccs_labels(n_symbols: int, code: CodeConfig, const: Constellation,
+                        n_blocks: int, rng) -> LabelFrame:
+    """generate_ccs_blocks as a LabelFrame: same draws, labels instead of symbols."""
+    _check_sizes(n_symbols, code, const)
+    gen = as_rng(rng)
+    msgs = random_bits(gen, (n_blocks, code.n_msg_bits))
+    words = gray_labels(interleave_codeword(encode(msgs, code), code), const)
+    return LabelFrame(words.astype(np.uint8), const.points)
+
+
 def generate_ccs_blocks(n_symbols: int, code: CodeConfig, const: Constellation,
                         n_blocks: int, rng) -> np.ndarray:
     """Batch of i.i.d.-message blocks as an (n_blocks, n_symbols) symbol array.
 
     All blocks share the configured interleaver draw; messages are independent.
     """
-    _check_sizes(n_symbols, code, const)
-    gen = as_rng(rng)
-    msgs = random_bits(gen, (n_blocks, code.n_msg_bits))
-    return map_bits(interleave_codeword(encode(msgs, code), code), const)
+    return np.asarray(generate_ccs_labels(n_symbols, code, const, n_blocks, rng))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modulation import as_frame
 from .scene import row_tiles, write_frame_bin
 
 _DB_FLOOR = 1e-20
@@ -65,14 +66,15 @@ def _slow_dft(r: np.ndarray) -> np.ndarray:
     return np.fft.fft(r, axis=1) / r.shape[1]
 
 
-def mf_bank(y: np.ndarray, x: np.ndarray, n_max: int) -> np.ndarray:
+def mf_bank(y: np.ndarray, x, n_max: int) -> np.ndarray:
     """Per-block matched-filter outputs r[l, m] = (1/N) sum_n y[n, m] x*[n-l, m].
 
-    y may carry the delayed tail (width N + n_max) or be truncated to N; short
-    inputs are zero-extended, which matches the zero-fill channel convention.
+    x is the reference frame, an array or a LabelFrame.  y may carry the
+    delayed tail (width N + n_max) or be truncated to N; short inputs are
+    zero-extended, which matches the zero-fill channel convention.
     """
     y = np.asarray(y, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
+    x = as_frame(x, np.complex128)
     m_slow, n_fast = x.shape
     if n_max >= n_fast:
         raise ValueError("n_max must be smaller than the block length")
@@ -85,8 +87,13 @@ def mf_bank(y: np.ndarray, x: np.ndarray, n_max: int) -> np.ndarray:
         pad = np.zeros((m_slow, n_fast + lags - 1 - y.shape[1]), dtype=np.complex128)
         y = np.concatenate([y, pad], axis=1)
     win = np.lib.stride_tricks.sliding_window_view(y, n_fast, axis=1)[:, :lags]
-    r = np.matmul(win, np.conj(x)[:, :, None])[:, : n_max + 1, 0].T
-    return r / n_fast
+    # row by row the same matmul as over the whole frame, so the same bits,
+    # against one tile of the conjugated reference at a time
+    r = np.empty((m_slow, n_max + 1), dtype=np.complex128)  # (m, l)
+    for rows in row_tiles(m_slow):
+        ref = np.conj(x[rows])[:, :, None]
+        r[rows] = np.matmul(win[rows], ref)[:, : n_max + 1, 0]
+    return r.T / n_fast
 
 
 def sc_range_doppler(r: np.ndarray) -> RangeDopplerMap:
@@ -94,20 +101,21 @@ def sc_range_doppler(r: np.ndarray) -> RangeDopplerMap:
     return RangeDopplerMap(_slow_dft(r))
 
 
-def ofdm_range_doppler(y_freq: np.ndarray, s: np.ndarray, n_max: int) -> RangeDopplerMap:
-    """Zero-forcing map: divide out the own symbols, inverse DFT over
-    subcarriers, forward DFT over blocks."""
+def ofdm_range_doppler(y_freq: np.ndarray, s, n_max: int) -> RangeDopplerMap:
+    """Zero-forcing map: divide out the own symbols (an array or a LabelFrame),
+    inverse DFT over subcarriers, forward DFT over blocks."""
     y_freq = np.asarray(y_freq, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
+    s = as_frame(s, np.complex128)
     if y_freq.shape != s.shape:
         raise ValueError("received and reference symbol shapes differ")
     if n_max >= s.shape[1]:
         raise ValueError("n_max must be smaller than the block length")
     per_block = np.empty((s.shape[0], n_max + 1), dtype=np.complex128)  # (m, l)
     for rows in row_tiles(s.shape[0]):
-        if np.any(np.abs(s[rows]) < 1e-12):
+        sym = s[rows]
+        if np.any(np.abs(sym) < 1e-12):
             raise ValueError("reference symbols contain a (near) zero")
-        per_block[rows] = np.fft.ifft(y_freq[rows] / s[rows], axis=1)[:, : n_max + 1]
+        per_block[rows] = np.fft.ifft(y_freq[rows] / sym, axis=1)[:, : n_max + 1]
     return RangeDopplerMap(_slow_dft(per_block.T))
 
 

@@ -19,6 +19,7 @@ from itertools import chain
 import numpy as np
 
 from ._rng import as_rng
+from .modulation import as_frame
 
 _BIN_MAGIC = b"CCSFRM01"
 
@@ -65,8 +66,9 @@ def chirp(n_fast: int) -> np.ndarray:
 
 
 def synth_frame(n_fast: int, n_chirps: int) -> np.ndarray:
-    """The (M, N) FMCW transmit frame: the chirp repeated once per block."""
-    return np.tile(chirp(n_fast), (n_chirps, 1))
+    """The (M, N) FMCW transmit frame: the chirp repeated once per block, as a
+    read-only broadcast view of one chirp."""
+    return np.broadcast_to(chirp(n_fast), (n_chirps, n_fast))
 
 
 def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
@@ -106,9 +108,12 @@ def _doppler_phase(m_slow: int, doppler_bin: int) -> np.ndarray:
     return np.exp(2j * np.pi * doppler_bin * np.arange(m_slow) / m_slow)
 
 
-def _gather_frames(frames, scene: TargetScene) -> list[tuple[np.ndarray, tuple]]:
-    """(frame, paths) per radar: own frame and scene.targets, then each interferer."""
-    mats = [np.asarray(f) for f in frames]
+def _gather_frames(frames, scene: TargetScene) -> list[tuple]:
+    """(frame, paths) per radar: own frame and scene.targets, then each interferer.
+
+    A frame is a LabelFrame or an array; the channels read either by row tiles.
+    """
+    mats = [as_frame(f) for f in frames]
     if len(mats) != 1 + len(scene.interference):
         raise ValueError("need one frame per radar (own first, then interferers)")
     if any(m.shape != mats[0].shape for m in mats):

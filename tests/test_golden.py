@@ -12,11 +12,13 @@ import dataclasses
 import hashlib
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ccsradar import cli, experiments
 from ccsradar.config import load_config
 from ccsradar.detection import summarize_map
+from ccsradar.modulation import generate_ccs_labels
 from ccsradar.scene import synth_frame
 
 NEARFAR_128_INI = """\
@@ -138,20 +140,46 @@ def test_nearfar_trial_runs_alone(tmp_path):
         assert alone.tobytes() != levels[v][0].tobytes()
 
 
+@pytest.mark.parametrize("mod", ["bpsk", "qpsk", "16qam", "256qam"])
+def test_nearfar_label_frames_match_complex_frames(tmp_path, monkeypatch, mod):
+    # the trial holds its c.c.s frames as labels; the same trial fed the mapped
+    # complex frames through the same channel and receiver calls gives the same bytes
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI.replace("120/1024:qpsk", f"120/1024:{mod}"),
+                   encoding="utf-8")
+    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=1)
+    frame = synth_frame(config.n_fast, config.m_slow)
+    s1, maps = experiments._near_far_trial(config, 0, frame)
+    assert s1.labels.dtype == np.uint8
+
+    def mapped(*args):
+        labelled = generate_ccs_labels(*args)
+        return labelled.points.take(labelled.labels)
+
+    monkeypatch.setattr(experiments, "generate_ccs_labels", mapped)
+    s1_complex, want = experiments._near_far_trial(config, 0, frame)
+    assert s1_complex.dtype == np.complex128
+    assert np.asarray(s1).tobytes() == s1_complex.tobytes()
+    for v in experiments.NEARFAR_VARIANTS:
+        assert maps[v].values.tobytes() == want[v].values.tobytes(), v
+
+
 def test_nearfar_trial_peak_memory(tmp_path):
-    # One trial's traced peak at the 128 x 128 config, in frames of M x N
-    # complex samples (256 KiB): 6.39 frames when the channel, the noise and the
-    # OFDM / FMCW receivers each built whole-frame temporaries, 5.04 with their
-    # row-tiled loops (numpy 2.4).  The bound sits between the two.
+    # One trial's traced peak at the 128 x 128 config, the FMCW frame included,
+    # in frames of M x N complex samples (256 KiB): 5.43 frames with complex
+    # symbol frames and a tiled FMCW frame, 2.38 with label frames and a
+    # broadcast chirp (numpy 2.4).  The bound sits between the two.
     cfg = tmp_path / "nearfar.ini"
     cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
     config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=1)
-    frame = synth_frame(config.n_fast, config.m_slow)
-    experiments._near_far_trial(config, 0, frame)  # fill the code caches first
+    frame_bytes = 16 * config.n_fast * config.m_slow
+    # fill the code caches first
+    experiments._near_far_trial(config, 0, synth_frame(config.n_fast, config.m_slow))
     tracemalloc.start()
     try:
+        frame = synth_frame(config.n_fast, config.m_slow)
         experiments._near_far_trial(config, 0, frame)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.5 * frame.nbytes, f"peak {peak / frame.nbytes:.2f} frames"
+    assert peak < 3.5 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from ccsradar.coding import CodeConfig
+from ccsradar._rng import random_bits
+from ccsradar.coding import CodeConfig, encode, interleave_codeword
 from ccsradar.experiments import _symbol_batch
 from ccsradar.modulation import (
+    LabelFrame,
     constellation,
     generate_ccs_blocks,
+    generate_ccs_labels,
     map_bits,
     product_bound_b,
     ratio_bound_b,
@@ -168,6 +171,24 @@ def test_block_systematic_prefix_fractional_symbols():
     mat = generate_ccs_blocks(256, code, const, 2, np.random.default_rng(22))
     want = map_bits(_messages(2, 1365, 22)[:, : 170 * 8], const)
     assert np.array_equal(mat[:, :170], want)
+
+
+@pytest.mark.parametrize("name", ["bpsk", "qpsk", "16qam", "256qam"])
+def test_label_route_maps_to_the_symbol_blocks(name):
+    const = constellation(name)
+    m = const.bits_per_symbol
+    code = CodeConfig(kind="polar", n_code_bits=64 * m, n_msg_bits=16 * m)
+    frame = generate_ccs_labels(64, code, const, 20, np.random.default_rng(9))
+    blocks = generate_ccs_blocks(64, code, const, 20, np.random.default_rng(9))
+    # the symbol route the labels replaced: map_bits of the interleaved codewords
+    msgs = random_bits(np.random.default_rng(9), (20, code.n_msg_bits))
+    want = map_bits(interleave_codeword(encode(msgs, code), code), const)
+    assert blocks.tobytes() == want.tobytes()
+    assert isinstance(frame, LabelFrame) and frame.shape == blocks.shape
+    assert frame.labels.dtype == np.uint8 and frame.labels.max() < const.points.size
+    assert const.points.take(frame.labels).tobytes() == blocks.tobytes()
+    assert np.asarray(frame).tobytes() == blocks.tobytes()
+    assert frame[5:12].tobytes() == blocks[5:12].tobytes()
 
 
 def test_block_generation_is_reproducible():

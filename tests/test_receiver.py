@@ -7,7 +7,7 @@ import pytest
 
 from ccsradar.coding import CodeConfig
 from ccsradar.correlation import idft_ratio
-from ccsradar.modulation import constellation, generate_ccs_blocks
+from ccsradar.modulation import LabelFrame, constellation, generate_ccs_blocks
 from ccsradar.receiver import (
     RangeDopplerMap,
     fmcw_range_doppler,
@@ -150,6 +150,23 @@ def test_mf_bank_equals_per_lag_einsum_bytes(n_fast, n_max, order):
                        order=order)
         got, want = mf_bank(y, x, n_max), _einsum_mf(y, x, n_max)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m_slow", [1, 17, 65, 130])
+@pytest.mark.parametrize("n_max", [0, 1, 5])
+@pytest.mark.parametrize("labelled", [False, True], ids=["complex", "labels"])
+def test_mf_bank_row_tiles_equal_per_lag_einsum_bytes(m_slow, n_max, labelled):
+    # M on and off the row tile (ROW_TILE = 16), against a complex or a label reference
+    rng = np.random.default_rng(100 * m_slow + n_max)
+    n_fast = 33
+    points = constellation("16qam").points
+    labels = rng.integers(0, points.size, (m_slow, n_fast), dtype=np.uint8)
+    x = points.take(labels)
+    ref = LabelFrame(labels, points) if labelled else x
+    y = rng.standard_normal((m_slow, n_fast + n_max)) \
+        + 1j * rng.standard_normal((m_slow, n_fast + n_max))
+    got, want = mf_bank(y, ref, n_max), _einsum_mf(y, x, n_max)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------- sc map
