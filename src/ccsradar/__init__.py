@@ -24,7 +24,7 @@ from .detection import RocCurves, make_eta_grid, summarize_map, threshold_sweep
 from .experiments import (run_interleaver_study, run_near_far, run_pslr_sweep,
                           run_suppression_sweep, run_tail_bound_check)
 from .modulation import (Constellation, LabelFrame, constellation, generate_ccs_blocks,
-                         generate_ccs_labels, map_bits, product_bound_b, ratio_bound_b)
+                         map_bits, product_bound_b, ratio_bound_b)
 from .receiver import (RangeDopplerMap, fmcw_range_doppler, mf_bank,
                        ofdm_range_doppler, sc_range_doppler)
 from .scene import (Path, TargetScene, apply_channel_ofdm, apply_channel_sc, awgn,

@@ -35,6 +35,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
+        if config.kind not in ("", args.command):
+            raise ConfigError(f"[experiment] kind = {config.kind} is for the "
+                              f"{config.kind} command, not {args.command}")
         overrides = {"kind": args.command}
         if args.seed is not None:
             overrides["seed"] = args.seed

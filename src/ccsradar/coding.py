@@ -67,14 +67,6 @@ class CodeConfig:
 # ---------------------------------------------------------------------------
 # repetition
 
-def encode_repetition(msg: np.ndarray, gamma: int) -> np.ndarray:
-    """gamma concatenated copies of the message."""
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    msg = np.asarray(msg, dtype=np.uint8)
-    return np.concatenate([msg] * gamma, axis=-1)
-
-
 def repetition_bit_correlation(i: int, j: int, n_msg_bits: int, gamma: int,
                                interleaved: bool) -> float:
     """Correlation of codeword bits i and j (as +-1 symbols) for a repetition code.
@@ -229,36 +221,27 @@ def parity_check_matrix(config: CodeConfig) -> np.ndarray:
     return h_sys
 
 
-def encode_ldpc(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
-    """Systematic codeword [msg | parity] with H @ c = 0."""
-    if config.kind != "ldpc":
-        raise ValueError("config is not an ldpc code")
-    msg = np.asarray(msg, dtype=np.uint8)
-    if msg.shape[-1] != config.n_msg_bits:
-        raise ValueError("message length mismatch")
-    support = _ldpc_tables(config.n_code_bits, config.n_msg_bits, config.construction_seed)
-    # parity bit r is the XOR of the message bits in column r of the support
-    parity = np.take(msg, support[0], axis=-1)
-    for cols in support[1:]:
-        parity ^= np.take(msg, cols, axis=-1)
-    return np.concatenate([msg, parity], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
 def encode(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
-    """Systematic encoding for any configured code; batch shape (..., n_msg_bits)."""
+    """Systematic encoding for any configured code; batch shape (..., n_msg_bits).
+    Repetition sends gamma copies; ldpc [msg | parity] has parity_check_matrix @ c = 0."""
     msg = np.asarray(msg, dtype=np.uint8)
     if msg.shape[-1] != config.n_msg_bits:
         raise ValueError("message length mismatch")
     if config.kind == "uncoded":
         return msg.copy()
     if config.kind == "repetition":
-        return encode_repetition(msg, config.gamma)
+        return np.concatenate([msg] * config.gamma, axis=-1)
     if config.kind == "polar":
         return _encode_polar_systematic(msg, config)
-    return encode_ldpc(msg, config)
+    support = _ldpc_tables(config.n_code_bits, config.n_msg_bits, config.construction_seed)
+    # parity bit r is the XOR of the message bits in column r of the support
+    parity = np.take(msg, support[0], axis=-1)
+    for cols in support[1:]:
+        parity ^= np.take(msg, cols, axis=-1)
+    return np.concatenate([msg, parity], axis=-1)
 
 
 def interleave_codeword(codeword: np.ndarray, config: CodeConfig) -> np.ndarray:

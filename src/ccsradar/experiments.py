@@ -23,10 +23,8 @@ from .coding import CodeConfig, encode
 from .config import ExperimentConfig, ResultTable, result_meta
 from .correlation import autocorr, crosscorr, idft_ratio, pslr, suppression_metric
 from .detection import RocCurves, grid_pd_gap, summarize_map, threshold_sweep
-# the near-far trial draws label frames; generate_ccs_blocks stays imported
-# because bench/tracer.py wraps experiments.generate_ccs_blocks
-from .modulation import (constellation, generate_ccs_blocks,  # noqa: F401
-                         generate_ccs_labels, map_bits, product_bound_b, ratio_bound_b)
+from .modulation import (constellation, generate_ccs_blocks, map_bits, product_bound_b,
+                         ratio_bound_b)
 from .receiver import fmcw_range_doppler, mf_bank, ofdm_range_doppler, sc_range_doppler
 from .scene import (apply_channel_ofdm, apply_channel_sc, row_tiles, synth_frame,
                     write_frame_bin)
@@ -330,7 +328,7 @@ def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray):
         iseed = int(substream(seed, _D_NF_PERM, t, j).integers(2 ** 62))
         cfg = config.code_config(config.nearfar_code_kind(), num, den, n, mod,
                                  interleaver_seed=iseed)
-        frames.append(generate_ccs_labels(n, cfg, const, m_slow,
+        frames.append(generate_ccs_blocks(n, cfg, const, m_slow,
                                           substream(seed, _D_NF_MSG, t, j)))
     s1 = frames[0]
     scene_i = config.scene(with_interference=True)

@@ -134,27 +134,15 @@ def ratio_bound_b(num_const: Constellation, den_const: Constellation) -> float:
     return float(np.max(np.abs(num_const.points)) / np.min(np.abs(den_const.points)))
 
 
-def _check_sizes(n_symbols: int, code: CodeConfig, const: Constellation) -> None:
-    if code.n_code_bits != n_symbols * const.bits_per_symbol:
-        raise ValueError(
-            f"code length {code.n_code_bits} != {n_symbols} symbols x "
-            f"{const.bits_per_symbol} bits")
-
-
-def generate_ccs_labels(n_symbols: int, code: CodeConfig, const: Constellation,
-                        n_blocks: int, rng) -> LabelFrame:
-    """generate_ccs_blocks as a LabelFrame: same draws, labels instead of symbols."""
-    _check_sizes(n_symbols, code, const)
-    gen = as_rng(rng)
-    msgs = random_bits(gen, (n_blocks, code.n_msg_bits))
-    words = gray_labels(interleave_codeword(encode(msgs, code), code), const)
-    return LabelFrame(words.astype(np.uint8), const.points)
-
-
 def generate_ccs_blocks(n_symbols: int, code: CodeConfig, const: Constellation,
-                        n_blocks: int, rng) -> np.ndarray:
-    """Batch of i.i.d.-message blocks as an (n_blocks, n_symbols) symbol array.
+                        n_blocks: int, rng) -> LabelFrame:
+    """Batch of i.i.d.-message blocks as an (n_blocks, n_symbols) LabelFrame.
 
     All blocks share the configured interleaver draw; messages are independent.
     """
-    return np.asarray(generate_ccs_labels(n_symbols, code, const, n_blocks, rng))
+    if code.n_code_bits != n_symbols * const.bits_per_symbol:
+        raise ValueError(f"code length {code.n_code_bits} != {n_symbols} symbols x "
+                         f"{const.bits_per_symbol} bits")
+    msgs = random_bits(as_rng(rng), (n_blocks, code.n_msg_bits))
+    words = gray_labels(interleave_codeword(encode(msgs, code), code), const)
+    return LabelFrame(words.astype(np.uint8), const.points)

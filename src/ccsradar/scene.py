@@ -77,29 +77,28 @@ def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
         raise ValueError("noise variance must be nonnegative")
     if noise_var == 0:
         return np.array(x, copy=True)
-    out = np.empty(x.shape, dtype=np.result_type(x.dtype, np.complex128))
-    return _add_noise(x, noise_var, rng, out)
+    y = np.array(x, dtype=np.result_type(x.dtype, np.complex128), order="C")
+    return _add_noise(y, noise_var, rng)
 
 
-def _add_noise(x: np.ndarray, noise_var: float, rng, out: np.ndarray) -> np.ndarray:
-    """Write x plus noise into out (which may be x itself); returns out.
+def _add_noise(y: np.ndarray, noise_var: float, rng) -> np.ndarray:
+    """Add noise into the C-ordered complex array y in place; returns y.
 
-    Same draws and arithmetic as x + sqrt(v/2) * (a + 1j*b), one plane at a
-    time: draw a, scale it, add x.real; then b and x.imag.  Consecutive
+    Same draws and arithmetic as y + sqrt(v/2) * (a + 1j*b), one plane at a
+    time: draw a, scale it, add it to y.real; then b and y.imag.  Consecutive
     row-tile fills of a plane draw what one fill of it would.
     """
     gen = as_rng(rng)
     scale = np.sqrt(noise_var / 2.0)
-    rows_x = x.reshape(1, -1) if x.ndim < 2 else x
-    rows_out = out.reshape(rows_x.shape)
-    draw = np.empty((min(ROW_TILE, len(rows_x)),) + rows_x.shape[1:])
+    rows_y = y.reshape(1, -1) if y.ndim < 2 else y
+    draw = np.empty((min(ROW_TILE, len(rows_y)),) + rows_y.shape[1:])
     for plane in (np.real, np.imag):
-        for rows in row_tiles(len(rows_x)):
+        for rows in row_tiles(len(rows_y)):
             tile = draw[: rows.stop - rows.start]
             gen.standard_normal(out=tile)
             tile *= scale
-            np.add(plane(rows_x[rows]), tile, out=plane(rows_out[rows]))
-    return out
+            np.add(plane(rows_y[rows]), tile, out=plane(rows_y[rows]))
+    return y
 
 
 def _doppler_phase(m_slow: int, doppler_bin: int) -> np.ndarray:
@@ -140,7 +139,7 @@ def apply_channel_sc(frames, scene: TargetScene, rng=None) -> np.ndarray:
             np.multiply(p.gain, mat[rows], out=tile)
             tile *= phase[rows]
             y[rows, p.range_bin:p.range_bin + n_fast] += tile
-    return _add_noise(y, scene.noise_var, rng, y) if scene.noise_var else y
+    return _add_noise(y, scene.noise_var, rng) if scene.noise_var else y
 
 
 def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> np.ndarray:
@@ -165,7 +164,7 @@ def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> np.ndarray:
             tile *= ramp
             tile *= phase[rows]
             y[rows] += tile
-    return _add_noise(y, scene.noise_var, rng, y) if scene.noise_var else y
+    return _add_noise(y, scene.noise_var, rng) if scene.noise_var else y
 
 
 def write_frame_bin(path, samples) -> None:

@@ -16,7 +16,6 @@ from ccsradar import coding
 from ccsradar.coding import (
     CodeConfig,
     encode,
-    encode_repetition,
     interleave_codeword,
     parity_check_matrix,
     polar_info_set,
@@ -116,7 +115,8 @@ def test_polar_info_set_properties():
 
 
 def test_repetition_layout():
-    cw = encode_repetition(_bits(1, 0, 1, 1), 3)
+    code = CodeConfig(kind="repetition", n_code_bits=12, n_msg_bits=4)
+    cw = encode(_bits(1, 0, 1, 1), code)
     assert np.array_equal(cw, np.tile(_bits(1, 0, 1, 1), 3))
 
 

@@ -79,6 +79,9 @@ def test_traced_child_runs(tmp_path, command):
     assert json.loads(proc.stdout.splitlines()[-1])["rc"] == 0
     names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
     assert "cli.main" in names
+    if command == "nearfar":
+        # the trial draws both c.c.s frames through the traced generator
+        assert "modulation.generate_ccs_blocks" in names
 
 
 def _run_script(name, *args):

@@ -18,7 +18,7 @@ import pytest
 from ccsradar import cli, experiments
 from ccsradar.config import load_config
 from ccsradar.detection import summarize_map
-from ccsradar.modulation import generate_ccs_labels
+from ccsradar.modulation import generate_ccs_blocks
 from ccsradar.scene import synth_frame
 
 NEARFAR_128_INI = """\
@@ -153,10 +153,10 @@ def test_nearfar_label_frames_match_complex_frames(tmp_path, monkeypatch, mod):
     assert s1.labels.dtype == np.uint8
 
     def mapped(*args):
-        labelled = generate_ccs_labels(*args)
+        labelled = generate_ccs_blocks(*args)
         return labelled.points.take(labelled.labels)
 
-    monkeypatch.setattr(experiments, "generate_ccs_labels", mapped)
+    monkeypatch.setattr(experiments, "generate_ccs_blocks", mapped)
     s1_complex, want = experiments._near_far_trial(config, 0, frame)
     assert s1_complex.dtype == np.complex128
     assert np.asarray(s1).tobytes() == s1_complex.tobytes()

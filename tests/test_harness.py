@@ -407,6 +407,10 @@ def test_cli_rejects_empty_sidelobe_window(tmp_path, capsys, command, window):
                  "sir_db = -8000 overflows", "0", id="nearfar-sir-db-overflow"),
     pytest.param("nearfar", "n_list = 64\n\n[scene]\nfar_gain_db = 8000",
                  "far_gain_db = 8000 overflows", "0", id="nearfar-far-gain-db-overflow"),
+    # a config written for another command; one with no kind runs under any
+    pytest.param("pslr", "n_list = 256\n\n[experiment]\nkind = nearfar",
+                 "kind = nearfar is for the nearfar command, not pslr", "0",
+                 id="pslr-kind-nearfar"),
 ])
 def test_cli_rejects_bad_block_length_or_rate(tmp_path, capsys, command, signal, message,
                                               seed):

@@ -10,7 +10,6 @@ from ccsradar.modulation import (
     LabelFrame,
     constellation,
     generate_ccs_blocks,
-    generate_ccs_labels,
     map_bits,
     product_bound_b,
     ratio_bound_b,
@@ -158,7 +157,7 @@ def _messages(n_blocks, n_msg, seed):
 def test_block_systematic_prefix_qpsk():
     code = CodeConfig(kind="polar", n_code_bits=512, n_msg_bits=60)
     const = constellation("qpsk")
-    mat = generate_ccs_blocks(256, code, const, 3, np.random.default_rng(21))
+    mat = np.asarray(generate_ccs_blocks(256, code, const, 3, np.random.default_rng(21)))
     assert mat.shape == (3, 256)
     assert np.array_equal(mat[:, :30], map_bits(_messages(3, 60, 21), const))
 
@@ -168,7 +167,7 @@ def test_block_systematic_prefix_fractional_symbols():
     # 170.625 symbols, so exactly 170 whole symbols are pure message
     code = CodeConfig(kind="polar", n_code_bits=2048, n_msg_bits=1365)
     const = constellation("256qam")
-    mat = generate_ccs_blocks(256, code, const, 2, np.random.default_rng(22))
+    mat = np.asarray(generate_ccs_blocks(256, code, const, 2, np.random.default_rng(22)))
     want = map_bits(_messages(2, 1365, 22)[:, : 170 * 8], const)
     assert np.array_equal(mat[:, :170], want)
 
@@ -178,24 +177,22 @@ def test_label_route_maps_to_the_symbol_blocks(name):
     const = constellation(name)
     m = const.bits_per_symbol
     code = CodeConfig(kind="polar", n_code_bits=64 * m, n_msg_bits=16 * m)
-    frame = generate_ccs_labels(64, code, const, 20, np.random.default_rng(9))
-    blocks = generate_ccs_blocks(64, code, const, 20, np.random.default_rng(9))
+    frame = generate_ccs_blocks(64, code, const, 20, np.random.default_rng(9))
     # the symbol route the labels replaced: map_bits of the interleaved codewords
     msgs = random_bits(np.random.default_rng(9), (20, code.n_msg_bits))
     want = map_bits(interleave_codeword(encode(msgs, code), code), const)
-    assert blocks.tobytes() == want.tobytes()
-    assert isinstance(frame, LabelFrame) and frame.shape == blocks.shape
+    assert np.asarray(frame).tobytes() == want.tobytes()
+    assert isinstance(frame, LabelFrame) and frame.shape == want.shape
     assert frame.labels.dtype == np.uint8 and frame.labels.max() < const.points.size
-    assert const.points.take(frame.labels).tobytes() == blocks.tobytes()
-    assert np.asarray(frame).tobytes() == blocks.tobytes()
-    assert frame[5:12].tobytes() == blocks[5:12].tobytes()
+    assert const.points.take(frame.labels).tobytes() == want.tobytes()
+    assert frame[5:12].tobytes() == want[5:12].tobytes()
 
 
 def test_block_generation_is_reproducible():
     code = CodeConfig(kind="ldpc", n_code_bits=128, n_msg_bits=32)
     const = constellation("qpsk")
-    a = generate_ccs_blocks(64, code, const, 4, np.random.default_rng(77))
-    b = generate_ccs_blocks(64, code, const, 4, np.random.default_rng(77))
+    a = np.asarray(generate_ccs_blocks(64, code, const, 4, np.random.default_rng(77)))
+    b = np.asarray(generate_ccs_blocks(64, code, const, 4, np.random.default_rng(77)))
     assert np.array_equal(a, b)
     assert not np.array_equal(a[0], a[1])  # messages differ between blocks
 
@@ -209,7 +206,7 @@ def test_block_size_mismatch_raises():
 def test_blocks_batch_matches_marginals():
     code = CodeConfig(kind="polar", n_code_bits=128, n_msg_bits=16)
     const = constellation("qpsk")
-    mat = generate_ccs_blocks(64, code, const, 12, np.random.default_rng(5))
+    mat = np.asarray(generate_ccs_blocks(64, code, const, 12, np.random.default_rng(5)))
     assert mat.shape == (12, 64)
     assert np.all(np.abs(np.abs(mat) - 1.0) < 1e-12)
 
@@ -217,7 +214,7 @@ def test_blocks_batch_matches_marginals():
 def test_uncoded_symbols_are_uniform():
     code = CodeConfig(kind="uncoded", n_code_bits=128, n_msg_bits=128)
     const = constellation("qpsk")
-    mat = generate_ccs_blocks(64, code, const, 2000, np.random.default_rng(8))
+    mat = np.asarray(generate_ccs_blocks(64, code, const, 2000, np.random.default_rng(8)))
     _, counts = np.unique(np.round(mat.ravel(), 6), return_counts=True)
     assert counts.size == 4
     expect = mat.size / 4
@@ -257,11 +254,13 @@ def test_interleaved_symbol_covariance_vanishes(n_symbols):
                                         ("polar", 20), ("ldpc", 40)])
 def test_blocks_batch_is_c_contiguous(kind, n_msg, interleave):
     # both block generators return C order: the sweep one with or without its
-    # per-row parity permutation, the near-far one (always interleaved)
+    # per-row parity permutation, the near-far one (always interleaved) in the
+    # labels its LabelFrame holds
     code = CodeConfig(kind=kind, n_code_bits=64, n_msg_bits=n_msg)
     const = constellation("qpsk")
     batches = [_symbol_batch(code, const, 16, np.random.default_rng(2), interleave)]
     if interleave:
-        batches.append(generate_ccs_blocks(32, code, const, 16, np.random.default_rng(2)))
+        frame = generate_ccs_blocks(32, code, const, 16, np.random.default_rng(2))
+        batches.append(frame.labels)
     for syms in batches:
         assert syms.shape == (16, 32) and syms.flags.c_contiguous

@@ -30,8 +30,8 @@ from ccsradar.scene import (
 def _blocks(m_slow, n_fast, seed=0, name="qpsk"):
     m = constellation(name).bits_per_symbol
     code = CodeConfig(kind="uncoded", n_code_bits=n_fast * m, n_msg_bits=n_fast * m)
-    return generate_ccs_blocks(n_fast, code, constellation(name), m_slow,
-                               np.random.default_rng(seed))
+    return np.asarray(generate_ccs_blocks(n_fast, code, constellation(name), m_slow,
+                                          np.random.default_rng(seed)))
 
 
 def _scene(targets, interference=(), noise_var=0.0, n_max=8):

@@ -25,8 +25,8 @@ from ccsradar.scene import (
 def _blocks(m_slow, n_fast, seed=0, name="qpsk"):
     code = CodeConfig(kind="uncoded", n_code_bits=n_fast * constellation(name).bits_per_symbol,
                       n_msg_bits=n_fast * constellation(name).bits_per_symbol)
-    return generate_ccs_blocks(n_fast, code, constellation(name), m_slow,
-                               np.random.default_rng(seed))
+    return np.asarray(generate_ccs_blocks(n_fast, code, constellation(name), m_slow,
+                                          np.random.default_rng(seed)))
 
 
 def _scene(targets, interference=(), noise_var=0.0, n_max=8):
