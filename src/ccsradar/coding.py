@@ -160,6 +160,22 @@ def polar_info_set(n_code_bits: int, n_msg_bits: int) -> tuple[int, ...]:
     return tuple(int(v) for v in info)
 
 
+@lru_cache(maxsize=32)
+def _polar_tables(n_code_bits: int, n_msg_bits: int):
+    """(slot, info_mask, order) of the systematic polar encoder: the message bit
+    each input position gathers (0 for frozen ones), the packed info-set mask and
+    the output order listing the info positions first."""
+    info = np.array(polar_info_set(n_code_bits, n_msg_bits))
+    member = np.zeros(n_code_bits, dtype=bool)
+    member[info] = True
+    slot = np.zeros(n_code_bits, dtype=np.intp)
+    slot[info] = np.arange(info.size)
+    tables = slot, _pack_bits(member), np.concatenate([info, np.flatnonzero(~member)])
+    for table in tables:  # shared by every later call
+        table.flags.writeable = False
+    return tables
+
+
 def _encode_polar_systematic(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
     # Two transforms with a mask in between give the codeword x with
     # x[info] = msg and frozen transform-domain inputs zero; subset closure of
@@ -168,18 +184,12 @@ def _encode_polar_systematic(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
     # frozen slots, which the first mask clears.  The systematic form then
     # lists the info positions first (np.take keeps it C-ordered).
     n = config.n_code_bits
-    info = np.array(polar_info_set(n, config.n_msg_bits))
-    member = np.zeros(n, dtype=bool)
-    member[info] = True
-    slot = np.zeros(n, dtype=np.intp)
-    slot[info] = np.arange(info.size)
-    info_mask = _pack_bits(member)
+    slot, info_mask, order = _polar_tables(n, config.n_msg_bits)
     words = _pack_bits(np.take(msg, slot, axis=-1))
     words &= info_mask
     _polar_transform_words(words, n)
     words &= info_mask
     _polar_transform_words(words, n)
-    order = np.concatenate([info, np.flatnonzero(~member)])
     return np.take(_unpack_bits(words, n), order, axis=-1)
 
 

@@ -65,15 +65,22 @@ def _permute_rows(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng,
-                  interleaved: bool = True) -> np.ndarray:
-    """(n_blocks, N) symbol matrix with a fresh message and parity permutation per row."""
-    msgs = random_bits(rng, (n_blocks, cfg.n_msg_bits))
-    cw = encode(msgs, cfg)  # a fresh array for every code: permuted in place
+def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng, interleaved: bool = True,
+                  tile_rows: int | None = None):
+    """The (rows, N) symbol tiles of an n_blocks-row batch, tile_rows rows each
+    (one tile by default), with a fresh message and parity permutation per row.
+
+    All messages are drawn before the first tile's parity keys, and each float64
+    key takes one 64-bit output, so any tiling yields the rows of one whole-batch
+    tile byte for byte and leaves rng in the same state.
+    """
     k = cfg.n_msg_bits
-    if interleaved and cfg.n_code_bits > k:
-        cw[:, k:] = _permute_rows(cw[:, k:], rng.random((n_blocks, cfg.n_code_bits - k)))
-    return map_bits(cw, const)
+    msgs = random_bits(rng, (n_blocks, k))
+    for rows in row_tiles(n_blocks, tile_rows or n_blocks):
+        cw = encode(msgs[rows], cfg)  # a fresh array for every code: permuted in place
+        if interleaved and cfg.n_code_bits > k:
+            cw[:, k:] = _permute_rows(cw[:, k:], rng.random((len(cw), cfg.n_code_bits - k)))
+        yield map_bits(cw, const)
 
 
 def _curve_combos(config: ExperimentConfig):
@@ -126,8 +133,9 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
 
     For each curve point and each (interleaved, keys) entry of runs(code),
     draws one symbol stream per key from substream(seed, domain, ci, ri, ni,
-    *key) in _CHUNK-row batches and applies stat to each batch max(1,
-    _TILE_POINTS // N) rows at a time.  Yields (head, const, k_sym,
+    *key) in _CHUNK-row batches.  Each batch's symbols are generated and read
+    max(1, _TILE_POINTS // N) rows at a time: stat takes one tile of every
+    stream, so no whole complex batch is held.  Yields (head, const, k_sym,
     interleaved, values): head = (code, rate, modulation, n) leads every row,
     values holds stat's per-trial statistics over all trials.
     """
@@ -142,12 +150,12 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
             head = (code, _rate_label(num, den), mod, n)
             for interleaved, keys in runs(code):
                 rngs = [substream(seed, domain, ci, ri, ni, *key) for key in keys]
-                batches = []  # syms outlives its batch: freeing it early cost ~10 MiB peak RSS
+                batches = []
                 for start in range(0, trials, _CHUNK):
                     m = min(_CHUNK, trials - start)
-                    syms = [_symbol_batch(cfg, const, m, rng, interleaved) for rng in rngs]
-                    batches += [stat(*(s[rows] for s in syms))
-                                for rows in row_tiles(m, max(1, _TILE_POINTS // n))]
+                    tiles = [_symbol_batch(cfg, const, m, rng, interleaved,
+                                           max(1, _TILE_POINTS // n)) for rng in rngs]
+                    batches += [stat(*syms) for syms in zip(*tiles)]
                 values = [np.concatenate(v) for v in zip(*batches)]
                 yield head, const, _k_symbols(cfg, const), interleaved, values
 
@@ -234,9 +242,10 @@ def _bound_statistics(cfg: CodeConfig, const, n: int, trials: int, seed: int,
     kernel = np.exp(2j * np.pi * np.arange(n) / n)
     for ci, start in enumerate(range(0, trials, _CHUNK)):
         m = min(_CHUNK, trials - start)
-        s = _symbol_batch(cfg, const, m, substream(seed, *key, 0, ci))
-        s_i = _symbol_batch(cfg, const, m, substream(seed, *key, 1, ci))
-        s_q = _symbol_batch(cfg, const, m, substream(seed, *key, 2, ci))
+        # one stream at a time, so each replaces its last batch before the next is drawn
+        s = next(_symbol_batch(cfg, const, m, substream(seed, *key, 0, ci)))
+        s_i = next(_symbol_batch(cfg, const, m, substream(seed, *key, 1, ci)))
+        s_q = next(_symbol_batch(cfg, const, m, substream(seed, *key, 2, ci)))
         chi.append(np.einsum("tn,tn->t", s[:, 1:], np.conj(s[:, :-1])) / n)
         rho.append(np.einsum("tn,tn->t", s_q, np.conj(s_i)) / n)
         v1.append((s_q / s_i) @ kernel / n)

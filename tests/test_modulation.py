@@ -258,7 +258,7 @@ def test_blocks_batch_is_c_contiguous(kind, n_msg, interleave):
     # labels its LabelFrame holds
     code = CodeConfig(kind=kind, n_code_bits=64, n_msg_bits=n_msg)
     const = constellation("qpsk")
-    batches = [_symbol_batch(code, const, 16, np.random.default_rng(2), interleave)]
+    batches = list(_symbol_batch(code, const, 16, np.random.default_rng(2), interleave))
     if interleave:
         frame = generate_ccs_blocks(32, code, const, 16, np.random.default_rng(2))
         batches.append(frame.labels)

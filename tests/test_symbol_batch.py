@@ -1,14 +1,16 @@
-"""The per-block parity permutation of the sweep and bound drivers.
+"""The per-block parity permutation and the symbol tiles of the sweep and bound drivers.
 
 experiments._permute_rows sorts each parity bit under its scaled random key as
 one uint32 word; the tests here hold it, and _symbol_batch through it, to the
-argsort of those keys, exact ties and keys equal in their top 31 bits included.
+argsort of those keys, exact ties and keys equal in their top 31 bits included,
+and hold every row tiling of a _symbol_batch batch to its one-tile batch.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccsradar import experiments
 from ccsradar.coding import CodeConfig, encode
 from ccsradar.experiments import _permute_rows, _symbol_batch
 from ccsradar.modulation import constellation, map_bits
@@ -93,7 +95,48 @@ def _oracle_batch(cfg, const, rows, rng, interleaved):
 def test_symbol_batch_matches_argsort_oracle(kind, n_msg, interleaved, rows, make_rng):
     cfg = CodeConfig(kind=kind, n_code_bits=128, n_msg_bits=n_msg)
     const = constellation("qpsk")
-    got = _symbol_batch(cfg, const, rows, make_rng(11), interleaved)
+    got, = _symbol_batch(cfg, const, rows, make_rng(11), interleaved)
     want = _oracle_batch(cfg, const, rows, make_rng(11), interleaved)
     assert got.shape == (rows, 64) and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
+
+
+class _CoarseKeys:
+    """A Generator whose random() rounds every key down to a multiple of 1/8.
+
+    The rounding acts key by key, so any row tiling of the draws gives the keys
+    of one whole-batch draw, and every parity row of more than eight bits holds
+    tied keys and takes the _permute_rows argsort fallback."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, shape):
+        return np.floor(self._rng.random(shape) * 8.0) / 8.0
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, _CoarseKeys],
+                         ids=["generator", "tied_keys"])
+@pytest.mark.parametrize("tile_rows", ["one", "sweep", "uneven"])
+@pytest.mark.parametrize("interleaved", [True, False])
+@pytest.mark.parametrize("kind,n_msg", [("uncoded", 1024), ("repetition", 256),
+                                        ("polar", 400), ("ldpc", 600)])
+def test_symbol_tiles_equal_the_batch(kind, n_msg, interleaved, tile_rows, make_rng):
+    # a 256-row sweep batch at N = 512: the sweep's own tiles are 128 rows,
+    # 74-row tiles leave a 34-row one
+    cfg = CodeConfig(kind=kind, n_code_bits=1024, n_msg_bits=n_msg)
+    const = constellation("qpsk")
+    m, n = experiments._CHUNK, 512
+    rows = {"one": 1, "sweep": max(1, experiments._TILE_POINTS // n), "uneven": 74}[tile_rows]
+    tiled_rng, batch_rng = make_rng(5), make_rng(5)
+    tiles = list(_symbol_batch(cfg, const, m, tiled_rng, interleaved, rows))
+    batch, = _symbol_batch(cfg, const, m, batch_rng, interleaved)
+    assert [len(t) for t in tiles] == [min(rows, m - i) for i in range(0, m, rows)]
+    assert all(t.shape[1] == n and t.flags.c_contiguous for t in tiles)
+    assert np.concatenate(tiles).tobytes() == batch.tobytes()
+    # the stream itself, not only the rows compared: both routes drew the same outputs
+    assert tiled_rng.bit_generator.state == batch_rng.bit_generator.state
