@@ -10,10 +10,8 @@ drivers with a CSV-emitting CLI.
 
 __version__ = "0.1.0"
 
-from .bounds import (EmpiricalTail, TailBoundSpec, autocorr_tail_lb,
-                     autocorr_tail_ub, crosscorr_tail_ub, empirical_tail,
-                     median_pslr_from_bound, median_suppression_from_bound,
-                     ofdm_tail_ub)
+from .bounds import (autocorr_tail_lb, autocorr_tail_ub, crosscorr_tail_ub, empirical_tail,
+                     median_pslr_from_bound, median_suppression_from_bound, ofdm_tail_ub)
 from .coding import (CODE_KINDS, CodeConfig, encode, interleave_codeword,
                      parity_check_matrix, polar_info_set,
                      repetition_bit_correlation)

@@ -1,88 +1,55 @@
 """Analytic tail bounds on correlation statistics of coded blocks.
 
-Upper bounds are Hoeffding-style over groups of symbols that share no message
-bits; with K message symbols per block the group count and size enter through
-the TailBoundSpec fields below.  Lower bounds come from the all-zero-message
-event.
-Probabilities that underflow double precision are reported as 0.0.
+Every upper bound is Hoeffding's (1963) over K groups of M symbols that share
+no message bits, two-sided on the real or imaginary part X of the statistic:
 
-Exceedance is always two-sided: P(|X| > u) for the real or imaginary part of
-the statistic under test.
+    P(|X| > u) <= min(1, 2 exp(-c u^2)),  c = N^2 / (2 b^2 M^2 K),
+
+with N the block length in symbols and b the symbol product (or ratio) bound.
+The statistics differ only in their group structure (K, M):
+
+- autocorrelation chi(l), 1 <= l <= K - 1: K - l groups of M_l = ceil((N - l) / (K - l));
+- cross-correlation rho(l), 0 <= l < N: K~ = max(K_i - l, K_q) groups of
+  M~_l = ceil((N - l) / K~);
+- OFDM ratio kernel V: K0 = min(K_i, K_q) groups of M0 = ceil(N / K0).
+
+K, K_i and K_q count message symbols and may be fractional.  The lower bound
+2^(-m_s K) is the all-zero-message event.  Probabilities that underflow double
+precision are reported as 0.0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class TailBoundSpec:
-    """Parameters shared by the bound evaluators.
-
-    N is the block length in symbols, lag the correlation lag l, b the symbol
-    product (or ratio) bound.  Autocorrelation bounds use K and m_s; cross and
-    OFDM bounds use the per-signal message symbol counts K_i and K_q.  Message
-    symbol counts may be fractional (bit counts stay integral).
-    """
-
-    N: int
-    lag: int = 1
-    b: float = 1.0
-    K: float | None = None
-    m_s: int | None = None
-    K_i: float | None = None
-    K_q: float | None = None
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("need at least two symbols")
-        if self.b <= 0:
-            raise ValueError("b must be positive")
-        if not 0 <= self.lag < self.N:
-            raise ValueError("lag out of range")
-
-    # -- autocorrelation (group count K - l, group size M_l)
-    @property
-    def M_l(self) -> int:
-        self._need_auto()
-        return math.ceil((self.N - self.lag) / (self.K - self.lag))
-
-    # -- cross-correlation (group count K_tilde, group size M_tilde_l)
-    @property
-    def K_tilde(self) -> float:
-        self._need_pair()
-        return max(self.K_i - self.lag, self.K_q)
-
-    @property
-    def M_tilde_l(self) -> int:
-        return math.ceil((self.N - self.lag) / self.K_tilde)
-
-    # -- OFDM ratio (group count K0, group size M0)
-    @property
-    def K0(self) -> float:
-        self._need_pair()
-        return min(self.K_i, self.K_q)
-
-    @property
-    def M0(self) -> int:
-        return math.ceil(self.N / self.K0)
-
-    def _need_auto(self):
-        if self.K is None:
-            raise ValueError("autocorrelation bound needs K")
-        if self.lag < 1 or self.K - self.lag < 1:
-            raise ValueError("autocorrelation bound needs 1 <= lag <= K - 1")
-
-    def _need_pair(self):
-        if self.K_i is None or self.K_q is None:
-            raise ValueError("pair bound needs K_i and K_q")
+def _hoeffding_c(n: int, b: float, k: float, m: int) -> float:
+    """c of the Hoeffding tail 2 exp(-c u^2) over k groups of m symbols."""
+    if n < 2:
+        raise ValueError("need at least two symbols")
+    if b <= 0:
+        raise ValueError("b must be positive")
+    return n ** 2 / (2.0 * b ** 2 * m ** 2 * k)
 
 
-def _clip_ub(exponent: np.ndarray) -> np.ndarray:
-    return np.minimum(1.0, 2.0 * np.exp(exponent))
+def _auto_c(n: int, lag: int, b: float, k: float) -> float:
+    if not (1 <= lag <= k - 1 and lag < n):
+        raise ValueError("autocorrelation bound needs 1 <= lag <= K - 1 and lag < N")
+    return _hoeffding_c(n, b, k - lag, math.ceil((n - lag) / (k - lag)))
+
+
+def _cross_c(n: int, lag: int, b: float, k_i: float, k_q: float) -> float:
+    if not 0 <= lag < n:
+        raise ValueError("lag out of range")
+    k_tilde = max(k_i - lag, k_q)
+    return _hoeffding_c(n, b, k_tilde, math.ceil((n - lag) / k_tilde))
+
+
+def _ofdm_c(n: int, b: float, k_i: float, k_q: float) -> float:
+    k0 = min(k_i, k_q)
+    return _hoeffding_c(n, b, k0, math.ceil(n / k0))
 
 
 def _as_u(u) -> np.ndarray:
@@ -92,53 +59,28 @@ def _as_u(u) -> np.ndarray:
     return u
 
 
-def _hoeffding_c(spec: TailBoundSpec, kind: str) -> float:
-    """c = N^2 / (2 b^2 M^2 K) of the Hoeffding tail 2 exp(-c u^2), for the K
-    groups of M symbols of the "auto", "cross" or "ofdm" statistic."""
-    if kind == "auto":
-        m, k = spec.M_l, spec.K - spec.lag
-    elif kind == "cross":
-        m, k = spec.M_tilde_l, spec.K_tilde
-    elif kind == "ofdm":
-        m, k = spec.M0, spec.K0
-    else:
-        raise ValueError(f"unknown correlation statistic {kind!r}")
-    return spec.N ** 2 / (2.0 * spec.b ** 2 * m ** 2 * k)
+def _hoeffding_tail(c: float, u) -> np.ndarray:
+    return np.minimum(1.0, 2.0 * np.exp(-c * _as_u(u) ** 2))
 
 
-def autocorr_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:
+def autocorr_tail_ub(u, *, n: int, lag: int, b: float, k: float) -> np.ndarray:
     """P(|Re chi(l)| > u) <= min(1, 2 exp(-N^2 u^2 / (2 b^2 M_l^2 (K - l))))."""
-    spec._need_auto()
-    u = _as_u(u)
-    return _clip_ub(-_hoeffding_c(spec, "auto") * u ** 2)
+    return _hoeffding_tail(_auto_c(n, lag, b, k), u)
 
 
-def autocorr_tail_lb(spec: TailBoundSpec) -> float:
+def autocorr_tail_lb(*, k: float, m_s: int) -> float:
     """All-zero-message floor 2^(-m_s K); 0.0 when it underflows."""
-    if spec.K is None or spec.m_s is None:
-        raise ValueError("lower bound needs K and m_s")
-    return 2.0 ** (-float(spec.m_s) * float(spec.K))
+    return 2.0 ** (-float(m_s) * float(k))
 
 
-def crosscorr_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:
-    """Cross-correlation analogue with group count K_tilde, size M_tilde_l."""
-    u = _as_u(u)
-    return _clip_ub(-_hoeffding_c(spec, "cross") * u ** 2)
+def crosscorr_tail_ub(u, *, n: int, lag: int, b: float, k_i: float, k_q: float) -> np.ndarray:
+    """Cross-correlation analogue with group count K~, size M~_l."""
+    return _hoeffding_tail(_cross_c(n, lag, b, k_i, k_q), u)
 
 
-def ofdm_tail_ub(spec: TailBoundSpec, u) -> np.ndarray:
+def ofdm_tail_ub(u, *, n: int, b: float, k_i: float, k_q: float) -> np.ndarray:
     """Tail bound for the ratio kernel V with group count K0, size M0."""
-    u = _as_u(u)
-    return _clip_ub(-_hoeffding_c(spec, "ofdm") * u ** 2)
-
-
-@dataclass(frozen=True)
-class EmpiricalTail:
-    """Monte Carlo exceedance curve with a Wilson score interval per point."""
-
-    p: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    return _hoeffding_tail(_ofdm_c(n, b, k_i, k_q), u)
 
 
 def wilson_interval(p, n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
@@ -149,14 +91,14 @@ def wilson_interval(p, n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
 
 
-def empirical_tail(samples, u_grid, z: float = 1.96) -> EmpiricalTail:
-    """Empirical P(|sample| > u) over a u grid, with Wilson z-score intervals."""
+def empirical_tail(samples, u_grid, z: float = 1.96) -> tuple:
+    """Empirical P(|sample| > u) on a u grid as (p, lo, hi), (lo, hi) its Wilson interval."""
     samples = np.abs(np.asarray(samples, dtype=float).ravel())
     if samples.size == 0:
         raise ValueError("no samples")
     u = _as_u(u_grid)
     p = (samples[None, :] > u.ravel()[:, None]).mean(axis=1).reshape(u.shape)
-    return EmpiricalTail(p, *wilson_interval(p, samples.size, z))
+    return (p, *wilson_interval(p, samples.size, z))
 
 
 def _median_db(c: float) -> float:
@@ -164,15 +106,15 @@ def _median_db(c: float) -> float:
     return -20.0 * math.log10(math.sqrt(math.log(4.0) / c))
 
 
-def median_pslr_from_bound(spec: TailBoundSpec) -> float:
+def median_pslr_from_bound(*, n: int, lag: int, b: float, k: float) -> float:
     """Bound-implied median PSLR (dB): where the lag-l upper bound is 1/2."""
-    spec._need_auto()
-    return _median_db(_hoeffding_c(spec, "auto"))
+    return _median_db(_auto_c(n, lag, b, k))
 
 
-def median_suppression_from_bound(spec: TailBoundSpec, kind: str = "cross") -> float:
-    """Bound-implied median suppression (dB) for the cross or OFDM statistic."""
-    spec._need_pair()
-    if kind not in ("cross", "ofdm"):
-        raise ValueError(f"unknown suppression statistic {kind!r}")
-    return _median_db(_hoeffding_c(spec, kind))
+def median_suppression_from_bound(kind: str, *, n: int, b: float, k_i: float, k_q: float) -> float:
+    """Bound-implied median suppression (dB) of the lag-0 "cross" or the "ofdm" statistic."""
+    if kind == "cross":
+        return _median_db(_cross_c(n, 0, b, k_i, k_q))
+    if kind == "ofdm":
+        return _median_db(_ofdm_c(n, b, k_i, k_q))
+    raise ValueError(f"unknown suppression statistic {kind!r}")

@@ -17,12 +17,20 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .bounds import (autocorr_tail_ub, crosscorr_tail_ub, median_pslr_from_bound,
+                     ofdm_tail_ub)
 from .coding import CodeConfig
-from .modulation import constellation
+from .modulation import constellation, product_bound_b, ratio_bound_b
 from .scene import Path, TargetScene
 
 DEFAULT_TRIALS = {"pslr": 1000, "suppress": 1000, "interleave": 1000,
                   "bounds": 10000, "nearfar": 100}
+# the codes the bounds driver compares, whatever config.codes lists
+BOUND_CODES = ("uncoded", "polar")
+
+
+def k_symbols(cfg: CodeConfig, const) -> float:
+    return cfg.n_msg_bits / const.bits_per_symbol
 
 
 class ConfigError(ValueError):
@@ -168,6 +176,8 @@ class ExperimentConfig:
         0 < u_min < u_max, and, for the near-far scene, snr_db, sir_db and
         far_gain_db whose linear values stay finite, n_max < n_fast, every range
         and Doppler bin inside [0, n_max] and [1, m_slow], and eta_points >= 2.
+        It evaluates every analytic bound the driver reads (the pslr median, the
+        bounds driver's three upper bounds), so a block too short for one fails here.
         """
         if self.code_seed < 0:
             raise ConfigError(f"code_seed = {self.code_seed} must be nonnegative")
@@ -189,8 +199,9 @@ class ExperimentConfig:
                         f"{name}_doppler_bin = {dbin} outside [1, m_slow = {self.m_slow}]")
             combos = [(self.nearfar_code_kind(), self.rates[0], self.n_fast)]
         elif self.kind == "bounds":
-            self.u_grid()
-            combos = [("polar", self.rates[0], n) for n in self.bounds_n_list]
+            u = self.u_grid()
+            combos = [(code, self.rates[0], n) for code in BOUND_CODES
+                      for n in self.bounds_n_list]
         elif self.kind in ("pslr", "suppress", "interleave"):
             if self.sidelobe_window < 1:
                 raise ConfigError(f"sidelobe_window = {self.sidelobe_window} must be at least 1")
@@ -202,7 +213,15 @@ class ExperimentConfig:
             combos = []
         for code, (num, den, mod), n in combos:
             try:
-                self.code_config(code, num, den, n, mod)
+                cfg = self.code_config(code, num, den, n, mod)
+                const = constellation(mod)
+                k, b = k_symbols(cfg, const), product_bound_b(const)
+                if self.kind == "pslr":
+                    median_pslr_from_bound(n=n, lag=1, b=b, k=k)
+                elif self.kind == "bounds":
+                    autocorr_tail_ub(u, n=n, lag=1, b=b, k=k)
+                    crosscorr_tail_ub(u, n=n, lag=0, b=b, k_i=k, k_q=k)
+                    ofdm_tail_ub(u, n=n, b=ratio_bound_b(const, const), k_i=k, k_q=k)
             except ValueError as exc:  # ConfigError included: it is a ValueError
                 raise ConfigError(f"{code} {num:g}/{den}:{mod} at N = {n}: {exc}") from exc
 

@@ -100,7 +100,6 @@ def threshold_sweep(levels_by_waveform: dict, points: int = 200) -> RocCurves:
     eta = make_eta_grid(levels_by_waveform, points)
     pd, pf, lo, hi = {}, {}, {}, {}
     for wf, rows in levels_by_waveform.items():
-        hits = empirical_tail(rows[:, :-1], eta)
-        pd[wf], lo[wf], hi[wf] = hits.p, hits.lo, hits.hi
-        pf[wf] = empirical_tail(rows[:, -1], eta).p
+        pd[wf], lo[wf], hi[wf] = empirical_tail(rows[:, :-1], eta)
+        pf[wf] = empirical_tail(rows[:, -1], eta)[0]
     return RocCurves(eta=eta, pd=pd, pf=pf, pd_lo=lo, pd_hi=hi)

@@ -16,11 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import random_bits, substream
-from .bounds import (TailBoundSpec, autocorr_tail_lb, autocorr_tail_ub,
-                     crosscorr_tail_ub, empirical_tail, median_pslr_from_bound,
-                     median_suppression_from_bound, ofdm_tail_ub)
+from .bounds import (autocorr_tail_lb, autocorr_tail_ub, crosscorr_tail_ub, empirical_tail,
+                     median_pslr_from_bound, median_suppression_from_bound, ofdm_tail_ub)
 from .coding import CodeConfig, encode
-from .config import ExperimentConfig, ResultTable, result_meta
+from .config import BOUND_CODES, ExperimentConfig, ResultTable, k_symbols, result_meta
 from .correlation import autocorr, crosscorr, idft_ratio, pslr, suppression_metric
 from .detection import RocCurves, grid_pd_gap, summarize_map, threshold_sweep
 from .modulation import (constellation, generate_ccs_blocks, map_bits, product_bound_b,
@@ -106,10 +105,6 @@ def _rate_label(num: float, den: int) -> str:
     return f"{num:g}/{den}"
 
 
-def _k_symbols(cfg: CodeConfig, const) -> float:
-    return cfg.n_msg_bits / const.bits_per_symbol
-
-
 def _skip(code: str, n: int) -> bool:
     return code == "ldpc" and n > LDPC_N_CAP
 
@@ -157,7 +152,7 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
                                            max(1, _TILE_POINTS // n)) for rng in rngs]
                     batches += [stat(*syms) for syms in zip(*tiles)]
                 values = [np.concatenate(v) for v in zip(*batches)]
-                yield head, const, _k_symbols(cfg, const), interleaved, values
+                yield head, const, k_symbols(cfg, const), interleaved, values
 
 
 def run_pslr_sweep(config: ExperimentConfig) -> ResultTable:
@@ -168,11 +163,11 @@ def run_pslr_sweep(config: ExperimentConfig) -> ResultTable:
     for head, const, k_sym, _interleaved, (vals,) in _sweep(
             config, _D_PSLR, _pslr_stat(config.sidelobe_window),
             runs=lambda code: ((True, ((),)),)):
-        spec = TailBoundSpec(N=head[3], lag=1, b=product_bound_b(const), K=k_sym)
         rows.append(head + (trials, float(np.median(vals)),
                             float(np.percentile(vals, 25)),
                             float(np.percentile(vals, 75)),
-                            median_pslr_from_bound(spec)))
+                            median_pslr_from_bound(n=head[3], lag=1,
+                                                   b=product_bound_b(const), k=k_sym)))
     cols = ("code", "rate", "modulation", "n", "trials", "median_pslr_db",
             "p25_db", "p75_db", "bound_median_db")
     return ResultTable(cols, rows, result_meta(config, time.perf_counter() - t0))
@@ -200,9 +195,9 @@ def run_suppression_sweep(config: ExperimentConfig) -> ResultTable:
         for metric, vals, kind, b in (
                 ("sc_cross", vals_cross, "cross", product_bound_b(const)),
                 ("ofdm_kernel", vals_ofdm, "ofdm", ratio_bound_b(const, const))):
-            spec = TailBoundSpec(N=head[3], lag=0, b=b, K_i=k_sym, K_q=k_sym)
             rows.append(head + (trials, metric, float(np.median(vals)),
-                                median_suppression_from_bound(spec, kind)))
+                                median_suppression_from_bound(kind, n=head[3], b=b,
+                                                              k_i=k_sym, k_q=k_sym)))
     cols = ("code", "rate", "modulation", "n", "trials", "metric",
             "median_db", "bound_median_db")
     return ResultTable(cols, rows, result_meta(config, time.perf_counter() - t0))
@@ -232,7 +227,6 @@ def run_interleaver_study(config: ExperimentConfig) -> ResultTable:
 # ---------------------------------------------------------------------------
 # tail bounds
 
-_BOUND_CODES = ("uncoded", "polar")
 _BOUND_STATS = ("chi1", "rho0", "v1")
 
 def _bound_statistics(cfg: CodeConfig, const, n: int, trials: int, seed: int,
@@ -263,12 +257,11 @@ def _lb_witness_rows(u: float = 0.01) -> list:
     const = constellation("bpsk")
     msgs = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8)
     syms = map_bits(encode(msgs, cfg), const)
-    spec = TailBoundSpec(N=8, lag=1, K=4, m_s=1)
     rows = []
     for lag in (1, 2):
         chi = np.einsum("tn,tn->t", syms[:, lag:], np.conj(syms[:, :8 - lag])) / 8
         p_hat = float(np.mean(np.abs(chi.real) > u))
-        lb = autocorr_tail_lb(spec)
+        lb = autocorr_tail_lb(k=4, m_s=1)
         rows.append((f"chi_lb_l{lag}", "re", "repetition", "1/2", "bpsk", 8, 16,
                      u, p_hat, p_hat, p_hat, lb, "lb", int(p_hat >= lb)))
     return rows
@@ -289,28 +282,24 @@ def run_tail_bound_check(config: ExperimentConfig) -> ResultTable:
     const = constellation(mod)
     u = config.u_grid()
     rows = []
-    for ki, kind in enumerate(_BOUND_CODES):
+    for ki, kind in enumerate(BOUND_CODES):
         for ni, n in enumerate(config.bounds_n_list):
             cfg = config.code_config(kind, num, den, n, mod)
             stats = _bound_statistics(cfg, const, n, trials, seed, (_D_BND, ki, ni))
-            k_sym = _k_symbols(cfg, const)
+            k_sym = k_symbols(cfg, const)
             b_prod, b_ratio = product_bound_b(const), ratio_bound_b(const, const)
-            spec_auto = TailBoundSpec(N=n, lag=1, b=b_prod, K=k_sym,
-                                      m_s=const.bits_per_symbol)
-            spec_cross = TailBoundSpec(N=n, lag=0, b=b_prod, K_i=k_sym, K_q=k_sym)
-            spec_ofdm = TailBoundSpec(N=n, lag=0, b=b_ratio, K_i=k_sym, K_q=k_sym)
-            per_stat = zip(_BOUND_STATS, (autocorr_tail_ub(spec_auto, u),
-                                          crosscorr_tail_ub(spec_cross, u),
-                                          ofdm_tail_ub(spec_ofdm, u)))
+            per_stat = zip(_BOUND_STATS, (
+                autocorr_tail_ub(u, n=n, lag=1, b=b_prod, k=k_sym),
+                crosscorr_tail_ub(u, n=n, lag=0, b=b_prod, k_i=k_sym, k_q=k_sym),
+                ofdm_tail_ub(u, n=n, b=b_ratio, k_i=k_sym, k_q=k_sym)))
             rate = _rate_label(1.0, 1) if kind == "uncoded" else _rate_label(num, den)
             for stat, ub in per_stat:
                 for part, samples in (("re", stats[stat].real), ("im", stats[stat].imag)):
-                    tail = empirical_tail(samples, u, z=3.0)
+                    p, lo, hi = empirical_tail(samples, u, z=3.0)
                     for g in range(u.size):
                         rows.append((stat, part, kind, rate, mod, n, trials,
-                                     float(u[g]), float(tail.p[g]), float(tail.lo[g]),
-                                     float(tail.hi[g]), float(ub[g]), "ub",
-                                     int(tail.lo[g] <= ub[g] + 1e-15)))
+                                     float(u[g]), float(p[g]), float(lo[g]), float(hi[g]),
+                                     float(ub[g]), "ub", int(lo[g] <= ub[g] + 1e-15)))
     rows.extend(_lb_witness_rows())
     cols = ("stat", "part", "code", "rate", "modulation", "n", "trials", "u",
             "p_hat", "wilson_lo", "wilson_hi", "bound", "bound_side", "dominated")
@@ -527,7 +516,7 @@ def check_bounds(table: ResultTable, config: ExperimentConfig) -> list:
     ub = [r for r in table.rows if r[side] == "ub"]
     lb = [r for r in table.rows if r[side] == "lb"]
     want = {(stat, part, code, n) for stat in _BOUND_STATS for part in ("re", "im")
-            for code in _BOUND_CODES for n in config.bounds_n_list}
+            for code in BOUND_CODES for n in config.bounds_n_list}
     shape_ok = ({tuple(r[i] for i in key) for r in ub} == want
                 and len(ub) == len(want) * config.u_points)
     n_ub = sum(r[dom] for r in ub)

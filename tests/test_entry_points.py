@@ -59,6 +59,15 @@ TRACED_RUNS = {
 }
 
 
+# command -> the bounds.* spans its driver must record
+BOUND_SPANS = {
+    "bounds": ("bounds.autocorr_tail_ub", "bounds.crosscorr_tail_ub", "bounds.ofdm_tail_ub",
+               "bounds.autocorr_tail_lb", "bounds.empirical_tail"),
+    "pslr": ("bounds.median_pslr_from_bound",),
+    "suppress": ("bounds.median_suppression_from_bound",),
+}
+
+
 @pytest.mark.parametrize("command", sorted(TRACED_RUNS))
 def test_traced_child_runs(tmp_path, command):
     # a wrapper's counter that rejects the call shape the drivers use fails
@@ -82,6 +91,8 @@ def test_traced_child_runs(tmp_path, command):
     if command == "nearfar":
         # the trial draws both c.c.s frames through the traced generator
         assert "modulation.generate_ccs_blocks" in names
+    # the drivers reach every analytic bound through its traced name
+    assert set(BOUND_SPANS.get(command, ())) <= names
 
 
 def _run_script(name, *args):

@@ -407,6 +407,15 @@ def test_cli_rejects_empty_sidelobe_window(tmp_path, capsys, command, window):
                  "sir_db = -8000 overflows", "0", id="nearfar-sir-db-overflow"),
     pytest.param("nearfar", "n_list = 64\n\n[scene]\nfar_gain_db = 8000",
                  "far_gain_db = 8000 overflows", "0", id="nearfar-far-gain-db-overflow"),
+    # a block too short for the analytic bound the driver reads
+    pytest.param("bounds", "rates = 4/1024:qpsk\n\n[bounds]\nn_list = 256",
+                 "polar 4/1024:qpsk at N = 256: autocorrelation bound needs", "0",
+                 id="bounds-one-message-symbol"),
+    pytest.param("bounds", "rates = 1024/1024:qpsk\n\n[bounds]\nn_list = 1, 256",
+                 "at N = 1: autocorrelation bound needs", "0", id="bounds-n1"),
+    pytest.param("pslr", "codes = polar\nrates = 2/1024:qpsk\nn_list = 512",
+                 "polar 2/1024:qpsk at N = 512: autocorrelation bound needs", "0",
+                 id="pslr-polar-one-message-symbol"),
     # a config written for another command; one with no kind runs under any
     pytest.param("pslr", "n_list = 256\n\n[experiment]\nkind = nearfar",
                  "kind = nearfar is for the nearfar command, not pslr", "0",
