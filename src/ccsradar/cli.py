@@ -51,7 +51,10 @@ def main(argv=None) -> int:
             raise ConfigError("trials must be positive")
         config.validate()
         out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         checks = _run(config, out, args.check)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -62,41 +62,42 @@ def _tuple_of(cast):
     return parse
 
 
+def _ini(section: str, default, parse, key: str | None = None):
+    """A field that INI `[section] key` sets through parse; key defaults to the field name."""
+    return field(default=default, metadata={"section": section, "key": key, "parse": parse})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every knob for the five experiment drivers; defaults are the desk scene."""
 
-    kind: str = ""
-    seed: int | None = None
-    trials: int | None = None
-    out_dir: str = "out"
-    # signal
-    n_list: tuple[int, ...] = (256, 512, 1024, 2048, 4096)
-    n_fast: int = 1024
-    m_slow: int = 1024
-    codes: tuple[str, ...] = ("uncoded", "polar", "ldpc")
-    rates: tuple[tuple[float, int, str], ...] = ((120.0, 1024, "qpsk"),
-                                                 (682.5, 1024, "256qam"))
-    code_seed: int = 0
-    sidelobe_window: int = 32
-    # scene
-    n_max: int = 32
-    snr_db: float = 0.0
-    sir_db: float = -11.0
-    far_gain_db: float = -12.0
-    near_range_bin: int = 14
-    near_doppler_bin: int = 516
-    far_range_bin: int = 27
-    far_doppler_bin: int = 518
-    intf_range_bin: int = 29
-    intf_doppler_bin: int = 518
-    # detection
-    eta_points: int = 200
-    # bounds
-    u_min: float = 0.01
-    u_max: float = 0.25
-    u_points: int = 20
-    bounds_n_list: tuple[int, ...] = (256, 1024)
+    kind: str = _ini("experiment", "", str)
+    seed: int | None = _ini("experiment", None, int)
+    trials: int | None = _ini("experiment", None, int)
+    out_dir: str = _ini("experiment", "out", str)
+    n_list: tuple[int, ...] = _ini("signal", (256, 512, 1024, 2048, 4096), _tuple_of(int))
+    n_fast: int = _ini("signal", 1024, int)
+    m_slow: int = _ini("signal", 1024, int)
+    codes: tuple[str, ...] = _ini("signal", ("uncoded", "polar", "ldpc"), _tuple_of(str))
+    rates: tuple[tuple[float, int, str], ...] = _ini(
+        "signal", ((120.0, 1024, "qpsk"), (682.5, 1024, "256qam")), _tuple_of(_parse_rate))
+    code_seed: int = _ini("signal", 0, int)
+    sidelobe_window: int = _ini("signal", 32, int)
+    n_max: int = _ini("scene", 32, int)
+    snr_db: float = _ini("scene", 0.0, _finite)
+    sir_db: float = _ini("scene", -11.0, _finite)
+    far_gain_db: float = _ini("scene", -12.0, _finite)
+    near_range_bin: int = _ini("scene", 14, int)
+    near_doppler_bin: int = _ini("scene", 516, int)
+    far_range_bin: int = _ini("scene", 27, int)
+    far_doppler_bin: int = _ini("scene", 518, int)
+    intf_range_bin: int = _ini("scene", 29, int)
+    intf_doppler_bin: int = _ini("scene", 518, int)
+    eta_points: int = _ini("detection", 200, int)
+    u_min: float = _ini("bounds", 0.01, _finite)
+    u_max: float = _ini("bounds", 0.25, _finite)
+    u_points: int = _ini("bounds", 20, int)
+    bounds_n_list: tuple[int, ...] = _ini("bounds", (256, 1024), _tuple_of(int), key="n_list")
 
     def resolved_trials(self) -> int:
         if self.trials is not None:
@@ -170,12 +171,13 @@ class ExperimentConfig:
 
         Checks every code the experiment builds (known kind and modulation, polar
         lengths a power of two, whole message bit counts, positive rate
-        denominators, rates at most 1, a nonnegative code_seed), for the
-        sidelobe sweeps a sidelobe_window of at least one lag and block lengths
-        N >= 2, for the bounds driver a u grid of u_points >= 2 in
-        0 < u_min < u_max, and, for the near-far scene, snr_db, sir_db and
-        far_gain_db whose linear values stay finite, n_max < n_fast, every range
-        and Doppler bin inside [0, n_max] and [1, m_slow], and eta_points >= 2.
+        denominators, rates at most 1, a nonnegative code_seed), for the sidelobe
+        sweeps a sidelobe_window >= 1, block lengths N >= 2 and distinct n_list,
+        codes and rates entries, for the bounds driver distinct bounds_n_list
+        entries and a u grid of u_points >= 2 in 0 < u_min < u_max, and, for the
+        near-far scene, snr_db, sir_db and far_gain_db whose linear values stay
+        finite, n_max < n_fast, every range and Doppler bin inside [0, n_max] and
+        [1, m_slow], and eta_points >= 2.
         It evaluates every analytic bound the driver reads (the pslr median, the
         bounds driver's three upper bounds), so a block too short for one fails here.
         """
@@ -199,10 +201,12 @@ class ExperimentConfig:
                         f"{name}_doppler_bin = {dbin} outside [1, m_slow = {self.m_slow}]")
             combos = [(self.nearfar_code_kind(), self.rates[0], self.n_fast)]
         elif self.kind == "bounds":
+            self._distinct("bounds_n_list")
             u = self.u_grid()
             combos = [(code, self.rates[0], n) for code in BOUND_CODES
                       for n in self.bounds_n_list]
         elif self.kind in ("pslr", "suppress", "interleave"):
+            self._distinct("n_list", "codes", "rates")
             if self.sidelobe_window < 1:
                 raise ConfigError(f"sidelobe_window = {self.sidelobe_window} must be at least 1")
             if min(self.n_list) < 2:
@@ -224,6 +228,13 @@ class ExperimentConfig:
                     ofdm_tail_ub(u, n=n, b=ratio_bound_b(const, const), k_i=k, k_q=k)
             except ValueError as exc:  # ConfigError included: it is a ValueError
                 raise ConfigError(f"{code} {num:g}/{den}:{mod} at N = {n}: {exc}") from exc
+
+    def _distinct(self, *names: str) -> None:
+        """ConfigError naming the first of these list fields that repeats an entry."""
+        for name in names:
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} = {values!r} repeats an entry")
 
     def u_grid(self) -> np.ndarray:
         """The bounds driver's thresholds u; ConfigError names the first bad key."""
@@ -250,36 +261,6 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-_SCHEMA = {
-    ("experiment", "kind"): ("kind", str),
-    ("experiment", "seed"): ("seed", int),
-    ("experiment", "trials"): ("trials", int),
-    ("experiment", "out_dir"): ("out_dir", str),
-    ("signal", "n_list"): ("n_list", _tuple_of(int)),
-    ("signal", "n_fast"): ("n_fast", int),
-    ("signal", "m_slow"): ("m_slow", int),
-    ("signal", "codes"): ("codes", _tuple_of(str)),
-    ("signal", "rates"): ("rates", _tuple_of(_parse_rate)),
-    ("signal", "code_seed"): ("code_seed", int),
-    ("signal", "sidelobe_window"): ("sidelobe_window", int),
-    ("scene", "n_max"): ("n_max", int),
-    ("scene", "snr_db"): ("snr_db", _finite),
-    ("scene", "sir_db"): ("sir_db", _finite),
-    ("scene", "far_gain_db"): ("far_gain_db", _finite),
-    ("scene", "near_range_bin"): ("near_range_bin", int),
-    ("scene", "near_doppler_bin"): ("near_doppler_bin", int),
-    ("scene", "far_range_bin"): ("far_range_bin", int),
-    ("scene", "far_doppler_bin"): ("far_doppler_bin", int),
-    ("scene", "intf_range_bin"): ("intf_range_bin", int),
-    ("scene", "intf_doppler_bin"): ("intf_doppler_bin", int),
-    ("detection", "eta_points"): ("eta_points", int),
-    ("bounds", "u_min"): ("u_min", _finite),
-    ("bounds", "u_max"): ("u_max", _finite),
-    ("bounds", "u_points"): ("u_points", int),
-    ("bounds", "n_list"): ("bounds_n_list", _tuple_of(int)),
-}
-
-
 def load_config(path) -> ExperimentConfig:
     """Read an INI-style config; every key is optional, unknown keys fail."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -290,15 +271,16 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    by_key = {(f.metadata["section"], f.metadata["key"] or f.name): f
+              for f in fields(ExperimentConfig)}
     overrides = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            spec = _SCHEMA.get((section, key))
-            if spec is None:
+            f = by_key.get((section, key))
+            if f is None:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            attr, cast = spec
             try:
-                overrides[attr] = cast(raw)
+                overrides[f.name] = f.metadata["parse"](raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
     try:

@@ -74,7 +74,7 @@ def grid_pd_gap(pd, pd_ref) -> float:
     return float(max(0.0, outside.max()))
 
 
-def make_eta_grid(levels_by_waveform: dict, points: int = 200) -> np.ndarray:
+def make_eta_grid(levels_by_waveform: dict, points: int) -> np.ndarray:
     """Log grid from a tenth of the lowest sidelobe ceiling up to twice the
     largest peak, shared by every waveform in the sweep."""
     trials = np.concatenate(list(levels_by_waveform.values()))
@@ -85,7 +85,7 @@ def make_eta_grid(levels_by_waveform: dict, points: int = 200) -> np.ndarray:
     return np.geomspace(lo, hi, points)
 
 
-def threshold_sweep(levels_by_waveform: dict, points: int = 200) -> RocCurves:
+def threshold_sweep(levels_by_waveform: dict, points: int) -> RocCurves:
     """ROC curves over the common make_eta_grid threshold grid.
 
     levels_by_waveform maps a waveform label to its (trials, targets + 1)

@@ -132,7 +132,7 @@ def test_make_eta_grid_range():
     assert grid[-1] == pytest.approx(2.0)
     assert np.all(np.diff(grid) > 0)
     with pytest.raises(ValueError):
-        make_eta_grid({"a": np.array([[1.0, 0.0]])})
+        make_eta_grid({"a": np.array([[1.0, 0.0]])}, points=50)
 
 
 def test_threshold_sweep_monotone_and_consistent():
@@ -174,7 +174,7 @@ def test_threshold_sweep_tallies_levels_on_its_grid():
     assert set(tiers) == {(1.0, 1.0), (1.0, 0.5), (1.0, 0.0), (0.75, 0.0), (0.5, 0.0),
                           (0.25, 0.0), (0.0, 0.0)}
     with pytest.raises(ValueError):
-        threshold_sweep({"x": np.empty((0, 3))})
+        threshold_sweep({"x": np.empty((0, 3))}, points=400)
 
 
 def test_single_trial_curve_steps():

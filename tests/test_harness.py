@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,70 @@ def test_load_config_reads_all_sections(tmp_path):
     assert cfg.bounds_n_list == (128,)
     # untouched keys keep their defaults
     assert cfg.m_slow == 1024 and cfg.sir_db == -11.0
+
+
+ALL_KEYS_INI = """\
+[experiment]
+kind = bounds
+seed = 7
+trials = 9
+out_dir = elsewhere
+
+[signal]
+n_list = 32, 64
+n_fast = 512
+m_slow = 256
+codes = ldpc
+rates = 1/2:bpsk, 3/4:16qam
+code_seed = 5
+sidelobe_window = 8
+
+[scene]
+n_max = 16
+snr_db = -3.5
+sir_db = 2.0
+far_gain_db = -6.0
+near_range_bin = 3
+near_doppler_bin = 100
+far_range_bin = 7
+far_doppler_bin = 101
+intf_range_bin = 9
+intf_doppler_bin = 102
+
+[detection]
+eta_points = 50
+
+[bounds]
+u_min = 0.02
+u_max = 0.3
+u_points = 11
+n_list = 512
+"""
+
+
+def test_load_config_sets_every_field(tmp_path):
+    want = ExperimentConfig(
+        kind="bounds", seed=7, trials=9, out_dir="elsewhere", n_list=(32, 64), n_fast=512,
+        m_slow=256, codes=("ldpc",), rates=((1.0, 2, "bpsk"), (3.0, 4, "16qam")),
+        code_seed=5, sidelobe_window=8, n_max=16, snr_db=-3.5, sir_db=2.0,
+        far_gain_db=-6.0, near_range_bin=3, near_doppler_bin=100, far_range_bin=7,
+        far_doppler_bin=101, intf_range_bin=9, intf_doppler_bin=102, eta_points=50,
+        u_min=0.02, u_max=0.3, u_points=11, bounds_n_list=(512,))
+    # every field differs from its default, so a field no INI key sets fails here
+    assert [f.name for f in fields(ExperimentConfig)
+            if getattr(want, f.name) == f.default] == []
+    assert load_config(_write(tmp_path, ALL_KEYS_INI)) == want
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[scene]\nn_list = 64\n", "[scene] n_list"),
+    ("[signal]\nu_points = 3\n", "[signal] u_points"),
+    ("[bounds]\nbounds_n_list = 256\n", "[bounds] bounds_n_list"),
+    ("[experiment]\neta_points = 50\n", "[experiment] eta_points"),
+])
+def test_load_config_key_in_wrong_section(tmp_path, text, where):
+    with pytest.raises(ConfigError, match=re.escape(f"unknown config key {where}")):
+        load_config(_write(tmp_path, text))
 
 
 def test_load_config_inline_comments(tmp_path):
@@ -169,6 +234,16 @@ def test_canonical_text_and_hash():
     assert h != ExperimentConfig(kind="pslr", seed=1, n_fast=512).config_hash()
 
 
+@pytest.mark.parametrize("name, want", [
+    (None, "eaa00f26fb23"), ("pslr", "5810b8efd44b"), ("suppress", "8c028c68d447"),
+    ("interleave", "79fb921b32c8"), ("bounds", "3a687be8a975"), ("nearfar", "fb7bb72dff72"),
+])
+def test_config_hash_pinned(name, want):
+    # the '# config_hash:' line of every result file; golden digests skip it
+    cfg = ExperimentConfig() if name is None else load_config(CONFIGS / f"{name}.ini")
+    assert cfg.config_hash() == want
+
+
 def test_config_hash_ignores_out_dir():
     # where results go is not part of what they are
     a = ExperimentConfig(kind="nearfar", seed=0, out_dir="out/a")
@@ -219,6 +294,12 @@ def test_cli_config_hash_same_across_out_dirs(tmp_path, capsys):
     ({"kind": "bounds", "u_min": -0.1}, "u_min = -0.1 must be positive"),
     ({"kind": "bounds", "u_min": 0.25}, "u_min = 0.25 must be below u_max = 0.25"),
     ({"kind": "bounds", "u_min": 0.3, "u_max": 0.2}, "u_min = 0.3 must be below u_max = 0.2"),
+    ({"kind": "pslr", "n_list": (256, 256)}, "^n_list = .* repeats an entry"),
+    ({"kind": "suppress", "codes": ("polar", "polar")}, "^codes = .* repeats an entry"),
+    ({"kind": "interleave", "rates": ((120.0, 1024, "qpsk"),) * 2},
+     "^rates = .* repeats an entry"),
+    ({"kind": "bounds", "bounds_n_list": (256, 1024, 256)},
+     "^bounds_n_list = .* repeats an entry"),
 ])
 def test_validate_rejects(overrides, message):
     with pytest.raises(ConfigError, match=message):
@@ -228,8 +309,9 @@ def test_validate_rejects(overrides, message):
 def test_validate_accepts_reference_configs():
     for name in ("pslr", "suppress", "interleave", "bounds", "nearfar"):
         load_config(CONFIGS / f"{name}.ini").validate()
-    # the scene is only checked where it is used
+    # the scene is only checked where it is used, and so are the lists
     ExperimentConfig(kind="pslr", n_max=5000, m_slow=16).validate()
+    ExperimentConfig(kind="bounds", n_list=(256, 256), codes=("polar", "polar")).validate()
 
 
 # -- result tables ------------------------------------------------------------
@@ -417,6 +499,12 @@ def test_cli_rejects_empty_sidelobe_window(tmp_path, capsys, command, window):
                  "polar 2/1024:qpsk at N = 512: autocorrelation bound needs", "0",
                  id="pslr-polar-one-message-symbol"),
     # a config written for another command; one with no kind runs under any
+    # a repeated list entry would write duplicate rows
+    pytest.param("pslr", "codes = polar\nrates = 120/1024:qpsk\nn_list = 256, 256",
+                 "n_list = (256, 256) repeats an entry", "0", id="pslr-n-list-repeated"),
+    pytest.param("bounds", "n_list = 64\n\n[bounds]\nn_list = 256, 256",
+                 "bounds_n_list = (256, 256) repeats an entry", "0",
+                 id="bounds-n-list-repeated"),
     pytest.param("pslr", "n_list = 256\n\n[experiment]\nkind = nearfar",
                  "kind = nearfar is for the nearfar command, not pslr", "0",
                  id="pslr-kind-nearfar"),
@@ -432,6 +520,21 @@ def test_cli_rejects_bad_block_length_or_rate(tmp_path, capsys, command, signal,
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [None, "sub"])
+def test_cli_rejects_uncreatable_out_dir(tmp_path, capsys, below):
+    # --out names an existing file, or a directory beneath one
+    cfg = _write(tmp_path, SMALL_PSLR_INI)
+    blocker = _write(tmp_path, "keep\n", name="F")
+    out = blocker if below is None else blocker / below
+    rc = cli.main(["pslr", "--config", str(cfg), "--seed", "0", "--trials", "4",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_cli_rejects_nearfar_n_max_beyond_block(tmp_path, capsys):
