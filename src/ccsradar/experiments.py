@@ -309,12 +309,14 @@ def run_tail_bound_check(config: ExperimentConfig) -> ResultTable:
 # ---------------------------------------------------------------------------
 # near-far study
 
-def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray):
+def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray, buf=None):
     """Trial t of the near-far study: (own frame s1, {variant: RangeDopplerMap}).
 
     fmcw_frame is the synth_frame transmission; its first row is the chirp.
     Both c.c.s frames are LabelFrames, mapped a row tile at a time by the
-    channels and receivers that read them.
+    channels and receivers that read them.  All five variants receive into buf,
+    an (M, N + n_max) complex128 array (a fresh frame per variant without it);
+    each map is made before the next variant overwrites it.
     Radar j in (0, 1) draws from substreams (_D_NF_PERM | _D_NF_MSG, t, j), and
     variant k of NEARFAR_VARIANTS its noise from (_D_NF_NOISE, t, k)."""
     seed = config.require_seed()
@@ -333,11 +335,11 @@ def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray):
     scene_n = config.scene(with_interference=False)
     noise = [substream(seed, _D_NF_NOISE, t, k) for k in range(len(NEARFAR_VARIANTS))]
     maps = dict(zip(NEARFAR_VARIANTS, (
-        sc_range_doppler(mf_bank(apply_channel_sc(frames, scene_i, noise[0]), s1, n_max)),
-        sc_range_doppler(mf_bank(apply_channel_sc([s1], scene_n, noise[1]), s1, n_max)),
-        ofdm_range_doppler(apply_channel_ofdm(frames, scene_i, noise[2]), s1, n_max),
-        ofdm_range_doppler(apply_channel_ofdm([s1], scene_n, noise[3]), s1, n_max),
-        fmcw_range_doppler(apply_channel_sc([fmcw_frame], scene_n, noise[4]),
+        sc_range_doppler(mf_bank(apply_channel_sc(frames, scene_i, noise[0], buf=buf), s1, n_max)),
+        sc_range_doppler(mf_bank(apply_channel_sc([s1], scene_n, noise[1], buf=buf), s1, n_max)),
+        ofdm_range_doppler(apply_channel_ofdm(frames, scene_i, noise[2], buf=buf), s1, n_max),
+        ofdm_range_doppler(apply_channel_ofdm([s1], scene_n, noise[3], buf=buf), s1, n_max),
+        fmcw_range_doppler(apply_channel_sc([fmcw_frame], scene_n, noise[4], buf=buf),
                            fmcw_frame[0], n_max))))
     return s1, maps
 
@@ -350,15 +352,17 @@ def run_near_far(config: ExperimentConfig, dump_dir=None):
     interferer, plus an interference-free FMCW reference) to summarize_map rows.
     Returns (summary ResultTable, RocCurves, {variant: levels array}), one
     [near, far, max_other] row per trial;
-    when dump_dir is set the trial-0 maps and transmit frames are written there.
+    when dump_dir is set the trial-0 maps and transmit frames are written there,
+    the frames a row tile at a time.  Every trial receives into one buffer.
     """
     t0 = time.perf_counter()
     trials = config.resolved_trials()
     tbins = config.target_bins()
     fmcw_frame = synth_frame(config.n_fast, config.m_slow)
+    buf = np.empty((config.m_slow, config.n_fast + config.n_max), dtype=np.complex128)
     levels = {v: np.empty((trials, len(tbins) + 1)) for v in NEARFAR_VARIANTS}
     for t in range(trials):
-        s1, maps = _near_far_trial(config, t, fmcw_frame)
+        s1, maps = _near_far_trial(config, t, fmcw_frame, buf)
         for v in NEARFAR_VARIANTS:
             levels[v][t] = summarize_map(maps[v], tbins)
         if t == 0 and dump_dir is not None:

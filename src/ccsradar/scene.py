@@ -7,7 +7,8 @@ samples.  A path with Doppler bin m_t rotates block m by exp(j 2 pi m_t (m-1)/M)
 bin M (phase 0) meaning stationary.  The OFDM channel is evaluated directly in
 the frequency domain with unitary-DFT bookkeeping: a delay is the phase ramp
 exp(-j 2 pi n_t k / N) and the per-bin noise variance equals the time-domain
-noise variance.
+noise variance.  Both channels run one tile loop, into a caller's receive
+buffer or a fresh frame, and frame dumps go out a row tile at a time.
 """
 
 from __future__ import annotations
@@ -78,26 +79,27 @@ def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
     if noise_var == 0:
         return np.array(x, copy=True)
     y = np.array(x, dtype=np.result_type(x.dtype, np.complex128), order="C")
-    return _add_noise(y, noise_var, rng)
+    _fill_tiles(y.reshape(1, -1) if y.ndim < 2 else y, lambda *_: None, noise_var, rng)
+    return y
 
 
-def _add_noise(y: np.ndarray, noise_var: float, rng) -> np.ndarray:
-    """Add noise into the C-ordered complex array y in place; returns y.
-
-    Same draws and arithmetic as y + sqrt(v/2) * (a + 1j*b), one plane at a
-    time: draw a, scale it, add it to y.real; then b and y.imag.  Consecutive
-    row-tile fills of a plane draw what one fill of it would.
-    """
-    gen = as_rng(rng)
-    scale = np.sqrt(noise_var / 2.0)
-    rows_y = y.reshape(1, -1) if y.ndim < 2 else y
-    draw = np.empty((min(ROW_TILE, len(rows_y)),) + rows_y.shape[1:])
-    for plane in (np.real, np.imag):
-        for rows in row_tiles(len(rows_y)):
-            tile = draw[: rows.stop - rows.start]
-            gen.standard_normal(out=tile)
-            tile *= scale
-            np.add(plane(rows_y[rows]), tile, out=plane(rows_y[rows]))
+def _fill_tiles(y: np.ndarray, fill, noise_var: float, rng) -> np.ndarray:
+    """Write the complex y a row tile at a time with fill(rows, y[rows]) and add
+    noise of variance v in place, as y + sqrt(v/2) * (a + 1j*b) in the same draws
+    and arithmetic: each tile's real plane draws as soon as the tile is written
+    (tiles go in row order, so they draw what one whole-plane fill would), then
+    the imaginary plane tile by tile.  Returns y."""
+    gen, scale = as_rng(rng) if noise_var else None, np.sqrt(noise_var / 2.0)
+    draw = np.empty((min(ROW_TILE, len(y)),) + y.shape[1:])
+    for plane in (np.real, np.imag)[: 2 if noise_var else 1]:
+        for rows in row_tiles(len(y)):
+            if plane is np.real:
+                fill(rows, y[rows])
+            if noise_var:
+                noise = draw[: rows.stop - rows.start]
+                gen.standard_normal(out=noise)
+                noise *= scale
+                np.add(plane(y[rows]), noise, out=plane(y[rows]))
     return y
 
 
@@ -107,77 +109,79 @@ def _doppler_phase(m_slow: int, doppler_bin: int) -> np.ndarray:
     return np.exp(2j * np.pi * doppler_bin * np.arange(m_slow) / m_slow)
 
 
-def _gather_frames(frames, scene: TargetScene) -> list[tuple]:
-    """(frame, paths) per radar: own frame and scene.targets, then each interferer.
+def _receive(frames, scene: TargetScene, rng, buf, ofdm: bool) -> np.ndarray:
+    """The one channel tile loop: apply_channel_ofdm if ofdm else apply_channel_sc.
 
-    A frame is a LabelFrame or an array; the channels read either by row tiles.
+    Each row tile of buf[:, :width] (of a fresh frame without buf) is zeroed,
+    then every path adds gain * sym [* ramp] * phase in that order, so the sum
+    is unchanged bit for bit; a radar's row tile is mapped once for its paths.
     """
     mats = [as_frame(f) for f in frames]
     if len(mats) != 1 + len(scene.interference):
         raise ValueError("need one frame per radar (own first, then interferers)")
     if any(m.shape != mats[0].shape for m in mats):
         raise ValueError("mismatched frame sizes")
-    return list(zip(mats, [scene.targets, *scene.interference]))
+    m_slow, n_fast = mats[0].shape
+    width = n_fast if ofdm else n_fast + scene.n_max
+    y = (np.empty((m_slow, width), dtype=np.complex128) if buf is None else buf)[:, :width]
+    if y.shape != (m_slow, width) or y.dtype != np.complex128:
+        raise ValueError(f"receive buffer must be complex128 ({m_slow}, >= {width})")
+    k = np.arange(n_fast)
+    terms = [(mat, [(p.gain, 0 if ofdm else p.range_bin,
+                     np.exp(-2j * np.pi * p.range_bin * k / n_fast) if ofdm else None,
+                     _doppler_phase(m_slow, p.doppler_bin)[:, None]) for p in paths])
+             for mat, paths in zip(mats, [scene.targets, *scene.interference]) if paths]
+    echo = np.empty((min(ROW_TILE, m_slow), n_fast), dtype=np.complex128)
+
+    def fill(rows, tile):
+        tile.fill(0)
+        part = echo[: len(tile)]
+        for mat, paths in terms:
+            sym = mat[rows]
+            for gain, shift, ramp, phase in paths:
+                np.multiply(gain, sym, out=part)
+                if ramp is not None:
+                    part *= ramp
+                part *= phase[rows]
+                tile[:, shift:shift + n_fast] += part
+
+    return _fill_tiles(y, fill, scene.noise_var, rng)
 
 
-def apply_channel_sc(frames, scene: TargetScene, rng=None) -> np.ndarray:
+def apply_channel_sc(frames, scene: TargetScene, rng=None, buf=None) -> np.ndarray:
     """Time-domain received frame, (M, N + n_max) with zero-fill delays.
 
     frames[0] is the own transmission (echoes per scene.targets); frames[1:]
-    line up with scene.interference.
+    line up with scene.interference.  With buf, an (M, >= N + n_max) complex128
+    array, the frame is written into it and buf[:, :N + n_max] is returned.
     """
-    radars = _gather_frames(frames, scene)
-    m_slow, n_fast = radars[0][0].shape
-    y = np.zeros((m_slow, n_fast + scene.n_max), dtype=np.complex128)
-    terms = [(mat, p, _doppler_phase(m_slow, p.doppler_bin)[:, None])
-             for mat, paths in radars for p in paths]
-    echo = np.empty((min(ROW_TILE, m_slow), n_fast), dtype=np.complex128)
-    for rows in row_tiles(m_slow):
-        tile = echo[: rows.stop - rows.start]
-        for mat, p, phase in terms:
-            # gain * mat * phase in that order, so the sum is unchanged bit for bit
-            np.multiply(p.gain, mat[rows], out=tile)
-            tile *= phase[rows]
-            y[rows, p.range_bin:p.range_bin + n_fast] += tile
-    return _add_noise(y, scene.noise_var, rng) if scene.noise_var else y
+    return _receive(frames, scene, rng, buf, ofdm=False)
 
 
-def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> np.ndarray:
+def apply_channel_ofdm(blocks, scene: TargetScene, rng=None, buf=None) -> np.ndarray:
     """Frequency-domain received frame Y[k, m] as an (M, N) array.
 
     Each path contributes gain * s * exp(-j 2 pi n_t k / N) * doppler(m); the
     noise is i.i.d. complex Gaussian with the time-domain variance, which is
-    exact under the unitary DFT convention.
+    exact under the unitary DFT convention.  With buf, an (M, >= N) complex128
+    array, the frame is written into it and buf[:, :N] is returned.
     """
-    radars = _gather_frames(blocks, scene)
-    m_slow, n_fast = radars[0][0].shape
-    y = np.zeros((m_slow, n_fast), dtype=np.complex128)
-    terms = [(mat, p, np.exp(-2j * np.pi * p.range_bin * np.arange(n_fast) / n_fast),
-              _doppler_phase(m_slow, p.doppler_bin)[:, None])
-             for mat, paths in radars for p in paths]
-    echo = np.empty((min(ROW_TILE, m_slow), n_fast), dtype=np.complex128)
-    for rows in row_tiles(m_slow):
-        tile = echo[: rows.stop - rows.start]
-        for mat, p, ramp, phase in terms:
-            # gain * mat * ramp * phase in that order, so the sum is unchanged bit for bit
-            np.multiply(p.gain, mat[rows], out=tile)
-            tile *= ramp
-            tile *= phase[rows]
-            y[rows] += tile
-    return _add_noise(y, scene.noise_var, rng) if scene.noise_var else y
+    return _receive(blocks, scene, rng, buf, ofdm=True)
 
 
 def write_frame_bin(path, samples) -> None:
-    """Dump a complex 2-D array: 16-byte header (magic, n_fast, n_slow), then
-    little-endian float64 (re, im) pairs in slow-major order."""
-    mat = np.asarray(samples)
-    if mat.ndim != 2:
+    """Dump a complex 2-D array or LabelFrame: 16-byte header (magic, n_fast,
+    n_slow), then little-endian float64 (re, im) pairs in slow-major order,
+    written a row tile at a time so no frame-sized copy is made."""
+    mat = as_frame(samples)
+    if len(mat.shape) != 2:
         raise ValueError("expected a 2-D array")
     m_slow, n_fast = mat.shape
     with open(path, "wb") as fh:
         fh.write(_BIN_MAGIC + struct.pack("<II", n_fast, m_slow))
         # a C-ordered little-endian complex128 buffer is those (re, im) pairs
-        fh.write(np.ascontiguousarray(mat, dtype="<c16"))
+        for rows in row_tiles(m_slow):
+            fh.write(np.ascontiguousarray(mat[rows], dtype="<c16"))
 
 
 def read_frame_bin(path) -> np.ndarray:

@@ -89,8 +89,10 @@ def test_traced_child_runs(tmp_path, command):
     names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
     assert "cli.main" in names
     if command == "nearfar":
-        # the trial draws both c.c.s frames through the traced generator
-        assert "modulation.generate_ccs_blocks" in names
+        # the trial draws both c.c.s frames through the traced generator and
+        # receives through the traced channels, whose counters take its keywords
+        assert {"modulation.generate_ccs_blocks", "scene.apply_channel_sc",
+                "scene.apply_channel_ofdm"} <= names
     # the drivers reach every analytic bound through its traced name
     assert set(BOUND_SPANS.get(command, ())) <= names
 

@@ -167,8 +167,9 @@ def test_nearfar_label_frames_match_complex_frames(tmp_path, monkeypatch, mod):
 def test_nearfar_trial_peak_memory(tmp_path):
     # One trial's traced peak at the 128 x 128 config, the FMCW frame included,
     # in frames of M x N complex samples (256 KiB): 5.43 frames with complex
-    # symbol frames and a tiled FMCW frame, 2.38 with label frames and a
-    # broadcast chirp (numpy 2.4).  The bound sits between the two.
+    # symbol frames and a tiled FMCW frame, 2.36 with label frames, a broadcast
+    # chirp and, without a run's buffer, one received frame per variant
+    # (numpy 2.4).  The bound sits between the two.
     cfg = tmp_path / "nearfar.ini"
     cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
     config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=1)
@@ -183,3 +184,41 @@ def test_nearfar_trial_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"
+
+
+def test_nearfar_run_receives_into_one_buffer(tmp_path, monkeypatch):
+    # every variant of every trial writes the run's one receive buffer
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=2)
+    received = []
+    for name in ("apply_channel_sc", "apply_channel_ofdm"):
+        def channel(*args, _channel=getattr(experiments, name), **kwargs):
+            received.append(_channel(*args, **kwargs))
+            return received[-1]
+        monkeypatch.setattr(experiments, name, channel)
+    experiments.run_near_far(config)
+    assert len(received) == 2 * len(experiments.NEARFAR_VARIANTS)
+    assert all(np.shares_memory(y, received[0]) for y in received)
+    assert {y.shape[1] for y in received} == {config.n_fast, config.n_fast + config.n_max}
+
+
+def test_nearfar_run_peak_memory(tmp_path):
+    # A 3-trial run with its dumps at the 128 x 128 config, in frames of
+    # M x N complex samples (numpy 2.4): 2.53, of which the receive buffer is
+    # 1.125 (N + n_max = 144 columns); a fresh received frame per variant
+    # peaks the same, one being alive at a time.  3.39 if the buffer sat
+    # beside a whole-frame dump of the own frame, so dumps go out by row tiles.
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=3)
+    frame_bytes = 16 * config.n_fast * config.m_slow
+    (tmp_path / "warm").mkdir()
+    experiments.run_near_far(config, dump_dir=tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        experiments.run_near_far(config, dump_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"

@@ -2,6 +2,7 @@
 
 import copy
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,38 @@ def test_channel_matches_reference_bytes_across_row_tiles(ofdm):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("noise_var", [0.0, 0.4])
+def test_channels_reuse_one_receive_buffer(noise_var):
+    # one NaN-filled buffer through sc -> OFDM -> sc: every call writes all of
+    # its columns, byte for byte what a fresh frame gets, and returns a view
+    buf = np.full((37, 24 + 5), np.nan, dtype=np.complex128)
+    for order in "CF":
+        own = np.asarray(_blocks(37, 24, seed=5), order=order)
+        other = np.asarray(_blocks(37, 24, seed=6), order=order)
+        scene = _scene([Path(1, 37, 0.8), Path(4, 20, -0.3j)],
+                       interference=[(Path(3, 19, 2.5),)], noise_var=noise_var, n_max=5)
+        for ofdm in (False, True, False):
+            rng = np.random.default_rng(21)
+            twin = copy.deepcopy(rng)
+            want = _reference_channel([own, other], scene, twin, ofdm)
+            channel = apply_channel_ofdm if ofdm else apply_channel_sc
+            got = channel([own, other], scene, rng, buf=buf)
+            assert got.shape == ((37, 24) if ofdm else (37, 29))
+            assert got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, buf)
+            assert rng.random() == twin.random()
+
+
+def test_channel_rejects_mismatched_receive_buffer():
+    own = _blocks(16, 8, seed=1)
+    scene = _scene([Path(1, 3, 1.0)], n_max=4)
+    for buf in (np.empty((16, 11), dtype=np.complex128), np.empty((15, 12), dtype=np.complex128),
+                np.empty((16, 12), dtype=np.complex64)):
+        with pytest.raises(ValueError):
+            apply_channel_sc([own], scene, buf=buf)
+    assert apply_channel_ofdm([own], scene, buf=np.empty((16, 8), dtype=complex)).shape == (16, 8)
+
+
 @pytest.mark.parametrize("shape", [(1, 7), (ROW_TILE, 7), (ROW_TILE + 1, 7), (37, 7),
                                    (50,), (37, 3, 4)])
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -357,6 +390,35 @@ def test_frame_binary_payload_is_interleaved_float64(tmp_path, mat):
     path = tmp_path / "frame.bin"
     write_frame_bin(path, mat)
     assert path.read_bytes()[16:] == inter.tobytes()
+
+
+@pytest.mark.parametrize("frame", [
+    generate_ccs_blocks(40, CodeConfig(kind="uncoded", n_code_bits=80, n_msg_bits=80),
+                        constellation("qpsk"), 37, np.random.default_rng(18)),
+    synth_frame(24, 37),
+    np.asfortranarray(_blocks(37, 9, seed=19))])
+def test_frame_binary_streams_any_frame(tmp_path, frame):
+    # a LabelFrame, a broadcast view and an F-ordered array, written tile by
+    # tile, give the bytes of the whole C-ordered frame
+    whole, tiled = tmp_path / "whole.bin", tmp_path / "tiled.bin"
+    write_frame_bin(whole, np.ascontiguousarray(np.asarray(frame)))
+    write_frame_bin(tiled, frame)
+    assert tiled.read_bytes() == whole.read_bytes()
+
+
+def test_frame_binary_writes_without_a_frame_copy(tmp_path):
+    code = CodeConfig(kind="uncoded", n_code_bits=256, n_msg_bits=256)
+    frame = generate_ccs_blocks(128, code, constellation("qpsk"), 128,
+                                np.random.default_rng(20))
+    frame_bytes = 16 * 128 * 128
+    write_frame_bin(tmp_path / "warm.bin", frame)
+    tracemalloc.start()
+    try:
+        write_frame_bin(tmp_path / "frame.bin", frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"
 
 
 def test_frame_binary_rejects_corruption(tmp_path):
