@@ -205,18 +205,34 @@ def _ldpc_tables(n_code_bits: int, n_msg_bits: int, construction_seed: int) -> n
     check supports are distinct, so no parity bit is constant or duplicated
     and the matrix is full rank by the identity block.  Returns the (w, m)
     table whose column r lists the message bits of check r.
+
+    The supports are the first m distinct sorted draws of
+    rng.choice(n_msg_bits, w, replace=False), in draw order.  That call runs
+    Floyd's algorithm (w bounded draws with maxima k - w .. k - 1, a draw
+    already taken replaced by its maximum) and then shuffles (w - 1 draws with
+    maxima w - 1 .. 1), so batches of candidates come from one rng.integers
+    call over the tiled maxima, on the same stream.
     """
-    m = n_code_bits - n_msg_bits
-    w = min(_LDPC_ROW_WEIGHT, n_msg_bits)  # CodeConfig ensures comb(n_msg_bits, w) >= m
+    k, m = n_msg_bits, n_code_bits - n_msg_bits
+    w = min(_LDPC_ROW_WEIGHT, k)  # CodeConfig ensures comb(k, w) >= m
     rng = as_rng(np.random.SeedSequence((construction_seed, n_code_bits, n_msg_bits)))
-    supports, seen = [], set()
-    while len(supports) < m:
-        support = tuple(sorted(rng.choice(n_msg_bits, size=w, replace=False).tolist()))
-        if support in seen:
-            continue
-        seen.add(support)
-        supports.append(support)
-    return np.ascontiguousarray(np.array(supports, dtype=np.intp).T)
+    highs = np.concatenate([np.arange(k - w, k), np.arange(w - 1, 0, -1)])
+    total = math.comb(k, w)
+    place = k ** np.arange(w - 1, -1, -1)  # a sorted support as one integer
+    cand = np.empty((0, w), dtype=np.int64)
+    first = np.empty(0, dtype=np.intp)  # index of each distinct support's first draw
+    while first.size < m:
+        # about the expected number of draws for the supports still missing
+        # (a harmonic sum over the unseen share), with some slack
+        batch = 16 + int(1.1 * total * math.log((total - first.size + 0.5) / (total - m + 0.5)))
+        new = rng.integers(0, np.tile(highs, batch), endpoint=True).reshape(batch, -1)[:, :w]
+        for j in range(1, w):
+            taken = (new[:, :j] == new[:, j:j + 1]).any(axis=1)
+            new[taken, j] = k - w + j
+        new.sort(axis=1)
+        cand = np.concatenate([cand, new])
+        _, first = np.unique(cand @ place, return_index=True)
+    return np.ascontiguousarray(cand[np.sort(first)[:m]].T, dtype=np.intp)
 
 
 def parity_check_matrix(config: CodeConfig) -> np.ndarray:

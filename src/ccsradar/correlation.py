@@ -13,9 +13,42 @@ kept as an oracle for the FFT route; do not fold the two together.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
+
+# The FFT scratch of the open workspace(), if any: {slot: flat complex128 buffer}
+_SCRATCH: ContextVar[dict | None] = ContextVar("correlation_scratch", default=None)
+
+
+@contextmanager
+def workspace():
+    """Reuse the FFT buffers of the FFT-route correlations made inside the block.
+
+    Each buffer grows to the largest call and is dropped when the block ends.
+    Results never share memory with them, so a profile keeps its values after
+    later calls.
+    """
+    token = _SCRATCH.set({})
+    try:
+        yield
+    finally:
+        _SCRATCH.reset(token)
+
+
+def _scratch(slot: int, shape: tuple) -> np.ndarray:
+    """An uninitialised complex128 array of this shape: a view of the workspace
+    buffer `slot` inside workspace(), a fresh array outside it."""
+    store = _SCRATCH.get()
+    if store is None:
+        return np.empty(shape, dtype=np.complex128)
+    size = int(np.prod(shape))
+    buf = store.get(slot)
+    if buf is None or buf.size < size:
+        buf = store[slot] = np.empty(size, dtype=np.complex128)
+    return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -63,18 +96,25 @@ def _lag_grid(n: int, lags) -> np.ndarray:
 def _aperiodic(s1: np.ndarray, s2: np.ndarray, lags: np.ndarray, method: str) -> np.ndarray:
     n = s1.shape[-1]
     if method == "fft":
-        f1 = np.fft.fft(s1, 2 * n, axis=-1)
-        f2 = f1 if s2 is s1 else np.fft.fft(s2, 2 * n, axis=-1)
-        # the order numpy's temporary elision gives f1 * np.conj(f2) only from
-        # 256 KiB up (smaller products differ in last-ulp imaginary bits); one
-        # order at every size keeps each row's bytes independent of its batch
-        prod = np.conj(f2)
+        shape = s1.shape[:-1] + (2 * n,)
+        f1 = np.fft.fft(s1, 2 * n, axis=-1, out=_scratch(0, shape))
+        # prod = conj(f2), then prod *= f1: the order numpy's temporary elision
+        # gives f1 * np.conj(f2) only from 256 KiB up (smaller products differ
+        # in last-ulp imaginary bits); one order at every size keeps each row's
+        # bytes independent of its batch
+        prod = _scratch(1, shape)
+        if s2 is s1:
+            np.conjugate(f1, out=prod)
+        else:
+            np.fft.fft(s2, 2 * n, axis=-1, out=prod)
+            np.conjugate(prod, out=prod)
         prod *= f1
-        del f1, f2
-        c = np.fft.ifft(prod, axis=-1)
-        del prod
-        # lag l sits at index l mod 2N of the circular correlation
-        return c[..., lags % (2 * n)] / n
+        np.fft.ifft(prod, axis=-1, out=prod)
+        # lag l sits at index l mod 2N of the circular correlation; the
+        # gather copies it out of the scratch
+        out = prod[..., lags % (2 * n)]
+        out /= n
+        return out
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     out = np.zeros(s1.shape[:-1] + (lags.size,), dtype=np.complex128)
@@ -111,7 +151,8 @@ def idft_ratio(s_i: np.ndarray, s_q: np.ndarray) -> CorrelationProfile:
         raise ValueError("block length mismatch")
     if np.any(np.abs(s_i) < 1e-12):
         raise ValueError("own-signal symbols contain a (near) zero")
-    vals = np.fft.ifft(s_q / s_i, axis=-1)
+    vals = s_q / s_i
+    np.fft.ifft(vals, axis=-1, out=vals)
     return CorrelationProfile(lags=np.arange(s_i.shape[-1]), values=vals,
                               kind="idft_ratio", n=s_i.shape[-1])
 

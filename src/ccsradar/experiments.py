@@ -20,7 +20,7 @@ from .bounds import (autocorr_tail_lb, autocorr_tail_ub, crosscorr_tail_ub, empi
                      median_pslr_from_bound, median_suppression_from_bound, ofdm_tail_ub)
 from .coding import CodeConfig, encode
 from .config import BOUND_CODES, ExperimentConfig, ResultTable, k_symbols, result_meta
-from .correlation import autocorr, crosscorr, idft_ratio, pslr, suppression_metric
+from .correlation import autocorr, crosscorr, idft_ratio, pslr, suppression_metric, workspace
 from .detection import RocCurves, grid_pd_gap, summarize_map, threshold_sweep
 from .modulation import (constellation, generate_ccs_blocks, map_bits, product_bound_b,
                          ratio_bound_b)
@@ -32,6 +32,8 @@ from .scene import (apply_channel_ofdm, apply_channel_sc, row_tiles, synth_frame
 _D_PSLR, _D_SUPP, _D_INTL, _D_BND, _D_NF_MSG, _D_NF_PERM, _D_NF_NOISE = range(7)
 
 _CHUNK = 256
+# 32-bit words per message-bit draw: even, so a chunk packs to whole bytes
+_MSG_WORDS = 1 << 14
 # rows x N per sweep-statistic call: cache-sized row tiles
 _TILE_POINTS = 65536
 # LDPC rows stop at this block length.  Not for cost (building the tables
@@ -64,19 +66,42 @@ def _permute_rows(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
+def _packed_messages(rng, n_bits: int) -> np.ndarray:
+    """random_bits(rng, (n_bits,)), np.packbits-packed, drawn _MSG_WORDS words at a time.
+
+    Split draws of 32-bit words leave the stream of one whole draw, and an even
+    chunk of words is a whole number of bytes of bits, so the packed chunks
+    join into the bits of one draw and rng ends in the same state.
+    """
+    packed = np.empty(-(-n_bits // 8), dtype=np.uint8)
+    step = 4 * _MSG_WORDS
+    for i in range(0, n_bits, step):
+        packed[i // 8:(i + step) // 8] = np.packbits(random_bits(rng, (min(step, n_bits - i),)))
+    return packed
+
+
+def _unpack_rows(packed: np.ndarray, k: int, rows: slice) -> np.ndarray:
+    """Rows `rows` of the (n_rows, k) bit matrix packed row after row."""
+    lo, hi = rows.start * k, rows.stop * k
+    bits = np.unpackbits(packed[lo // 8:-(-hi // 8)])
+    return bits[lo % 8:lo % 8 + hi - lo].reshape(-1, k)
+
+
 def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng, interleaved: bool = True,
                   tile_rows: int | None = None):
     """The (rows, N) symbol tiles of an n_blocks-row batch, tile_rows rows each
     (one tile by default), with a fresh message and parity permutation per row.
 
-    All messages are drawn before the first tile's parity keys, and each float64
-    key takes one 64-bit output, so any tiling yields the rows of one whole-batch
-    tile byte for byte and leaves rng in the same state.
+    All messages are drawn before the first tile's parity keys and held packed,
+    eight bits a byte; each float64 key takes one 64-bit output, so any tiling
+    yields the rows of one whole-batch tile byte for byte and leaves rng in the
+    same state.
     """
     k = cfg.n_msg_bits
-    msgs = random_bits(rng, (n_blocks, k))
+    msgs = _packed_messages(rng, n_blocks * k)
     for rows in row_tiles(n_blocks, tile_rows or n_blocks):
-        cw = encode(msgs[rows], cfg)  # a fresh array for every code: permuted in place
+        # encode returns a fresh array for every code: permuted in place
+        cw = encode(_unpack_rows(msgs, k, rows), cfg)
         if interleaved and cfg.n_code_bits > k:
             cw[:, k:] = _permute_rows(cw[:, k:], rng.random((len(cw), cfg.n_code_bits - k)))
         yield map_bits(cw, const)
@@ -130,29 +155,31 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
     draws one symbol stream per key from substream(seed, domain, ci, ri, ni,
     *key) in _CHUNK-row batches.  Each batch's symbols are generated and read
     max(1, _TILE_POINTS // N) rows at a time: stat takes one tile of every
-    stream, so no whole complex batch is held.  Yields (head, const, k_sym,
+    stream, so no whole complex batch is held, and the correlations reuse one
+    correlation.workspace() for the whole walk.  Yields (head, const, k_sym,
     interleaved, values): head = (code, rate, modulation, n) leads every row,
     values holds stat's per-trial statistics over all trials.
     """
     seed = config.require_seed()
     trials = config.resolved_trials()
-    for ci, ri, code, num, den, mod in _curve_combos(config):
-        const = constellation(mod)
-        for ni, n in enumerate(config.n_list):
-            if _skip(code, n):
-                continue
-            cfg = config.code_config(code, num, den, n, mod)
-            head = (code, _rate_label(num, den), mod, n)
-            for interleaved, keys in runs(code):
-                rngs = [substream(seed, domain, ci, ri, ni, *key) for key in keys]
-                batches = []
-                for start in range(0, trials, _CHUNK):
-                    m = min(_CHUNK, trials - start)
-                    tiles = [_symbol_batch(cfg, const, m, rng, interleaved,
-                                           max(1, _TILE_POINTS // n)) for rng in rngs]
-                    batches += [stat(*syms) for syms in zip(*tiles)]
-                values = [np.concatenate(v) for v in zip(*batches)]
-                yield head, const, k_symbols(cfg, const), interleaved, values
+    with workspace():
+        for ci, ri, code, num, den, mod in _curve_combos(config):
+            const = constellation(mod)
+            for ni, n in enumerate(config.n_list):
+                if _skip(code, n):
+                    continue
+                cfg = config.code_config(code, num, den, n, mod)
+                head = (code, _rate_label(num, den), mod, n)
+                for interleaved, keys in runs(code):
+                    rngs = [substream(seed, domain, ci, ri, ni, *key) for key in keys]
+                    batches = []
+                    for start in range(0, trials, _CHUNK):
+                        m = min(_CHUNK, trials - start)
+                        tiles = [_symbol_batch(cfg, const, m, rng, interleaved,
+                                               max(1, _TILE_POINTS // n)) for rng in rngs]
+                        batches += [stat(*syms) for syms in zip(*tiles)]
+                    values = [np.concatenate(v) for v in zip(*batches)]
+                    yield head, const, k_symbols(cfg, const), interleaved, values
 
 
 def run_pslr_sweep(config: ExperimentConfig) -> ResultTable:
@@ -367,9 +394,9 @@ def run_near_far(config: ExperimentConfig, dump_dir=None):
             levels[v][t] = summarize_map(maps[v], tbins)
         if t == 0 and dump_dir is not None:
             out = Path(dump_dir)
-            for v, rdmap in maps.items():
-                rdmap.export_csv(out / f"map_{v}.csv")
-                rdmap.export_binary(out / f"map_{v}.bin")
+            for v in NEARFAR_VARIANTS:  # no loop variable left holding a map
+                maps[v].export_csv(out / f"map_{v}.csv")
+                maps[v].export_binary(out / f"map_{v}.bin")
             write_frame_bin(out / "frame_ccs_sc.bin", s1)
             write_frame_bin(out / "frame_fmcw.bin", fmcw_frame)
         del s1, maps  # freed before the next trial allocates its frames

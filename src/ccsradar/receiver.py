@@ -63,7 +63,9 @@ class RangeDopplerMap:
 
 
 def _slow_dft(r: np.ndarray) -> np.ndarray:
-    return np.fft.fft(r, axis=1) / r.shape[1]
+    out = np.fft.fft(r, axis=1)
+    out /= r.shape[1]
+    return out
 
 
 def mf_bank(y: np.ndarray, x, n_max: int) -> np.ndarray:
@@ -139,5 +141,5 @@ def fmcw_range_doppler(y: np.ndarray, ref: np.ndarray, n_max: int) -> RangeDoppl
     per_chirp = np.empty((y.shape[0], n_max + 1), dtype=np.complex128)  # (m, l)
     for rows in row_tiles(y.shape[0]):
         per_chirp[rows] = np.fft.ifft(y[rows, :n_fast] * ref, axis=1)[:, : n_max + 1]
-    comp = n_fast / (n_fast - np.arange(n_max + 1))
-    return RangeDopplerMap(_slow_dft(per_chirp.T * comp[:, None]))
+    per_chirp *= n_fast / (n_fast - np.arange(n_max + 1))
+    return RangeDopplerMap(_slow_dft(per_chirp.T))

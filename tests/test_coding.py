@@ -186,6 +186,45 @@ def test_ldpc_construction_is_seeded():
     assert not np.array_equal(a, b)
 
 
+def _ldpc_tables_loop(n_code_bits, n_msg_bits, construction_seed):
+    # the per-candidate rng.choice loop the vectorised draw replaced: the first
+    # m distinct sorted supports, in draw order
+    m = n_code_bits - n_msg_bits
+    w = min(3, n_msg_bits)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        (construction_seed, n_code_bits, n_msg_bits)))
+    supports, seen = [], set()
+    while len(supports) < m:
+        support = tuple(sorted(rng.choice(n_msg_bits, size=w, replace=False).tolist()))
+        if support not in seen:
+            seen.add(support)
+            supports.append(support)
+    return np.ascontiguousarray(np.array(supports, dtype=np.intp).T)
+
+
+# (n_code_bits, n_msg_bits) of the sweep rates' LDPC codes at N = 256..4096
+_SWEEP_LDPC_SIZES = [
+    (c.n_code_bits, c.n_msg_bits)
+    for n in (256, 512, 1024, 2048, 4096)
+    for num, den, mod in ((120, 1024, "qpsk"), (682.5, 1024, "256qam"))
+    for c in [ExperimentConfig(kind="pslr").code_config("ldpc", num, den, n, mod)]]
+
+
+@pytest.mark.parametrize("n_code,n_msg", [
+    (2, 1), (3, 2),  # weights 1 and 2: one support each
+    (4, 3),  # n_msg_bits = 3: its one weight-3 support
+    (7, 4), (8, 4), (26, 6), (130, 10), (1160, 20),  # m = C(k, 3) checks: saturated
+    (36, 26), (48, 24), (512, 60), (1000, 900),
+] + _SWEEP_LDPC_SIZES)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_ldpc_tables_match_choice_loop(n_code, n_msg, seed):
+    got = coding._ldpc_tables(n_code, n_msg, seed)
+    want = _ldpc_tables_loop(n_code, n_msg, seed)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------- packed kernels vs references
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccsradar.coding import CodeConfig, encode
+from ccsradar import correlation
 from ccsradar.correlation import (
     CorrelationProfile,
     autocorr,
@@ -13,6 +14,7 @@ from ccsradar.correlation import (
     idft_ratio,
     pslr,
     suppression_metric,
+    workspace,
 )
 from ccsradar.experiments import _window_lags
 from ccsradar.modulation import constellation, generate_ccs_blocks, map_bits
@@ -254,6 +256,28 @@ def test_fft_rows_alone_equal_batched_bytes(m, n):
     for k in range(m):
         assert autocorr(s1[k]).values.tobytes() == auto[k].tobytes()
         assert crosscorr(s1[k], s2[k]).values.tobytes() == cross[k].tobytes()
+
+
+def test_profiles_outlive_later_calls_in_a_workspace():
+    # workspace() reuses the FFT buffers from call to call: a profile must keep
+    # its values, the bytes of a call outside it, after a later call of the
+    # same shape
+    rng = np.random.default_rng(21)
+    a, b, c, d = (_random_block((8, 256), "16qam", rng) for _ in range(4))
+    lags = _window_lags(32, 256)
+    calls = {"auto": lambda x, y: autocorr(x, lags=lags),
+             "auto_all_lags": lambda x, y: autocorr(x),
+             "cross": lambda x, y: crosscorr(x, y, lags=lags),
+             "idft_ratio": idft_ratio}
+    want = {name: call(a, b).values.tobytes() for name, call in calls.items()}
+    with workspace():
+        for name, call in calls.items():
+            first = call(a, b)
+            later = call(c, d)
+            assert not np.shares_memory(first.values, later.values), name
+            assert first.values.tobytes() == want[name], name
+        assert correlation._SCRATCH.get()  # the FFT routes took workspace buffers
+    assert correlation._SCRATCH.get() is None  # and the buffers go with the block
 
 
 # -- windowed lags on the FFT route ------------------------------------------

@@ -84,14 +84,16 @@ def test_driver_rows_equal_untiled(kind, monkeypatch):
 
 def test_suppress_point_peak_memory():
     # The largest sweep point: two 256-row streams of 256-QAM polar symbols at
-    # N = 4096, 16 MiB each as whole complex batches.  Generated and read one
-    # row tile at a time, the traced peak is about 22 MiB (numpy 2.4): the
-    # message bits of both batches and one tile of everything else.  Built
-    # whole before the first tile was read, the two batches peaked at 67 MiB.
+    # N = 4096, 16 MiB each as whole complex batches.  Built whole before the
+    # first tile was read, the two batches peaked at 67 MiB; generated and read
+    # one row tile at a time, at 22 MiB, most of it the one-byte message bits
+    # of both batches.  With the bits held packed and the FFT buffers of one
+    # correlation.workspace() per sweep, the traced peak is about 13 MiB
+    # (numpy 2.4): below one whole complex batch.
     config = ExperimentConfig(kind="suppress", seed=0, trials=experiments._CHUNK,
                               n_list=(4096,), codes=("polar",),
                               rates=((682.5, 1024, "256qam"),))
-    batches_bytes = 2 * 16 * experiments._CHUNK * 4096
+    batch_bytes = 16 * experiments._CHUNK * 4096
     experiments.run_suppression_sweep(config)  # fill the code caches first
     tracemalloc.start()
     try:
@@ -99,4 +101,4 @@ def test_suppress_point_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < batches_bytes, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert peak < batch_bytes, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -140,3 +140,21 @@ def test_symbol_tiles_equal_the_batch(kind, n_msg, interleaved, tile_rows, make_
     assert np.concatenate(tiles).tobytes() == batch.tobytes()
     # the stream itself, not only the rows compared: both routes drew the same outputs
     assert tiled_rng.bit_generator.state == batch_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("words", [2, 6])
+@pytest.mark.parametrize("tile_rows", [None, 3])
+@pytest.mark.parametrize("kind,n_msg", [("uncoded", 128), ("polar", 30), ("ldpc", 61)])
+def test_message_chunks_equal_one_draw(kind, n_msg, tile_rows, words, monkeypatch):
+    # message bits drawn a few words at a time, packed, and unpacked per row
+    # tile, against one whole draw; 7 rows of 30 or 61 bits are no whole
+    # number of bytes, and 3-row tiles start inside a byte
+    cfg = CodeConfig(kind=kind, n_code_bits=128, n_msg_bits=n_msg)
+    const = constellation("qpsk")
+    want_rng = np.random.default_rng(19)
+    want = _oracle_batch(cfg, const, 7, want_rng, True)
+    monkeypatch.setattr(experiments, "_MSG_WORDS", words)
+    got_rng = np.random.default_rng(19)
+    got = np.concatenate(list(_symbol_batch(cfg, const, 7, got_rng, True, tile_rows)))
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
