@@ -107,6 +107,30 @@ def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng, interleaved: bool 
         yield map_bits(cw, const)
 
 
+def _tiled_stats(cfg: CodeConfig, const, n: int, trials: int, rngs, stat, interleaved=True):
+    """stat's per-trial statistics over trials rows in _CHUNK-row batches.
+
+    Batch ci draws one _symbol_batch per generator of rngs(ci); stat takes one
+    row tile of each at a time.  Tiles hold max(1, _TILE_POINTS // n) rows,
+    widened until none holds one row of a multi-row batch (a one-row product
+    with a vector goes to BLAS zdotu, not zgemv, and moves bits).  Each stream's
+    tile replaces its last before the next stream draws: freeing a whole set at
+    once lets glibc trim the heap top, and the next set faults its pages again.
+    """
+    parts, syms = [], {}
+    for ci, start in enumerate(range(0, trials, _CHUNK)):
+        m = min(_CHUNK, trials - start)
+        rows = max(1, _TILE_POINTS // n)
+        while m > 1 and (rows == 1 or m % rows == 1):
+            rows += 1
+        gens = [_symbol_batch(cfg, const, m, rng, interleaved, rows) for rng in rngs(ci)]
+        for _ in row_tiles(m, rows):
+            for j, gen in enumerate(gens):
+                syms[j] = next(gen)
+            parts.append(stat(*syms.values()))
+    return [np.concatenate(v) for v in zip(*parts)]
+
+
 def _curve_combos(config: ExperimentConfig):
     """(ci, ri, code, rate_num, rate_den, modulation) per plotted curve.
 
@@ -152,13 +176,10 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
     """The (code, rate, N) walk shared by the three sidelobe sweeps.
 
     For each curve point and each (interleaved, keys) entry of runs(code),
-    draws one symbol stream per key from substream(seed, domain, ci, ri, ni,
-    *key) in _CHUNK-row batches.  Each batch's symbols are generated and read
-    max(1, _TILE_POINTS // N) rows at a time: stat takes one tile of every
-    stream, so no whole complex batch is held, and the correlations reuse one
-    correlation.workspace() for the whole walk.  Yields (head, const, k_sym,
-    interleaved, values): head = (code, rate, modulation, n) leads every row,
-    values holds stat's per-trial statistics over all trials.
+    reads one symbol stream per key, substream(seed, domain, ci, ri, ni, *key),
+    through _tiled_stats, with one correlation.workspace() for the whole walk.
+    Yields (head, const, k_sym, interleaved, values): head = (code, rate,
+    modulation, n) leads every row, values holds stat's per-trial statistics.
     """
     seed = config.require_seed()
     trials = config.resolved_trials()
@@ -172,13 +193,7 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
                 head = (code, _rate_label(num, den), mod, n)
                 for interleaved, keys in runs(code):
                     rngs = [substream(seed, domain, ci, ri, ni, *key) for key in keys]
-                    batches = []
-                    for start in range(0, trials, _CHUNK):
-                        m = min(_CHUNK, trials - start)
-                        tiles = [_symbol_batch(cfg, const, m, rng, interleaved,
-                                               max(1, _TILE_POINTS // n)) for rng in rngs]
-                        batches += [stat(*syms) for syms in zip(*tiles)]
-                    values = [np.concatenate(v) for v in zip(*batches)]
+                    values = _tiled_stats(cfg, const, n, trials, lambda _: rngs, stat, interleaved)
                     yield head, const, k_symbols(cfg, const), interleaved, values
 
 
@@ -258,20 +273,16 @@ _BOUND_STATS = ("chi1", "rho0", "v1")
 
 def _bound_statistics(cfg: CodeConfig, const, n: int, trials: int, seed: int,
                       key: tuple) -> dict:
-    """10^4-scale samples of chi(1), rho(0) and V[1] for one signal family."""
-    chi, rho, v1 = [], [], []
+    """10^4-scale samples of chi(1), rho(0) and V[1] for one signal family; stream s
+    of batch ci is substream(seed, *key, s, ci): chi(1) reads 0, rho(0) and V[1] 1, 2."""
     kernel = np.exp(2j * np.pi * np.arange(n) / n)
-    for ci, start in enumerate(range(0, trials, _CHUNK)):
-        m = min(_CHUNK, trials - start)
-        # one stream at a time, so each replaces its last batch before the next is drawn
-        s = next(_symbol_batch(cfg, const, m, substream(seed, *key, 0, ci)))
-        s_i = next(_symbol_batch(cfg, const, m, substream(seed, *key, 1, ci)))
-        s_q = next(_symbol_batch(cfg, const, m, substream(seed, *key, 2, ci)))
-        chi.append(np.einsum("tn,tn->t", s[:, 1:], np.conj(s[:, :-1])) / n)
-        rho.append(np.einsum("tn,tn->t", s_q, np.conj(s_i)) / n)
-        v1.append((s_q / s_i) @ kernel / n)
-    return {"chi1": np.concatenate(chi), "rho0": np.concatenate(rho),
-            "v1": np.concatenate(v1)}
+    chi, = _tiled_stats(cfg, const, n, trials, lambda ci: [substream(seed, *key, 0, ci)],
+                        lambda s: (np.einsum("tn,tn->t", s[:, 1:], np.conj(s[:, :-1])) / n,))
+    rho, v1 = _tiled_stats(cfg, const, n, trials,
+                           lambda ci: [substream(seed, *key, s, ci) for s in (1, 2)],
+                           lambda s_i, s_q: (np.einsum("tn,tn->t", s_q, np.conj(s_i)) / n,
+                                             (s_q / s_i) @ kernel / n))
+    return {"chi1": chi, "rho0": rho, "v1": v1}
 
 
 def _lb_witness_rows(u: float = 0.01) -> list:

@@ -1,10 +1,13 @@
 """The sweep engine's row tiles: tiled statistics equal untiled ones byte for byte.
 
-experiments._sweep generates the symbols of an (m, N) batch and applies each
-sidelobe statistic to them max(1, _TILE_POINTS // N) rows at a time.  Every
-row's correlation bytes are the same whatever batch it is computed in
-(tests/test_correlation.py), so any row tiling, down to one row per call,
-gives the bytes of one call on the whole batch, and no whole batch is held.
+experiments._tiled_stats generates the symbols of an (m, N) batch and applies
+each statistic to them max(1, _TILE_POINTS // N) rows at a time, for the
+sidelobe sweeps and the bound statistics alike.  Every row's correlation bytes
+are the same whatever batch it is computed in (tests/test_correlation.py), so
+any row tiling, down to one row per call, gives the bytes of one call on the
+whole batch, and no whole batch is held.  The bound statistics' V[1] is a
+matrix-vector product, whose one-row case BLAS computes otherwise: its tiles
+never hold one row of a multi-row batch.
 """
 
 import tracemalloc
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from ccsradar import experiments
+from ccsradar._rng import substream
 from ccsradar.config import ExperimentConfig
 from ccsradar.correlation import autocorr, crosscorr, idft_ratio, pslr, suppression_metric
 from ccsradar.experiments import _pslr_stat, _window_lags
@@ -76,7 +80,7 @@ def test_driver_rows_equal_untiled(kind, monkeypatch):
               "suppress": experiments.run_suppression_sweep,
               "interleave": experiments.run_interleaver_study}[kind]
     tiled = driver(config).rows
-    # one untiled call per batch, then one row per call
+    # one untiled call per batch, then the fewest rows per call (two)
     for points in (10 ** 12, 1):
         monkeypatch.setattr(experiments, "_TILE_POINTS", points)
         assert driver(config).rows == tiled
@@ -102,3 +106,62 @@ def test_suppress_point_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < batch_bytes, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def _whole_batch_bound_statistics(cfg, const, n, trials, seed, key):
+    # _bound_statistics as it read each stream's batch whole
+    chi, rho, v1 = [], [], []
+    kernel = np.exp(2j * np.pi * np.arange(n) / n)
+    for ci, start in enumerate(range(0, trials, experiments._CHUNK)):
+        m = min(experiments._CHUNK, trials - start)
+        s = next(experiments._symbol_batch(cfg, const, m, substream(seed, *key, 0, ci)))
+        s_i = next(experiments._symbol_batch(cfg, const, m, substream(seed, *key, 1, ci)))
+        s_q = next(experiments._symbol_batch(cfg, const, m, substream(seed, *key, 2, ci)))
+        chi.append(np.einsum("tn,tn->t", s[:, 1:], np.conj(s[:, :-1])) / n)
+        rho.append(np.einsum("tn,tn->t", s_q, np.conj(s_i)) / n)
+        v1.append((s_q / s_i) @ kernel / n)
+    return {"chi1": np.concatenate(chi), "rho0": np.concatenate(rho),
+            "v1": np.concatenate(v1)}
+
+
+def _bound_config(kind, n):
+    config = ExperimentConfig(kind="bounds", seed=0, trials=1)
+    return config.code_config(kind, 120.0, 1024, n, "qpsk"), constellation("qpsk")
+
+
+@pytest.mark.parametrize("tile_rows,trials", [
+    (None, 300),  # the drivers' own tiles: one at N = 256, four at N = 1024
+    (74, 300),    # 74 + 74 + 74 + 34 rows, then one 44-row tile
+    (64, 321),    # the 65-row last batch: naively 64 + 1 rows, taken as one tile
+], ids=["driver", "uneven", "one_row_tail"])
+@pytest.mark.parametrize("kind", ["uncoded", "polar"])
+@pytest.mark.parametrize("n", [256, 1024])
+def test_bound_statistics_tiles_equal_the_batch(n, kind, tile_rows, trials, monkeypatch):
+    cfg, const = _bound_config(kind, n)
+    key = (experiments._D_BND, 1, 0)
+    want = _whole_batch_bound_statistics(cfg, const, n, trials, 4, key)
+    if tile_rows is not None:
+        monkeypatch.setattr(experiments, "_TILE_POINTS", tile_rows * n)
+    got = experiments._bound_statistics(cfg, const, n, trials, 4, key)
+    assert list(got) == list(experiments._BOUND_STATS) == list(want)
+    for stat in want:
+        assert got[stat].tobytes() == want[stat].tobytes(), stat
+
+
+def test_bound_statistics_peak_memory():
+    # Three 256 x 1024 complex streams are 4 MiB each as whole batches; read in
+    # 64-row tiles, the bound statistics hold a quarter of that per stream.
+    cfg, const = _bound_config("polar", 1024)
+    args = (cfg, const, 1024, experiments._CHUNK, 0, (experiments._D_BND, 1, 1))
+    peaks = []
+    for fn in (_whole_batch_bound_statistics, experiments._bound_statistics):
+        fn(*args)  # fill the code caches first
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    whole, tiled = peaks
+    assert tiled < whole / 2, (f"peak {tiled / 2 ** 20:.1f} MiB, "
+                               f"whole batches {whole / 2 ** 20:.1f} MiB")
