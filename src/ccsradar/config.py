@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import __version__
 from .bounds import (autocorr_tail_ub, crosscorr_tail_ub, median_pslr_from_bound,
                      ofdm_tail_ub)
 from .coding import CodeConfig
@@ -177,7 +178,8 @@ class ExperimentConfig:
         entries and a u grid of u_points >= 2 in 0 < u_min < u_max, and, for the
         near-far scene, snr_db, sir_db and far_gain_db whose linear values stay
         finite, n_max < n_fast, every range and Doppler bin inside [0, n_max] and
-        [1, m_slow], and eta_points >= 2.
+        [1, m_slow], a cell at range 1..n_max that no target holds (the false-alarm
+        search), and eta_points >= 2.
         It evaluates every analytic bound the driver reads (the pslr median, the
         bounds driver's three upper bounds), so a block too short for one fails here.
         """
@@ -199,6 +201,10 @@ class ExperimentConfig:
                 if not 1 <= dbin <= self.m_slow:
                     raise ConfigError(
                         f"{name}_doppler_bin = {dbin} outside [1, m_slow = {self.m_slow}]")
+            held = {(l, nu % self.m_slow) for l, nu in self.target_bins() if l >= 1}
+            if self.n_max * self.m_slow <= len(held):
+                raise ConfigError(f"n_max = {self.n_max} leaves no false-alarm cell: the "
+                                  f"targets hold all {len(held)} cells at range 1..n_max")
             combos = [(self.nearfar_code_kind(), self.rates[0], self.n_fast)]
         elif self.kind == "bounds":
             self._distinct("bounds_n_list")
@@ -267,7 +273,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
@@ -322,7 +328,6 @@ def _fmt(v) -> str:
 
 
 def result_meta(config: ExperimentConfig, wall_time_s: float | None = None) -> dict:
-    from . import __version__
     meta = {"config_hash": config.config_hash(), "version": f"ccsradar-v{__version__}",
             "seed": config.seed, "kind": config.kind}
     if wall_time_s is not None:

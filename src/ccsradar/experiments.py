@@ -561,8 +561,10 @@ def check_bounds(table: ResultTable, config: ExperimentConfig) -> list:
             for code in BOUND_CODES for n in config.bounds_n_list}
     shape_ok = ({tuple(r[i] for i in key) for r in ub} == want
                 and len(ub) == len(want) * config.u_points)
-    n_ub = sum(r[dom] for r in ub)
-    n_lb = sum(r[dom] for r in lb)
+    # a row counts when its flag is set and its own columns agree with the flag
+    p_hat, lo, bound = (cols.index(c) for c in ("p_hat", "wilson_lo", "bound"))
+    n_ub = sum(1 for r in ub if r[dom] and r[lo] <= r[bound] + 1e-15)
+    n_lb = sum(1 for r in lb if r[dom] and r[p_hat] >= r[bound])
     return [("upper_bounds_dominate", shape_ok and n_ub == len(ub),
              f"{n_ub}/{len(ub)} grid points, want {len(want) * config.u_points} = "
              f"{len(want)} (statistic, re/im, code, N) x {config.u_points} u"),

@@ -271,6 +271,12 @@ def test_cli_config_hash_same_across_out_dirs(tmp_path, capsys):
 
 # -- validation -----------------------------------------------------------------
 
+# two targets on the only two cells at range 1..n_max
+TWO_CELL_SCENE = {"n_fast": 64, "m_slow": 2, "n_max": 1, "near_range_bin": 1,
+                  "near_doppler_bin": 1, "far_range_bin": 1, "far_doppler_bin": 2,
+                  "intf_range_bin": 1, "intf_doppler_bin": 1}
+
+
 @pytest.mark.parametrize("overrides,message", [
     ({"kind": "pslr", "n_list": (256, 384), "codes": ("polar",)}, "power of two"),
     ({"kind": "bounds", "bounds_n_list": (768,)}, "power of two"),
@@ -300,6 +306,10 @@ def test_cli_config_hash_same_across_out_dirs(tmp_path, capsys):
      "^rates = .* repeats an entry"),
     ({"kind": "bounds", "bounds_n_list": (256, 1024, 256)},
      "^bounds_n_list = .* repeats an entry"),
+    # no cell at range 1..n_max is left for the false-alarm search
+    ({"kind": "nearfar", "n_max": 0, "near_range_bin": 0, "far_range_bin": 0,
+      "intf_range_bin": 0}, "^n_max = 0 leaves no false-alarm cell"),
+    ({"kind": "nearfar", **TWO_CELL_SCENE}, "^n_max = 1 leaves no false-alarm cell"),
 ])
 def test_validate_rejects(overrides, message):
     with pytest.raises(ConfigError, match=message):
@@ -406,6 +416,17 @@ def test_cli_rejects_missing_config(tmp_path, capsys):
     rc = cli.main(["pslr", "--config", str(tmp_path / "nope.ini"), "--seed", "0"])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_non_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_bytes(b"# caf\xff\n[experiment]\ntrials = 4\n")
+    out = tmp_path / "o"
+    rc = cli.main(["pslr", "--config", str(cfg), "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith(f"config error: cannot read config {cfg}")
+    assert not out.exists()
 
 
 def test_cli_rejects_nonpositive_trials(tmp_path, capsys):
@@ -547,6 +568,41 @@ def test_cli_rejects_nearfar_n_max_beyond_block(tmp_path, capsys):
     assert rc == 2
     assert err.count("\n") == 1 and "n_max = 2000" in err
     assert not out.exists()
+
+
+def _nearfar_ini(scene):
+    """A near-far config that sets each key of scene in its INI section."""
+    signal = {k: v for k, v in scene.items() if k in ("n_fast", "m_slow")}
+    return "\n".join(["[signal]", *(f"{k} = {v}" for k, v in signal.items()), "[scene]",
+                      *(f"{k} = {v}" for k, v in scene.items() if k not in signal)]) + "\n"
+
+
+@pytest.mark.parametrize("scene", [
+    pytest.param({"n_max": 0, "near_range_bin": 0, "far_range_bin": 0, "intf_range_bin": 0},
+                 id="n-max-0"),
+    pytest.param(TWO_CELL_SCENE, id="targets-fill-n-max-1"),
+])
+def test_cli_rejects_nearfar_without_false_alarm_cells(tmp_path, capsys, scene):
+    cfg = _write(tmp_path, _nearfar_ini(scene))
+    out = tmp_path / "o"
+    rc = cli.main(["nearfar", "--config", str(cfg), "--seed", "0", "--trials", "2",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: n_max = {scene['n_max']} leaves no false-alarm cell")
+    assert not out.exists()
+
+
+def test_cli_nearfar_one_false_alarm_cell_runs(tmp_path, capsys):
+    # one Doppler bin more than TWO_CELL_SCENE leaves one cell to search
+    cfg = _write(tmp_path, _nearfar_ini({**TWO_CELL_SCENE, "m_slow": 3}))
+    out = tmp_path / "o"
+    rc = cli.main(["nearfar", "--config", str(cfg), "--seed", "0", "--trials", "2",
+                   "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    assert (out / "nearfar_summary.csv").exists()
 
 
 def test_cli_pslr_run_writes_csv(tmp_path, capsys):
