@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Single-trial walkthrough of the desk scene using the library API directly.
 
-Builds one coded QPSK frame, passes it through the two-target channel with an
-interfering radar, forms the single-carrier range-Doppler map, and prints the
-cell levels at the two targets next to the strongest off-target cell.  Writes
-the map as CSV to --out.
+Builds one coded QPSK frame for the radar and one for an interfering radar,
+each with its own messages and its own parity permutation drawn from the
+demo's one generator, passes them through the two-target channel, forms the
+single-carrier range-Doppler map, and prints the cell levels at the two
+targets next to the strongest off-target cell.  Writes the map as CSV to --out.
 """
 
 import argparse
@@ -34,8 +35,8 @@ def main() -> int:
     const = constellation(mod)
     code = config.code_config("polar", num, den, config.n_fast, mod)
 
-    own = generate_ccs_blocks(config.n_fast, code, const, config.m_slow, rng)
-    intf = generate_ccs_blocks(config.n_fast, code, const, config.m_slow, rng)
+    own = generate_ccs_blocks(code, const, config.m_slow, rng, rng)
+    intf = generate_ccs_blocks(code, const, config.m_slow, rng, rng)
     y = apply_channel_sc([own, intf], config.scene(), rng)
     rdmap = sc_range_doppler(mf_bank(y, own, config.n_max))
 

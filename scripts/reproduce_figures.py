@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run all five experiments at their reference settings and write their CSVs.
 
-Roughly four minutes on one core at the default trial counts.  Pass --trials
+About one minute on one core at the default trial counts (56 s on a Xeon core
+with Python 3.11 and numpy 2.4, 43 s of it in the near-far study).  Pass --trials
 to downscale everything for a quick smoke run; property checks only run at
 the reference trial counts (their tolerances assume them) and print as
 '[check] name: PASS/FAIL (detail)' lines.  The exit code is 0 only if every

@@ -25,24 +25,17 @@ _LDPC_ROW_WEIGHT = 3
 
 @dataclass(frozen=True)
 class CodeConfig:
-    """Code selection plus parity-interleaver draw for one c.c.s stream.
-
-    interleaver_seed picks the permutation of the parity positions that
-    interleave_codeword applies.  construction_seed only matters for ldpc,
-    where it seeds the pseudo-random parity-check construction.
-    """
+    """One channel code: its kind and dimensions.  construction_seed only
+    matters for ldpc, where it seeds the pseudo-random parity-check construction."""
 
     kind: str
     n_code_bits: int
     n_msg_bits: int
-    interleaver_seed: int = 0
     construction_seed: int = 0
 
     def __post_init__(self):
         if self.kind not in CODE_KINDS:
             raise ValueError(f"unknown code kind {self.kind!r}")
-        if self.interleaver_seed is None:
-            raise ValueError("interleaver_seed None would draw a new permutation per call")
         if self.n_msg_bits < 1 or self.n_code_bits < self.n_msg_bits:
             raise ValueError(f"bad code dimensions ({self.n_msg_bits}, {self.n_code_bits})")
         if self.kind == "uncoded" and self.n_code_bits != self.n_msg_bits:
@@ -270,12 +263,14 @@ def encode(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
     return np.concatenate([msg, parity], axis=-1)
 
 
-def interleave_codeword(codeword: np.ndarray, config: CodeConfig) -> np.ndarray:
-    """Permute the parity positions by the draw of config.interleaver_seed; the
-    message prefix stays in place and a code without parity is returned as is."""
+def interleave_codeword(codeword: np.ndarray, config: CodeConfig,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Permute the parity positions by one rng.permutation, shared by every
+    codeword of a batch; the message prefix stays in place, and a code without
+    parity is returned as is, drawing nothing."""
     k = config.n_msg_bits
     if config.n_code_bits == k:
         return codeword
-    tail = k + as_rng(config.interleaver_seed).permutation(config.n_code_bits - k)
+    tail = k + rng.permutation(config.n_code_bits - k)
     # np.take keeps a batch C-ordered; x[..., table] would return it F-ordered
     return np.take(codeword, np.concatenate([np.arange(k), tail]), axis=-1)

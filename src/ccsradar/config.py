@@ -21,6 +21,7 @@ from . import __version__
 from .bounds import (autocorr_tail_ub, crosscorr_tail_ub, median_pslr_from_bound,
                      ofdm_tail_ub)
 from .coding import CodeConfig
+from .detection import false_alarm_mask
 from .modulation import constellation, product_bound_b, ratio_bound_b
 from .scene import Path, TargetScene
 
@@ -143,7 +144,7 @@ class ExperimentConfig:
                 (self.far_range_bin, self.far_doppler_bin))
 
     def code_config(self, kind: str, rate_num: float, rate_den: int, n_symbols: int,
-                    modulation_name: str, interleaver_seed: int = 0) -> CodeConfig:
+                    modulation_name: str) -> CodeConfig:
         if rate_den < 1:
             raise ConfigError(f"rate {rate_num:g}/{rate_den} needs a positive denominator")
         m_s = constellation(modulation_name).bits_per_symbol
@@ -157,8 +158,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"rate {rate_num}/{rate_den} gives a fractional bit count at "
                 f"N={n_symbols}, m_s={m_s}")
-        return CodeConfig(kind, n_bits, int(round(k_bits)), interleaver_seed=interleaver_seed,
-                          construction_seed=self.code_seed)
+        return CodeConfig(kind, n_bits, int(round(k_bits)), construction_seed=self.code_seed)
 
     def nearfar_code_kind(self) -> str:
         """Code of the near-far c.c.s: polar if listed, else the first coded kind."""
@@ -178,8 +178,8 @@ class ExperimentConfig:
         entries and a u grid of u_points >= 2 in 0 < u_min < u_max, and, for the
         near-far scene, snr_db, sir_db and far_gain_db whose linear values stay
         finite, n_max < n_fast, every range and Doppler bin inside [0, n_max] and
-        [1, m_slow], a cell at range 1..n_max that no target holds (the false-alarm
-        search), and eta_points >= 2.
+        [1, m_slow], a detection.false_alarm_mask cell (the false-alarm search),
+        and eta_points >= 2.
         It evaluates every analytic bound the driver reads (the pslr median, the
         bounds driver's three upper bounds), so a block too short for one fails here.
         """
@@ -201,10 +201,9 @@ class ExperimentConfig:
                 if not 1 <= dbin <= self.m_slow:
                     raise ConfigError(
                         f"{name}_doppler_bin = {dbin} outside [1, m_slow = {self.m_slow}]")
-            held = {(l, nu % self.m_slow) for l, nu in self.target_bins() if l >= 1}
-            if self.n_max * self.m_slow <= len(held):
+            if not false_alarm_mask((self.n_max + 1, self.m_slow), self.target_bins()).any():
                 raise ConfigError(f"n_max = {self.n_max} leaves no false-alarm cell: the "
-                                  f"targets hold all {len(held)} cells at range 1..n_max")
+                                  "targets hold every cell at range 1..n_max")
             combos = [(self.nearfar_code_kind(), self.rates[0], self.n_fast)]
         elif self.kind == "bounds":
             self._distinct("bounds_n_list")

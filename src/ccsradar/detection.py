@@ -18,11 +18,13 @@ from .bounds import empirical_tail
 from .receiver import RangeDopplerMap
 
 
-def _false_alarm_mask(rdmap: RangeDopplerMap, target_bins) -> np.ndarray:
-    mask = np.ones_like(rdmap.values, dtype=bool)
+def false_alarm_mask(shape: tuple, target_bins) -> np.ndarray:
+    """The false-alarm cells of an (n_max + 1, M) map: range bins 1..n_max
+    outside the target bins, whose Doppler bins wrap modulo M."""
+    mask = np.ones(shape, dtype=bool)
     mask[0, :] = False
     for l, nu in target_bins:
-        mask[l, nu % rdmap.n_slow] = False
+        mask[l, nu % shape[1]] = False
     return mask
 
 
@@ -31,7 +33,7 @@ def summarize_map(rdmap: RangeDopplerMap, target_bins) -> np.ndarray:
     [target magnitudes..., largest other magnitude] as float64."""
     mags = np.abs(rdmap.values)
     levels = [abs(rdmap.value_at(l, nu)) for l, nu in target_bins]
-    return np.array(levels + [mags[_false_alarm_mask(rdmap, target_bins)].max()])
+    return np.array(levels + [mags[false_alarm_mask(mags.shape, target_bins)].max()])
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,14 @@ def grid_pd_gap(pd, pd_ref) -> float:
 
 
 def make_eta_grid(levels_by_waveform: dict, points: int) -> np.ndarray:
-    """Log grid from a tenth of the lowest sidelobe ceiling up to twice the
-    largest peak, shared by every waveform in the sweep."""
+    """Log grid from a tenth of the lowest positive sidelobe ceiling up to twice
+    the largest peak, shared by every waveform in the sweep.  A ceiling of
+    exactly 0 (an exactly sparse map) lies below every grid point anyway."""
     trials = np.concatenate(list(levels_by_waveform.values()))
-    lo = 0.1 * trials[:, -1].min()
+    other = trials[:, -1]
+    lo = 0.1 * other[other > 0].min(initial=np.inf)
     hi = 2.0 * trials[:, :-1].max()
-    if lo <= 0 or hi <= lo:
+    if not 0 < lo < hi:
         raise ValueError("degenerate level spread for eta grid")
     return np.geomspace(lo, hi, points)
 

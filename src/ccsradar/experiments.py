@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import random_bits, substream
+from ._rng import as_rng, random_bits, substream
 from .bounds import (autocorr_tail_lb, autocorr_tail_ub, crosscorr_tail_ub, empirical_tail,
                      median_pslr_from_bound, median_suppression_from_bound, ofdm_tail_ub)
 from .coding import CodeConfig, encode
@@ -107,17 +107,18 @@ def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng, interleaved: bool 
         yield map_bits(cw, const)
 
 
-def _tiled_stats(cfg: CodeConfig, const, n: int, trials: int, rngs, stat, interleaved=True):
+def _tiled_stats(cfg: CodeConfig, const, trials: int, rngs, stat, interleaved=True):
     """stat's per-trial statistics over trials rows in _CHUNK-row batches.
 
     Batch ci draws one _symbol_batch per generator of rngs(ci); stat takes one
-    row tile of each at a time.  Tiles hold max(1, _TILE_POINTS // n) rows,
+    row tile of each at a time.  Tiles hold max(1, _TILE_POINTS // N) rows,
     widened until none holds one row of a multi-row batch (a one-row product
     with a vector goes to BLAS zdotu, not zgemv, and moves bits).  Each stream's
     tile replaces its last before the next stream draws: freeing a whole set at
     once lets glibc trim the heap top, and the next set faults its pages again.
     """
     parts, syms = [], {}
+    n = cfg.n_code_bits // const.bits_per_symbol
     for ci, start in enumerate(range(0, trials, _CHUNK)):
         m = min(_CHUNK, trials - start)
         rows = max(1, _TILE_POINTS // n)
@@ -193,7 +194,7 @@ def _sweep(config: ExperimentConfig, domain: int, stat, runs):
                 head = (code, _rate_label(num, den), mod, n)
                 for interleaved, keys in runs(code):
                     rngs = [substream(seed, domain, ci, ri, ni, *key) for key in keys]
-                    values = _tiled_stats(cfg, const, n, trials, lambda _: rngs, stat, interleaved)
+                    values = _tiled_stats(cfg, const, trials, lambda _: rngs, stat, interleaved)
                     yield head, const, k_symbols(cfg, const), interleaved, values
 
 
@@ -276,9 +277,9 @@ def _bound_statistics(cfg: CodeConfig, const, n: int, trials: int, seed: int,
     """10^4-scale samples of chi(1), rho(0) and V[1] for one signal family; stream s
     of batch ci is substream(seed, *key, s, ci): chi(1) reads 0, rho(0) and V[1] 1, 2."""
     kernel = np.exp(2j * np.pi * np.arange(n) / n)
-    chi, = _tiled_stats(cfg, const, n, trials, lambda ci: [substream(seed, *key, 0, ci)],
+    chi, = _tiled_stats(cfg, const, trials, lambda ci: [substream(seed, *key, 0, ci)],
                         lambda s: (np.einsum("tn,tn->t", s[:, 1:], np.conj(s[:, :-1])) / n,))
-    rho, v1 = _tiled_stats(cfg, const, n, trials,
+    rho, v1 = _tiled_stats(cfg, const, trials,
                            lambda ci: [substream(seed, *key, s, ci) for s in (1, 2)],
                            lambda s_i, s_q: (np.einsum("tn,tn->t", s_q, np.conj(s_i)) / n,
                                              (s_q / s_i) @ kernel / n))
@@ -355,19 +356,20 @@ def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray, bu
     channels and receivers that read them.  All five variants receive into buf,
     an (M, N + n_max) complex128 array (a fresh frame per variant without it);
     each map is made before the next variant overwrites it.
-    Radar j in (0, 1) draws from substreams (_D_NF_PERM | _D_NF_MSG, t, j), and
-    variant k of NEARFAR_VARIANTS its noise from (_D_NF_NOISE, t, k)."""
+    Radar j in (0, 1) draws its messages from substream (_D_NF_MSG, t, j) and
+    its parity permutation from a generator seeded by one draw of
+    (_D_NF_PERM, t, j); variant k of NEARFAR_VARIANTS draws its noise from
+    (_D_NF_NOISE, t, k)."""
     seed = config.require_seed()
-    n, m_slow, n_max = config.n_fast, config.m_slow, config.n_max
+    n_max = config.n_max
     num, den, mod = config.rates[0]
     const = constellation(mod)
+    cfg = config.code_config(config.nearfar_code_kind(), num, den, config.n_fast, mod)
     frames = []
     for j in (0, 1):
-        iseed = int(substream(seed, _D_NF_PERM, t, j).integers(2 ** 62))
-        cfg = config.code_config(config.nearfar_code_kind(), num, den, n, mod,
-                                 interleaver_seed=iseed)
-        frames.append(generate_ccs_blocks(n, cfg, const, m_slow,
-                                          substream(seed, _D_NF_MSG, t, j)))
+        perm = as_rng(int(substream(seed, _D_NF_PERM, t, j).integers(2 ** 62)))
+        frames.append(generate_ccs_blocks(cfg, const, config.m_slow,
+                                          substream(seed, _D_NF_MSG, t, j), perm))
     s1 = frames[0]
     scene_i = config.scene(with_interference=True)
     scene_n = config.scene(with_interference=False)

@@ -134,15 +134,14 @@ def ratio_bound_b(num_const: Constellation, den_const: Constellation) -> float:
     return float(np.max(np.abs(num_const.points)) / np.min(np.abs(den_const.points)))
 
 
-def generate_ccs_blocks(n_symbols: int, code: CodeConfig, const: Constellation,
-                        n_blocks: int, rng) -> LabelFrame:
-    """Batch of i.i.d.-message blocks as an (n_blocks, n_symbols) LabelFrame.
-
-    All blocks share the configured interleaver draw; messages are independent.
+def generate_ccs_blocks(code: CodeConfig, const: Constellation, n_blocks: int, rng,
+                        interleaver_rng) -> LabelFrame:
+    """Batch of i.i.d.-message blocks as an (n_blocks, N) LabelFrame, N the
+    code's length in symbols.  The messages come from rng, then one parity
+    permutation shared by all blocks from interleaver_rng (which may be rng).
     """
-    if code.n_code_bits != n_symbols * const.bits_per_symbol:
-        raise ValueError(f"code length {code.n_code_bits} != {n_symbols} symbols x "
-                         f"{const.bits_per_symbol} bits")
     msgs = random_bits(as_rng(rng), (n_blocks, code.n_msg_bits))
-    words = gray_labels(interleave_codeword(encode(msgs, code), code), const)
+    # no name holds the codewords, so they are freed before the labels are copied
+    words = gray_labels(interleave_codeword(encode(msgs, code), code, as_rng(interleaver_rng)),
+                        const)
     return LabelFrame(words.astype(np.uint8), const.points)

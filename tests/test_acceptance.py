@@ -226,8 +226,8 @@ def test_ofdm_map_exact_sparsity(say):
     scene = TargetScene(targets=(Path(14, 516, 1.0), Path(27, 518, far)),
                         interference=(), noise_var=0.0, n_max=32)
     code = CodeConfig("uncoded", 2048, 2048)
-    s = generate_ccs_blocks(1024, code, constellation("qpsk"), 1024,
-                            np.random.default_rng(5))
+    s = generate_ccs_blocks(code, constellation("qpsk"), 1024, np.random.default_rng(5),
+                            np.random.default_rng(0))
     rd = ofdm_range_doppler(apply_channel_ofdm([s], scene, None), s, 32)
     p_near = abs(abs(rd.value_at(14, 516)) - 1.0)
     p_far = abs(abs(rd.value_at(27, 518)) - far)

@@ -166,7 +166,8 @@ def test_domination_small_scale():
     # beyond Monte Carlo confidence
     code = CodeConfig(kind="uncoded", n_code_bits=512, n_msg_bits=512)
     const = constellation("qpsk")
-    sym = np.asarray(generate_ccs_blocks(256, code, const, 3000, np.random.default_rng(42)))
+    sym = np.asarray(generate_ccs_blocks(code, const, 3000, np.random.default_rng(42),
+                                         np.random.default_rng(0)))
     chi1 = np.einsum("tn,tn->t", sym[:, 1:], np.conj(sym[:, :-1])) / 256.0
     u = np.linspace(0.01, 0.25, 20)
     ub = autocorr_tail_ub(u, n=256, lag=1, b=1.0, k=256.0)
@@ -182,7 +183,7 @@ def test_tail_probability_decays_with_n():
     p_at_u = []
     for n in (256, 512, 1024):
         code = CodeConfig(n_code_bits=2 * n, n_msg_bits=2 * n, **code_kind)
-        sym = np.asarray(generate_ccs_blocks(n, code, const, 2000, rng))
+        sym = np.asarray(generate_ccs_blocks(code, const, 2000, rng, np.random.default_rng(0)))
         chi1 = np.einsum("tn,tn->t", sym[:, 1:], np.conj(sym[:, :-1])) / n
         p_at_u.append(np.mean(np.abs(chi1.real) > 0.05))
     assert p_at_u[0] > p_at_u[1] > p_at_u[2]

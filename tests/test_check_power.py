@@ -1,8 +1,8 @@
 """Every planted table-level defect draws a FAIL from the property registry.
 
-Each case edits a copy of a reference table from the conftest fixtures the
-way a defective experiment would have written it, and requires the registry
-check named beside it to FAIL.  The unedited tables pass every check
+Each case edits a copy of a reference table (or of the near-far RocCurves)
+from the conftest fixtures the way a defective experiment would have written
+it, and requires the registry check named beside it to FAIL.  The unedited tables pass every check
 (test_acceptance.py), so a FAIL here is the defect's doing.  Defects that
 still pass every check are listed in the README as known blind spots; none is
 pinned here as passing.
@@ -11,6 +11,7 @@ pinned here as passing.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from ccsradar import experiments
@@ -64,6 +65,18 @@ def swap_polar_interleaved(r, v):
 
 def uncoded_ofdm_up_2db(r, v):
     if r["code"] == "uncoded" and r["metric"] == "ofdm_kernel":
+        r[v] += 2.0
+    return r
+
+
+def ldpc_plain_up_half_db(r, v):
+    if r["code"] == "ldpc" and r["interleaved"] == 0:
+        r[v] += 0.5
+    return r
+
+
+def high_rate_plain_up_2db(r, v):
+    if r["rate"] == "682.5/1024" and r["interleaved"] == 0:
         r[v] += 2.0
     return r
 
@@ -122,6 +135,12 @@ def drop_lb_witness(r, _v):
                  id="interleave-ldpc-up-1db"),
     pytest.param("interleave", swap_polar_interleaved, "plain_below_interleaved_polar",
                  id="interleave-polar-flag-swapped"),
+    pytest.param("interleave", ldpc_plain_up_half_db, "plain_matches_interleaved_ldpc",
+                 id="interleave-ldpc-plain-up-0.5db"),
+    pytest.param("interleave", high_rate_plain_up_2db, "high_rate_plain_near_uncoded_polar",
+                 id="interleave-high-rate-plain-up-2db-polar"),
+    pytest.param("interleave", high_rate_plain_up_2db, "high_rate_plain_near_uncoded_ldpc",
+                 id="interleave-high-rate-plain-up-2db-ldpc"),
     pytest.param("suppress", uncoded_ofdm_up_2db, "sc_vs_ofdm_qpsk",
                  id="suppress-uncoded-ofdm-up-2db"),
     pytest.param("pslr", offset(10.0), "uncoded_qpsk_median_n1024", id="pslr-offset+10db"),
@@ -160,12 +179,55 @@ def no_sweet_band(config):
     return edit
 
 
+def other_cell_above_near(config):
+    def edit(r):
+        if r["variant"] == "ccs_ofdm":
+            r["max_other_max"] = 1.01 * r["near_min"]
+        return r
+    return edit
+
+
 @pytest.mark.parametrize("make_edit,killer", [
     pytest.param(far_min_below_window, "far_peak_within_3db_ccs_sc", id="far-min-below-3db"),
     pytest.param(no_sweet_band, "sweet_band_nonempty_ccs_sc", id="band-points-0"),
+    pytest.param(other_cell_above_near, "targets_above_other_cells_ccs_ofdm",
+                 id="max-other-above-near"),
 ])
 def test_nearfar_defect_fails_its_check(nearfar_results, base_config, make_edit, killer):
     table, roc, levels = nearfar_results
     config = dataclasses.replace(base_config, kind="nearfar")
     mutant = edited(table, make_edit(config))
     assert killer in failures(experiments.check_nearfar(mutant, roc, config, levels))
+
+
+# -- near-far ROC defects: edit(pd, pf) on copies of the curve dicts ---------------
+
+def fmcw_pf_as_sc_nointf(pd, pf):
+    pf["fmcw"] = pf["ccs_sc_nointf"].copy()
+
+
+def ofdm_pd_down(pd, pf):
+    pd["ccs_ofdm"] = pd["ccs_ofdm"] - 0.1
+
+
+def pd_shifted(variant, points=5):
+    def edit(pd, pf):
+        # the whole curve moved 5 grid points towards lower eta
+        pd[variant] = np.concatenate([pd[variant][points:], np.repeat(pd[variant][-1], points)])
+    return edit
+
+
+@pytest.mark.parametrize("edit,killer", [
+    pytest.param(fmcw_pf_as_sc_nointf, "fmcw_false_alarm_excess", id="fmcw-pf-as-sc-nointf"),
+    pytest.param(ofdm_pd_down, "sc_vs_ofdm_pd", id="ofdm-pd-down-0.1"),
+    pytest.param(pd_shifted("ccs_sc"), "ccs_sc_matches_fmcw_pd", id="sc-pd-shifted-5-points"),
+    pytest.param(pd_shifted("ccs_ofdm"), "ccs_ofdm_matches_fmcw_pd",
+                 id="ofdm-pd-shifted-5-points"),
+])
+def test_nearfar_roc_defect_fails_its_check(nearfar_results, base_config, edit, killer):
+    table, roc, levels = nearfar_results
+    config = dataclasses.replace(base_config, kind="nearfar")
+    pd, pf = dict(roc.pd), dict(roc.pf)
+    edit(pd, pf)
+    mutant = dataclasses.replace(roc, pd=pd, pf=pf)  # RocCurves is frozen
+    assert killer in failures(experiments.check_nearfar(table, mutant, config, levels))

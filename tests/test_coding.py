@@ -343,34 +343,31 @@ def test_encoders_are_gf2_linear(kind, seed):
 # ------------------------------------------------------------ interleaver
 
 
-def _interleaver_table(cfg):
-    """The position table interleave_codeword applies: out[p] = in[table[p]]."""
-    return interleave_codeword(np.arange(cfg.n_code_bits), cfg)
+def _interleaver_table(cfg, seed):
+    """The position table interleave_codeword applies with rng(seed): out[p] = in[table[p]]."""
+    return interleave_codeword(np.arange(cfg.n_code_bits), cfg, np.random.default_rng(seed))
 
 
 def test_interleaver_fixes_systematic_prefix():
-    table = _interleaver_table(CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8,
-                                          interleaver_seed=42))
+    table = _interleaver_table(CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8), 42)
     assert np.array_equal(table[:8], np.arange(8))
     assert sorted(table.tolist()) == list(range(16))
-    # the parity draw is the seeded permutation of the parity positions
+    # the parity draw is the generator's permutation of the parity positions
     assert np.array_equal(table[8:], 8 + np.random.default_rng(42).permutation(8))
-    # no parity: nothing to permute
-    plain = CodeConfig(kind="uncoded", n_code_bits=8, n_msg_bits=8, interleaver_seed=42)
-    cw = np.arange(8)
-    assert interleave_codeword(cw, plain) is cw
+    # no parity: nothing to permute, and nothing drawn
+    plain = CodeConfig(kind="uncoded", n_code_bits=8, n_msg_bits=8)
+    cw, rng = np.arange(8), np.random.default_rng(42)
+    state = rng.bit_generator.state
+    assert interleave_codeword(cw, plain, rng) is cw
+    assert rng.bit_generator.state == state
 
 
-def test_interleaver_seed_none_is_rejected():
-    # None would seed a fresh OS-entropy permutation on every interleave call
-    with pytest.raises(ValueError, match="interleaver_seed"):
-        CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8, interleaver_seed=None)
-    with pytest.raises(ValueError, match="interleaver_seed"):
-        ExperimentConfig().code_config("polar", 120.0, 1024, 64, "qpsk", interleaver_seed=None)
-    # an int seed gives one codeword, call after call
-    cfg = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8, interleaver_seed=7)
+def test_interleaver_seeded_generators_agree():
+    # two generators built from one seed give one codeword
+    cfg = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8)
     cw = encode(_message(8, np.random.default_rng(0)), cfg)
-    assert np.array_equal(interleave_codeword(cw, cfg), interleave_codeword(cw, cfg))
+    assert np.array_equal(interleave_codeword(cw, cfg, np.random.default_rng(7)),
+                          interleave_codeword(cw, cfg, np.random.default_rng(7)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -378,19 +375,19 @@ def test_interleaver_seed_none_is_rejected():
 def test_interleaver_roundtrip(seed):
     # one seed, one permutation for every codeword: undoing the table
     # recovers the bits
-    cfg = CodeConfig(kind="repetition", n_code_bits=24, n_msg_bits=8, interleaver_seed=seed)
-    table = _interleaver_table(cfg)
+    cfg = CodeConfig(kind="repetition", n_code_bits=24, n_msg_bits=8)
+    table = _interleaver_table(cfg, seed)
     bits = np.random.default_rng(seed).integers(0, 2, size=(3, 24)).astype(np.uint8)
-    mixed = interleave_codeword(bits, cfg)
+    mixed = interleave_codeword(bits, cfg, np.random.default_rng(seed))
     assert np.array_equal(mixed, bits[:, table])
     assert np.array_equal(mixed[:, np.argsort(table)], bits)
 
 
 def test_interleave_codeword_permutes_parity_only():
-    cfg = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8, interleaver_seed=3)
+    cfg = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8)
     msg = _message(8, np.random.default_rng(0))
     cw = encode(msg, cfg)
-    mixed = interleave_codeword(cw, cfg)
+    mixed = interleave_codeword(cw, cfg, np.random.default_rng(3))
     assert np.array_equal(mixed[:8], msg)
     assert sorted(mixed[8:].tolist()) == sorted(cw[8:].tolist())
 
@@ -402,12 +399,12 @@ def test_batch_codewords_are_c_contiguous(kind, n_code, n_msg, interleave):
     # row-major batches keep the mapper, channel and matched filter on unit
     # stride, with or without the interleaver; last-axis fancy indexing
     # would hand them Fortran order
-    cfg = CodeConfig(kind=kind, n_code_bits=n_code, n_msg_bits=n_msg, interleaver_seed=5)
+    cfg = CodeConfig(kind=kind, n_code_bits=n_code, n_msg_bits=n_msg)
     msgs = np.random.default_rng(1).integers(0, 2, size=(8, n_msg), dtype=np.uint8)
     cw = encode(msgs, cfg)
-    mixed = interleave_codeword(cw, cfg) if interleave else cw
+    mixed = interleave_codeword(cw, cfg, np.random.default_rng(5)) if interleave else cw
     assert cw.flags.c_contiguous and mixed.flags.c_contiguous
-    assert np.array_equal(mixed, cw[:, _interleaver_table(cfg)]
+    assert np.array_equal(mixed, cw[:, _interleaver_table(cfg, 5)]
                           if interleave else cw)
 
 
@@ -415,9 +412,9 @@ def test_interleaver_draws_are_uniform_over_seeds():
     # gamma=2, K=4 repetition: the parity half has 4! = 24 permutations;
     # chi-square over 20000 seeds should sit near its df = 23 mean
     counts = {}
+    cfg = CodeConfig(kind="repetition", n_code_bits=8, n_msg_bits=4)
     for seed in range(20000):
-        cfg = CodeConfig(kind="repetition", n_code_bits=8, n_msg_bits=4, interleaver_seed=seed)
-        key = tuple(_interleaver_table(cfg)[4:].tolist())
+        key = tuple(_interleaver_table(cfg, seed)[4:].tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 24
     expect = 20000 / 24

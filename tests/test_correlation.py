@@ -163,8 +163,8 @@ def test_idft_ratio_mean_vanishes_over_pairs():
     const = constellation("qpsk")
     rng = np.random.default_rng(10)
     trials = 2000
-    a = np.asarray(generate_ccs_blocks(64, code, const, trials, rng))
-    b = np.asarray(generate_ccs_blocks(64, code, const, trials, rng))
+    a = np.asarray(generate_ccs_blocks(code, const, trials, rng, np.random.default_rng(0)))
+    b = np.asarray(generate_ccs_blocks(code, const, trials, rng, np.random.default_rng(0)))
     vals = np.fft.ifft(b / a, axis=1)[:, 1]
     est = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(trials)

@@ -6,6 +6,7 @@ import pytest
 from dataclasses import dataclass
 
 from ccsradar.detection import (
+    false_alarm_mask,
     grid_pd_gap,
     make_eta_grid,
     summarize_map,
@@ -133,6 +134,26 @@ def test_make_eta_grid_range():
     assert np.all(np.diff(grid) > 0)
     with pytest.raises(ValueError):
         make_eta_grid({"a": np.array([[1.0, 0.0]])}, points=50)
+
+
+def test_make_eta_grid_skips_a_zero_ceiling():
+    # an exactly sparse map has off-target maximum 0.0: the grid starts from the
+    # smallest positive ceiling, and a ceiling of 0 never reaches any grid point
+    levels = {"sparse": np.array([[1.0, 0.4, 0.0]]),
+              "b": np.array([[0.9, 0.5, 0.05]])}
+    grid = make_eta_grid(levels, points=50)
+    assert grid[0] == pytest.approx(0.005)
+    assert grid[-1] == pytest.approx(2.0)
+    roc = threshold_sweep(levels, points=50)
+    assert np.all(roc.pf["sparse"] == 0.0)
+
+
+def test_false_alarm_mask():
+    mask = false_alarm_mask((N_ROWS, M_SLOW), TARGETS + ((3, M_SLOW),))
+    assert mask.shape == (N_ROWS, M_SLOW) and not mask[0].any()
+    # the target cells, Doppler bin M wrapping to column 0, are left out
+    assert not mask[2, 5] and not mask[4, 9] and not mask[3, 0]
+    assert mask.sum() == (N_ROWS - 1) * M_SLOW - 3
 
 
 def test_threshold_sweep_monotone_and_consistent():

@@ -605,6 +605,40 @@ def test_cli_nearfar_one_false_alarm_cell_runs(tmp_path, capsys):
     assert (out / "nearfar_summary.csv").exists()
 
 
+# every path at range bin 0 and noise below the signal's last bit: the
+# zero-forced map of ccs_ofdm_nointf is exactly sparse, its off-target maximum 0.0
+EXACTLY_SPARSE_INI = """\
+[signal]
+n_fast = 16
+m_slow = 4
+codes = uncoded
+
+[scene]
+n_max = 3
+snr_db = 4000
+near_range_bin = 0
+near_doppler_bin = 4
+far_range_bin = 0
+far_doppler_bin = 4
+intf_range_bin = 0
+intf_doppler_bin = 4
+"""
+
+
+def test_cli_nearfar_exactly_sparse_map_runs(tmp_path, capsys):
+    cfg = _write(tmp_path, EXACTLY_SPARSE_INI)
+    out = tmp_path / "o"
+    rc = cli.main(["nearfar", "--config", str(cfg), "--seed", "0", "--trials", "1",
+                   "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    rows = [line.split(",") for line in
+            (out / "nearfar_summary.csv").read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+    other_max = {r[0]: r[rows[0].index("max_other_max")] for r in rows[1:]}
+    assert other_max["ccs_ofdm_nointf"] == "0.0"
+
+
 def test_cli_pslr_run_writes_csv(tmp_path, capsys):
     cfg = _write(tmp_path, SMALL_PSLR_INI)
     out = tmp_path / "out"

@@ -149,15 +149,21 @@ def test_map_bits_matches_strided_label_oracle(name, m):
             map_bits(batch[..., 1:], const)
 
 
+def _blocks(code, const, n_blocks, seed):
+    """generate_ccs_blocks with messages from rng(seed) and the parity draw of rng(0)."""
+    return generate_ccs_blocks(code, const, n_blocks, np.random.default_rng(seed),
+                               np.random.default_rng(0))
+
+
 def _messages(n_blocks, n_msg, seed):
-    """The message bits generate_ccs_blocks draws first from a fresh rng(seed)."""
+    """The message bits generate_ccs_blocks draws from a fresh rng(seed)."""
     return np.random.default_rng(seed).integers(0, 2, size=(n_blocks, n_msg), dtype=np.uint8)
 
 
 def test_block_systematic_prefix_qpsk():
     code = CodeConfig(kind="polar", n_code_bits=512, n_msg_bits=60)
     const = constellation("qpsk")
-    mat = np.asarray(generate_ccs_blocks(256, code, const, 3, np.random.default_rng(21)))
+    mat = np.asarray(_blocks(code, const, 3, 21))
     assert mat.shape == (3, 256)
     assert np.array_equal(mat[:, :30], map_bits(_messages(3, 60, 21), const))
 
@@ -167,7 +173,7 @@ def test_block_systematic_prefix_fractional_symbols():
     # 170.625 symbols, so exactly 170 whole symbols are pure message
     code = CodeConfig(kind="polar", n_code_bits=2048, n_msg_bits=1365)
     const = constellation("256qam")
-    mat = np.asarray(generate_ccs_blocks(256, code, const, 2, np.random.default_rng(22)))
+    mat = np.asarray(_blocks(code, const, 2, 22))
     want = map_bits(_messages(2, 1365, 22)[:, : 170 * 8], const)
     assert np.array_equal(mat[:, :170], want)
 
@@ -177,10 +183,11 @@ def test_label_route_maps_to_the_symbol_blocks(name):
     const = constellation(name)
     m = const.bits_per_symbol
     code = CodeConfig(kind="polar", n_code_bits=64 * m, n_msg_bits=16 * m)
-    frame = generate_ccs_blocks(64, code, const, 20, np.random.default_rng(9))
+    frame = _blocks(code, const, 20, 9)
     # the symbol route the labels replaced: map_bits of the interleaved codewords
     msgs = random_bits(np.random.default_rng(9), (20, code.n_msg_bits))
-    want = map_bits(interleave_codeword(encode(msgs, code), code), const)
+    want = map_bits(interleave_codeword(encode(msgs, code), code, np.random.default_rng(0)),
+                    const)
     assert np.asarray(frame).tobytes() == want.tobytes()
     assert isinstance(frame, LabelFrame) and frame.shape == want.shape
     assert frame.labels.dtype == np.uint8 and frame.labels.max() < const.points.size
@@ -191,22 +198,23 @@ def test_label_route_maps_to_the_symbol_blocks(name):
 def test_block_generation_is_reproducible():
     code = CodeConfig(kind="ldpc", n_code_bits=128, n_msg_bits=32)
     const = constellation("qpsk")
-    a = np.asarray(generate_ccs_blocks(64, code, const, 4, np.random.default_rng(77)))
-    b = np.asarray(generate_ccs_blocks(64, code, const, 4, np.random.default_rng(77)))
+    a = np.asarray(_blocks(code, const, 4, 77))
+    b = np.asarray(_blocks(code, const, 4, 77))
     assert np.array_equal(a, b)
     assert not np.array_equal(a[0], a[1])  # messages differ between blocks
 
 
 def test_block_size_mismatch_raises():
-    code = CodeConfig(kind="uncoded", n_code_bits=100, n_msg_bits=100)
-    with pytest.raises(ValueError):
-        generate_ccs_blocks(64, code, constellation("qpsk"), 2, np.random.default_rng(0))
+    # 99 code bits are no whole number of QPSK symbols
+    code = CodeConfig(kind="uncoded", n_code_bits=99, n_msg_bits=99)
+    with pytest.raises(ValueError, match="not divisible"):
+        _blocks(code, constellation("qpsk"), 2, 0)
 
 
 def test_blocks_batch_matches_marginals():
     code = CodeConfig(kind="polar", n_code_bits=128, n_msg_bits=16)
     const = constellation("qpsk")
-    mat = np.asarray(generate_ccs_blocks(64, code, const, 12, np.random.default_rng(5)))
+    mat = np.asarray(_blocks(code, const, 12, 5))
     assert mat.shape == (12, 64)
     assert np.all(np.abs(np.abs(mat) - 1.0) < 1e-12)
 
@@ -214,7 +222,7 @@ def test_blocks_batch_matches_marginals():
 def test_uncoded_symbols_are_uniform():
     code = CodeConfig(kind="uncoded", n_code_bits=128, n_msg_bits=128)
     const = constellation("qpsk")
-    mat = np.asarray(generate_ccs_blocks(64, code, const, 2000, np.random.default_rng(8)))
+    mat = np.asarray(_blocks(code, const, 2000, 8))
     _, counts = np.unique(np.round(mat.ravel(), 6), return_counts=True)
     assert counts.size == 4
     expect = mat.size / 4
@@ -260,7 +268,7 @@ def test_blocks_batch_is_c_contiguous(kind, n_msg, interleave):
     const = constellation("qpsk")
     batches = list(_symbol_batch(code, const, 16, np.random.default_rng(2), interleave))
     if interleave:
-        frame = generate_ccs_blocks(32, code, const, 16, np.random.default_rng(2))
+        frame = _blocks(code, const, 16, 2)
         batches.append(frame.labels)
     for syms in batches:
         assert syms.shape == (16, 32) and syms.flags.c_contiguous

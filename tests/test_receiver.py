@@ -5,9 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from ccsradar.coding import CodeConfig
 from ccsradar.correlation import idft_ratio
-from ccsradar.modulation import LabelFrame, constellation, generate_ccs_blocks
+from ccsradar.modulation import LabelFrame, constellation
 from ccsradar.receiver import (
     RangeDopplerMap,
     fmcw_range_doppler,
@@ -18,25 +17,13 @@ from ccsradar.receiver import (
 from ccsradar.scene import (
     ROW_TILE,
     Path,
-    TargetScene,
     apply_channel_ofdm,
     apply_channel_sc,
     chirp,
     read_frame_bin,
     synth_frame,
 )
-
-
-def _blocks(m_slow, n_fast, seed=0, name="qpsk"):
-    m = constellation(name).bits_per_symbol
-    code = CodeConfig(kind="uncoded", n_code_bits=n_fast * m, n_msg_bits=n_fast * m)
-    return np.asarray(generate_ccs_blocks(n_fast, code, constellation(name), m_slow,
-                                          np.random.default_rng(seed)))
-
-
-def _scene(targets, interference=(), noise_var=0.0, n_max=8):
-    return TargetScene(targets=tuple(targets), interference=tuple(interference),
-                       noise_var=noise_var, n_max=n_max)
+from test_scene import _blocks, _scene
 
 
 def _direct_mf(y, x, n_max):

@@ -23,11 +23,20 @@ from ccsradar.scene import (
 )
 
 
+# _frame, _blocks and _scene serve tests/test_receiver.py too
+def _frame(m_slow, n_fast, seed=0, name="qpsk"):
+    """An uncoded (m_slow, n_fast) LabelFrame with messages from rng(seed).  It has
+    no parity, so its interleaver generator draws nothing."""
+    const = constellation(name)
+    bits = n_fast * const.bits_per_symbol
+    code = CodeConfig(kind="uncoded", n_code_bits=bits, n_msg_bits=bits)
+    return generate_ccs_blocks(code, const, m_slow, np.random.default_rng(seed),
+                               np.random.default_rng(0))
+
+
 def _blocks(m_slow, n_fast, seed=0, name="qpsk"):
-    code = CodeConfig(kind="uncoded", n_code_bits=n_fast * constellation(name).bits_per_symbol,
-                      n_msg_bits=n_fast * constellation(name).bits_per_symbol)
-    return np.asarray(generate_ccs_blocks(n_fast, code, constellation(name), m_slow,
-                                          np.random.default_rng(seed)))
+    """_frame mapped to its complex symbols."""
+    return np.asarray(_frame(m_slow, n_fast, seed, name))
 
 
 def _scene(targets, interference=(), noise_var=0.0, n_max=8):
@@ -393,8 +402,7 @@ def test_frame_binary_payload_is_interleaved_float64(tmp_path, mat):
 
 
 @pytest.mark.parametrize("frame", [
-    generate_ccs_blocks(40, CodeConfig(kind="uncoded", n_code_bits=80, n_msg_bits=80),
-                        constellation("qpsk"), 37, np.random.default_rng(18)),
+    _frame(37, 40, seed=18),
     synth_frame(24, 37),
     np.asfortranarray(_blocks(37, 9, seed=19))])
 def test_frame_binary_streams_any_frame(tmp_path, frame):
@@ -407,9 +415,7 @@ def test_frame_binary_streams_any_frame(tmp_path, frame):
 
 
 def test_frame_binary_writes_without_a_frame_copy(tmp_path):
-    code = CodeConfig(kind="uncoded", n_code_bits=256, n_msg_bits=256)
-    frame = generate_ccs_blocks(128, code, constellation("qpsk"), 128,
-                                np.random.default_rng(20))
+    frame = _frame(128, 128, seed=20)
     frame_bytes = 16 * 128 * 128
     write_frame_bin(tmp_path / "warm.bin", frame)
     tracemalloc.start()
