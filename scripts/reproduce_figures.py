@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Run all five experiments at their reference settings and write their CSVs.
 
-About one minute on one core at the default trial counts (56 s on a Xeon core
-with Python 3.11 and numpy 2.4, 43 s of it in the near-far study).  Pass --trials
-to downscale everything for a quick smoke run; property checks only run at
-the reference trial counts (their tolerances assume them) and print as
-'[check] name: PASS/FAIL (detail)' lines.  The exit code is 0 only if every
-experiment ran and every executed check passed.  The figures come from
-scripts/plot_results.py, which the summary names.
+About one minute on one core at the default trial counts (54 s on one core of
+a 2-core Intel Xeon with Python 3.11.7 and numpy 2.4.6, 42 s of it in the
+near-far study).  Pass --trials to downscale everything for a quick smoke
+run; property checks only run at the reference trial counts (their
+tolerances assume them) and print as '[check] name: PASS/FAIL (detail)'
+lines.  The exit code is 0 only if every experiment ran and every executed
+check passed.  The figures come from scripts/plot_results.py, which the
+summary names.
 
 Note: the two near-far '*_matches_fmcw_pd' checks compare the coded
 signals' detection curves with the interference-free FMCW reference at the

@@ -58,33 +58,6 @@ class CodeConfig:
 
 
 # ---------------------------------------------------------------------------
-# repetition
-
-def repetition_bit_correlation(i: int, j: int, n_msg_bits: int, gamma: int,
-                               interleaved: bool) -> float:
-    """Correlation of codeword bits i and j (as +-1 symbols) for a repetition code.
-
-    For the interleaved case the correlation is averaged over the random
-    parity permutation; positions below n_msg_bits are the systematic copy.
-    """
-    k = n_msg_bits
-    n = gamma * k
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("bit positions out of range")
-    if i == j:
-        return 1.0
-    if not interleaved:
-        return 1.0 if (j - i) % k == 0 else 0.0
-    both_msg = i < k and j < k
-    both_par = i >= k and j >= k
-    if both_msg:
-        return 0.0
-    if both_par:
-        return (gamma - 2) / ((gamma - 1) * k - 1)
-    return 1.0 / k
-
-
-# ---------------------------------------------------------------------------
 # polar
 
 # Bit i of a packed row is bit i % 64 of little-endian word i // 64.  Stage h
@@ -228,24 +201,13 @@ def _ldpc_tables(n_code_bits: int, n_msg_bits: int, construction_seed: int) -> n
     return np.ascontiguousarray(cand[np.sort(first)[:m]].T, dtype=np.intp)
 
 
-def parity_check_matrix(config: CodeConfig) -> np.ndarray:
-    """The [A | I] parity-check matrix the systematic ldpc encoder satisfies."""
-    if config.kind != "ldpc":
-        raise ValueError("config is not an ldpc code")
-    support = _ldpc_tables(config.n_code_bits, config.n_msg_bits, config.construction_seed)
-    m = support.shape[1]
-    h_sys = np.zeros((m, config.n_code_bits), dtype=np.uint8)
-    h_sys[np.arange(m), support] = 1
-    h_sys[np.arange(m), config.n_msg_bits + np.arange(m)] = 1
-    return h_sys
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
 def encode(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
     """Systematic encoding for any configured code; batch shape (..., n_msg_bits).
-    Repetition sends gamma copies; ldpc [msg | parity] has parity_check_matrix @ c = 0."""
+    Repetition sends gamma copies; ldpc appends the parity bits of its [A | I]
+    parity-check matrix."""
     msg = np.asarray(msg, dtype=np.uint8)
     if msg.shape[-1] != config.n_msg_bits:
         raise ValueError("message length mismatch")

@@ -310,10 +310,6 @@ class ResultTable:
             for row in self.rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
     def select(self, **conds) -> list:
         idxs = {k: self.columns.index(k) for k in conds}
         return [row for row in self.rows

@@ -7,8 +7,8 @@ Correlations are normalized by the block length N:
     V(l)    = (1/N) sum_k (s_q[k]/s_i[k]) e^{+j 2 pi l k / N}   lags 0..N-1
 
 Every routine accepts batched inputs (..., N) and computes along the last
-axis.  The "direct" method is a deliberately independent O(N^2) evaluation
-kept as an oracle for the FFT route; do not fold the two together.
+axis.  The aperiodic correlations are evaluated through one zero-padded FFT;
+the tests hold the independent O(N^2) direct sums they are checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ _SCRATCH: ContextVar[dict | None] = ContextVar("correlation_scratch", default=No
 
 @contextmanager
 def workspace():
-    """Reuse the FFT buffers of the FFT-route correlations made inside the block.
+    """Reuse the FFT buffers of the aperiodic correlations made inside the block.
 
     Each buffer grows to the largest call and is dropped when the block ends.
     Results never share memory with them, so a profile keeps its values after
@@ -93,54 +93,44 @@ def _lag_grid(n: int, lags) -> np.ndarray:
     return lags
 
 
-def _aperiodic(s1: np.ndarray, s2: np.ndarray, lags: np.ndarray, method: str) -> np.ndarray:
+def _aperiodic(s1: np.ndarray, s2: np.ndarray, lags: np.ndarray) -> np.ndarray:
     n = s1.shape[-1]
-    if method == "fft":
-        shape = s1.shape[:-1] + (2 * n,)
-        f1 = np.fft.fft(s1, 2 * n, axis=-1, out=_scratch(0, shape))
-        # prod = conj(f2), then prod *= f1: the order numpy's temporary elision
-        # gives f1 * np.conj(f2) only from 256 KiB up (smaller products differ
-        # in last-ulp imaginary bits); one order at every size keeps each row's
-        # bytes independent of its batch
-        prod = _scratch(1, shape)
-        if s2 is s1:
-            np.conjugate(f1, out=prod)
-        else:
-            np.fft.fft(s2, 2 * n, axis=-1, out=prod)
-            np.conjugate(prod, out=prod)
-        prod *= f1
-        np.fft.ifft(prod, axis=-1, out=prod)
-        # lag l sits at index l mod 2N of the circular correlation; the
-        # gather copies it out of the scratch
-        out = prod[..., lags % (2 * n)]
-        out /= n
-        return out
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    out = np.zeros(s1.shape[:-1] + (lags.size,), dtype=np.complex128)
-    for i, lag in enumerate(lags.tolist()):
-        if lag >= 0:
-            out[..., i] = np.sum(s1[..., lag:] * np.conj(s2[..., : n - lag]), axis=-1)
-        else:
-            out[..., i] = np.sum(s1[..., : n + lag] * np.conj(s2[..., -lag:]), axis=-1)
-    return out / n
+    shape = s1.shape[:-1] + (2 * n,)
+    f1 = np.fft.fft(s1, 2 * n, axis=-1, out=_scratch(0, shape))
+    # prod = conj(f2), then prod *= f1: the order numpy's temporary elision
+    # gives f1 * np.conj(f2) only from 256 KiB up (smaller products differ
+    # in last-ulp imaginary bits); one order at every size keeps each row's
+    # bytes independent of its batch
+    prod = _scratch(1, shape)
+    if s2 is s1:
+        np.conjugate(f1, out=prod)
+    else:
+        np.fft.fft(s2, 2 * n, axis=-1, out=prod)
+        np.conjugate(prod, out=prod)
+    prod *= f1
+    np.fft.ifft(prod, axis=-1, out=prod)
+    # lag l sits at index l mod 2N of the circular correlation; the
+    # gather copies it out of the scratch
+    out = prod[..., lags % (2 * n)]
+    out /= n
+    return out
 
 
-def autocorr(s: np.ndarray, lags=None, method: str = "fft") -> CorrelationProfile:
+def autocorr(s: np.ndarray, lags=None) -> CorrelationProfile:
     """Aperiodic autocorrelation chi over all lags, or only the requested ones."""
     s = _check_block(s)
     lags = _lag_grid(s.shape[-1], lags)
-    return CorrelationProfile(lags=lags, values=_aperiodic(s, s, lags, method),
+    return CorrelationProfile(lags=lags, values=_aperiodic(s, s, lags),
                               kind="auto", n=s.shape[-1])
 
 
-def crosscorr(s1: np.ndarray, s2: np.ndarray, lags=None, method: str = "fft") -> CorrelationProfile:
+def crosscorr(s1: np.ndarray, s2: np.ndarray, lags=None) -> CorrelationProfile:
     """Aperiodic cross-correlation rho of two equal-length blocks."""
     s1, s2 = _check_block(s1), _check_block(s2)
     if s1.shape[-1] != s2.shape[-1]:
         raise ValueError("block length mismatch")
     lags = _lag_grid(s1.shape[-1], lags)
-    return CorrelationProfile(lags=lags, values=_aperiodic(s1, s2, lags, method),
+    return CorrelationProfile(lags=lags, values=_aperiodic(s1, s2, lags),
                               kind="cross", n=s1.shape[-1])
 
 

@@ -272,10 +272,10 @@ def run_interleaver_study(config: ExperimentConfig) -> ResultTable:
 
 _BOUND_STATS = ("chi1", "rho0", "v1")
 
-def _bound_statistics(cfg: CodeConfig, const, n: int, trials: int, seed: int,
-                      key: tuple) -> dict:
+def _bound_statistics(cfg: CodeConfig, const, trials: int, seed: int, key: tuple) -> dict:
     """10^4-scale samples of chi(1), rho(0) and V[1] for one signal family; stream s
     of batch ci is substream(seed, *key, s, ci): chi(1) reads 0, rho(0) and V[1] 1, 2."""
+    n = cfg.n_code_bits // const.bits_per_symbol
     kernel = np.exp(2j * np.pi * np.arange(n) / n)
     chi, = _tiled_stats(cfg, const, trials, lambda ci: [substream(seed, *key, 0, ci)],
                         lambda s: (np.einsum("tn,tn->t", s[:, 1:], np.conj(s[:, :-1])) / n,))
@@ -324,7 +324,7 @@ def run_tail_bound_check(config: ExperimentConfig) -> ResultTable:
     for ki, kind in enumerate(BOUND_CODES):
         for ni, n in enumerate(config.bounds_n_list):
             cfg = config.code_config(kind, num, den, n, mod)
-            stats = _bound_statistics(cfg, const, n, trials, seed, (_D_BND, ki, ni))
+            stats = _bound_statistics(cfg, const, trials, seed, (_D_BND, ki, ni))
             k_sym = k_symbols(cfg, const)
             b_prod, b_ratio = product_bound_b(const), ratio_bound_b(const, const)
             per_stat = zip(_BOUND_STATS, (

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from ccsradar import experiments
-from ccsradar.coding import CodeConfig, repetition_bit_correlation
+from ccsradar.coding import CodeConfig
 from ccsradar.correlation import autocorr, crosscorr, idft_ratio
 from ccsradar.modulation import constellation, generate_ccs_blocks, map_bits
 from ccsradar.receiver import ofdm_range_doppler
 from ccsradar.scene import Path, TargetScene, apply_channel_ofdm
+
+from test_coding import repetition_bit_correlation
 
 
 @pytest.fixture
@@ -66,11 +68,13 @@ CURVES = ("uncoded_qpsk", "uncoded_256qam", "polar_120/1024_qpsk",
           "polar_682.5/1024_256qam", "ldpc_120/1024_qpsk", "ldpc_682.5/1024_256qam")
 
 
-def _direct_aperiodic(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """(1/N) sum_t s1[t] s2*[t - l] on the full +-(N-1) grid, no FFT."""
+def _direct_aperiodic(s1: np.ndarray, s2: np.ndarray, lags=None) -> np.ndarray:
+    """(1/N) sum_t s1[t] s2*[t - l] of two 1-D blocks at each of lags, by
+    default the full -(N-1)..N-1 grid in order; direct sums, no FFT."""
     n = s1.size
-    out = np.empty(2 * n - 1, dtype=np.complex128)
-    for k, lag in enumerate(range(-(n - 1), n)):
+    lags = range(-(n - 1), n) if lags is None else lags
+    out = np.empty(len(lags), dtype=np.complex128)
+    for k, lag in enumerate(lags):
         if lag >= 0:
             out[k] = np.dot(s1[lag:], np.conj(s2[:n - lag])) / n
         else:
@@ -159,7 +163,7 @@ def test_repetition_class_means_match_enumeration(say):
 # -- analytic tail bounds -------------------------------------------------------
 
 def test_tail_upper_bounds_dominate(registry, bounds_table, base_config):
-    n_ub = bounds_table.column("bound_side").count("ub")
+    n_ub = len(bounds_table.select(bound_side="ub"))
     registry("tail_upper_bounds_dominate",
              experiments.check_bounds(bounds_table, base_config), ["upper_bounds_dominate"],
              (n_ub == 480, f"{n_ub} ub rows, want 480 = 3 statistics x re/im x 2 codes "

@@ -17,9 +17,7 @@ from ccsradar.coding import (
     CodeConfig,
     encode,
     interleave_codeword,
-    parity_check_matrix,
     polar_info_set,
-    repetition_bit_correlation,
     _pack_bits,
     _polar_transform_words,
     _subset_closed,
@@ -38,7 +36,7 @@ def _message(n_bits, rng):
     return rng.integers(0, 2, size=n_bits, dtype=np.uint8)
 
 
-# ------------------------------------------------- oracles (GF(2), polar)
+# ------------------------------------------- oracles (GF(2), polar, LDPC)
 
 
 def gf2_matmul(a, b):
@@ -82,6 +80,17 @@ def encode_polar(msg, config):
     u = np.zeros(msg.shape[:-1] + (config.n_code_bits,), dtype=np.uint8)
     u[..., info] = msg
     return _polar_transform(u)
+
+
+def parity_check_matrix(config):
+    """The [A | I] parity-check matrix the systematic ldpc encoder satisfies."""
+    support = coding._ldpc_tables(config.n_code_bits, config.n_msg_bits,
+                                  config.construction_seed)
+    m = support.shape[1]
+    h_sys = np.zeros((m, config.n_code_bits), dtype=np.uint8)
+    h_sys[np.arange(m), support] = 1
+    h_sys[np.arange(m), config.n_msg_bits + np.arange(m)] = 1
+    return h_sys
 
 
 # ---------------------------------------------------------------- kernels
@@ -423,6 +432,25 @@ def test_interleaver_draws_are_uniform_over_seeds():
 
 
 # ---------------------------------------------- bit correlation formulas
+
+
+def repetition_bit_correlation(i, j, n_msg_bits, gamma, interleaved):
+    """Correlation of codeword bits i and j (as +-1 symbols) for a repetition code.
+
+    For the interleaved case the correlation is averaged over the random
+    parity permutation; positions below n_msg_bits are the systematic copy.
+    """
+    k = n_msg_bits
+    assert 0 <= i < gamma * k and 0 <= j < gamma * k
+    if i == j:
+        return 1.0
+    if not interleaved:
+        return 1.0 if (j - i) % k == 0 else 0.0
+    if i < k and j < k:
+        return 0.0
+    if i >= k and j >= k:
+        return (gamma - 2) / ((gamma - 1) * k - 1)
+    return 1.0 / k
 
 
 def _pm(bits):

@@ -19,19 +19,7 @@ from ccsradar.correlation import (
 from ccsradar.experiments import _window_lags
 from ccsradar.modulation import constellation, generate_ccs_blocks, map_bits
 
-
-def _direct_aperiodic(s1, s2):
-    # brute-force (1/N) sum_n s1[n] s2*[n - l] on the full +-(N-1) lag grid
-    n = s1.size
-    lags = np.arange(-(n - 1), n)
-    vals = np.zeros(lags.size, dtype=np.complex128)
-    for k, lag in enumerate(lags):
-        acc = 0.0 + 0.0j
-        for t in range(n):
-            if 0 <= t - lag < n:
-                acc += s1[t] * np.conj(s2[t - lag])
-        vals[k] = acc / n
-    return lags, vals
+from test_acceptance import _direct_aperiodic
 
 
 def _periodic_corr(s, s2=None):
@@ -53,12 +41,9 @@ def test_fft_autocorr_matches_direct_sum(name, n, subtests=None):
     rng = np.random.default_rng(n)
     for _ in range(10):
         s = _random_block(n, name, rng)
-        lags, want = _direct_aperiodic(s, s)
-        prof = autocorr(s, method="fft")
-        assert np.array_equal(prof.lags, lags)
-        assert np.max(np.abs(prof.values - want)) < 1e-9
-        direct = autocorr(s, method="direct")
-        assert np.max(np.abs(direct.values - want)) < 1e-12
+        prof = autocorr(s)
+        assert np.array_equal(prof.lags, np.arange(-(n - 1), n))
+        assert np.max(np.abs(prof.values - _direct_aperiodic(s, s))) < 1e-9
 
 
 @pytest.mark.parametrize("n", [8, 33])
@@ -67,9 +52,8 @@ def test_fft_crosscorr_matches_direct_sum(n):
     for _ in range(10):
         s1 = _random_block(n, "qpsk", rng)
         s2 = _random_block(n, "16qam", rng)
-        _, want = _direct_aperiodic(s1, s2)
-        assert np.max(np.abs(crosscorr(s1, s2, method="fft").values - want)) < 1e-9
-        assert np.max(np.abs(crosscorr(s1, s2, method="direct").values - want)) < 1e-12
+        want = _direct_aperiodic(s1, s2)
+        assert np.max(np.abs(crosscorr(s1, s2).values - want)) < 1e-9
 
 
 def test_zero_lag_is_unit_for_constant_modulus_blocks():
@@ -177,9 +161,8 @@ def test_pslr_of_repetition_halves():
     code = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8)
     msg = np.random.default_rng(11).integers(0, 2, size=8, dtype=np.uint8)
     block = map_bits(encode(msg, code), constellation("qpsk"))
-    for method in ("fft", "direct"):
-        prof = autocorr(block, method=method)
-        assert abs(abs(prof.value_at(4)) - 0.5) < 1e-12
+    assert abs(abs(autocorr(block).value_at(4)) - 0.5) < 1e-12
+    assert abs(abs(_direct_aperiodic(block, block, [4])[0]) - 0.5) < 1e-12
     assert pslr(autocorr(block)) == pytest.approx(-20 * np.log10(0.5), abs=1e-9)
 
 
@@ -294,6 +277,13 @@ def _lag_sets(n):
     }
 
 
+def _direct_rows(s1, s2, lags):
+    # _direct_aperiodic of each row pair of a batch, shaped like the batch
+    rows = [_direct_aperiodic(a, b, lags) for a, b in
+            zip(s1.reshape(-1, s1.shape[-1]), s2.reshape(-1, s2.shape[-1]))]
+    return np.reshape(rows, s1.shape[:-1] + (len(lags),))
+
+
 @pytest.mark.parametrize("shape", [(2,), (7,), (64,), (3, 256), (5, 1024)])
 def test_windowed_lags_are_full_profile_columns(shape):
     rng = np.random.default_rng(shape[-1])
@@ -308,8 +298,8 @@ def test_windowed_lags_are_full_profile_columns(shape):
         # bit for bit: the gather selects the same quotients the full profile holds
         assert np.array_equal(a.values, full_a.values[..., cols]), name
         assert np.array_equal(c.values, full_c.values[..., cols]), name
-        direct_a = autocorr(s1, lags=lags, method="direct").values
-        direct_c = crosscorr(s1, s2, lags=lags, method="direct").values
+        direct_a = _direct_rows(s1, s1, lags)
+        direct_c = _direct_rows(s1, s2, lags)
         assert np.max(np.abs(a.values - direct_a)) < 1e-12, name
         assert np.max(np.abs(c.values - direct_c)) < 1e-12, name
 
@@ -338,11 +328,10 @@ def test_sweep_window_clamps_to_the_block(n, window):
 @pytest.mark.parametrize("lags", [[8], [-8], [0, 9], range(-20, 3)])
 def test_lags_outside_the_support_are_rejected(lags):
     s = _random_block(8, "qpsk", np.random.default_rng(15))
-    for method in ("fft", "direct"):
-        with pytest.raises(ValueError, match="outside the computable range"):
-            autocorr(s, lags=lags, method=method)
-        with pytest.raises(ValueError, match="outside the computable range"):
-            crosscorr(s, s, lags=lags, method=method)
+    with pytest.raises(ValueError, match="outside the computable range"):
+        autocorr(s, lags=lags)
+    with pytest.raises(ValueError, match="outside the computable range"):
+        crosscorr(s, s, lags=lags)
 
 
 @settings(max_examples=40, deadline=None)
@@ -363,6 +352,6 @@ def test_methods_agree_property(n, seed):
     rng = np.random.default_rng(seed)
     s1 = _random_block(n, "16qam", rng)
     s2 = _random_block(n, "qpsk", rng)
-    a = crosscorr(s1, s2, method="fft").values
-    b = crosscorr(s1, s2, method="direct").values
+    a = crosscorr(s1, s2).values
+    b = _direct_aperiodic(s1, s2)
     assert np.max(np.abs(a - b)) < 1e-10

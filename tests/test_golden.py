@@ -18,7 +18,9 @@ import pytest
 from ccsradar import cli, experiments
 from ccsradar.config import load_config
 from ccsradar.detection import summarize_map
-from ccsradar.modulation import generate_ccs_blocks
+from ccsradar._rng import as_rng, random_bits
+from ccsradar.coding import encode, interleave_codeword
+from ccsradar.modulation import LabelFrame, constellation, generate_ccs_blocks, gray_labels
 from ccsradar.scene import synth_frame
 
 NEARFAR_128_INI = """\
@@ -184,6 +186,41 @@ def test_nearfar_trial_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"
+
+
+def _named_batch_blocks(code, const, n_blocks, rng, interleaver_rng):
+    # generate_ccs_blocks with its interleaved codeword batch bound to a name,
+    # which keeps the batch alive through the uint8 label copy
+    msgs = random_bits(as_rng(rng), (n_blocks, code.n_msg_bits))
+    codewords = interleave_codeword(encode(msgs, code), code, as_rng(interleaver_rng))
+    words = gray_labels(codewords, const)
+    return LabelFrame(words.astype(np.uint8), const.points)
+
+
+@pytest.mark.parametrize("generate,within", [(generate_ccs_blocks, True),
+                                             (_named_batch_blocks, False)],
+                         ids=["generate_ccs_blocks", "named_batch_mutant"])
+def test_frame_generator_peak_memory(tmp_path, generate, within):
+    # The traced peak of one 128 x 128 frame of the golden scene (polar
+    # 120/1024, QPSK) in label frames of M x N bytes (numpy 2.4): 4.68, and
+    # 5.31 when a name holds the codeword batch through the label copy.  At
+    # the reference 1024 x 1024 that batch cost 1.1 MiB of near-far peak RSS.
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+    config = load_config(cfg)
+    num, den, mod = config.rates[0]
+    code = config.code_config("polar", num, den, config.n_fast, mod)
+    const = constellation(mod)
+    generate(code, const, config.m_slow, 0, 1)  # fill the code caches first
+    tracemalloc.start()
+    try:
+        frame = generate(code, const, config.m_slow, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.labels.shape == (config.m_slow, config.n_fast)
+    frames = peak / frame.labels.nbytes
+    assert (frames < 5.0) == within, f"peak {frames:.2f} label frames"
 
 
 def test_nearfar_run_receives_into_one_buffer(tmp_path, monkeypatch):

@@ -337,7 +337,6 @@ def test_result_table_csv(tmp_path):
     assert lines[1] == "# seed: 3"
     assert lines[2] == "name,n,val"
     assert lines[3] == "a,8,0.5"
-    assert table.column("n") == [8, 16]
     assert table.select(name="b") == [("b", 16, 0.25)]
 
 

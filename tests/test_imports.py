@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and importing
-one module loads only the modules its own relative imports reach.
+"""Every name a package module imports is used in that module, every public
+name of the package has a caller in the program, and importing one module loads
+only the modules its own relative imports reach.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ccsradar"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ccsradar"
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 
@@ -34,6 +36,68 @@ def test_package_modules_use_every_import():
              for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(path)]
     assert found == []
+
+
+# The program: the package, the scripts and the benchmark harness, not its tests.
+PROGRAM = (sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+           + sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")))
+
+# Public names kept without a caller in the program.
+UNCALLED = [
+    "scene.read_frame_bin",  # reads the binary frame dump format the README documents
+]
+
+
+def public_defs(path):
+    """(qualified name, name) of each public function or class at the top of
+    path, and of each public method or property of its public classes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, defs[:2]) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def referenced_names(paths):
+    """Every identifier, attribute name and string constant in paths' code; a
+    string constant names what a table such as the benchmark tracer's wraps."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def uncalled(modules, callers):
+    """Qualified names of modules' public defs that no code in callers names."""
+    used = referenced_names(callers)
+    return sorted(qual for path in modules for qual, name in public_defs(path)
+                  if name not in used)
+
+
+def test_package_public_names_have_a_caller():
+    assert uncalled(sorted(SRC.glob("*.py")), PROGRAM) == sorted(UNCALLED)
+
+
+def test_caller_guard_finds_a_planted_def(tmp_path):
+    lib, main = tmp_path / "lib.py", tmp_path / "main.py"
+    lib.write_text("def used(): pass\n"
+                   "def planted(): pass\n"
+                   "def _private(): pass\n"
+                   "class Table:\n"
+                   "    def read(self): pass\n"
+                   "    def unread(self): pass\n", encoding="utf-8")
+    main.write_text("import lib\nlib.used()\nt = lib.Table()\nt.read()\n", encoding="utf-8")
+    assert uncalled([lib], [lib, main]) == ["lib.Table.unread", "lib.planted"]
 
 
 def _qualname(stem):

@@ -108,8 +108,9 @@ def test_suppress_point_peak_memory():
     assert peak < batch_bytes, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
-def _whole_batch_bound_statistics(cfg, const, n, trials, seed, key):
+def _whole_batch_bound_statistics(cfg, const, trials, seed, key):
     # _bound_statistics as it read each stream's batch whole
+    n = cfg.n_code_bits // const.bits_per_symbol
     chi, rho, v1 = [], [], []
     kernel = np.exp(2j * np.pi * np.arange(n) / n)
     for ci, start in enumerate(range(0, trials, experiments._CHUNK)):
@@ -139,10 +140,10 @@ def _bound_config(kind, n):
 def test_bound_statistics_tiles_equal_the_batch(n, kind, tile_rows, trials, monkeypatch):
     cfg, const = _bound_config(kind, n)
     key = (experiments._D_BND, 1, 0)
-    want = _whole_batch_bound_statistics(cfg, const, n, trials, 4, key)
+    want = _whole_batch_bound_statistics(cfg, const, trials, 4, key)
     if tile_rows is not None:
         monkeypatch.setattr(experiments, "_TILE_POINTS", tile_rows * n)
-    got = experiments._bound_statistics(cfg, const, n, trials, 4, key)
+    got = experiments._bound_statistics(cfg, const, trials, 4, key)
     assert list(got) == list(experiments._BOUND_STATS) == list(want)
     for stat in want:
         assert got[stat].tobytes() == want[stat].tobytes(), stat
@@ -152,7 +153,7 @@ def test_bound_statistics_peak_memory():
     # Three 256 x 1024 complex streams are 4 MiB each as whole batches; read in
     # 64-row tiles, the bound statistics hold a quarter of that per stream.
     cfg, const = _bound_config("polar", 1024)
-    args = (cfg, const, 1024, experiments._CHUNK, 0, (experiments._D_BND, 1, 1))
+    args = (cfg, const, experiments._CHUNK, 0, (experiments._D_BND, 1, 1))
     peaks = []
     for fn in (_whole_batch_bound_statistics, experiments._bound_statistics):
         fn(*args)  # fill the code caches first
