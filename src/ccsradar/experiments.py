@@ -10,6 +10,7 @@ trial), which makes the merge order irrelevant.
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
@@ -353,9 +354,9 @@ def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray, bu
 
     fmcw_frame is the synth_frame transmission; its first row is the chirp.
     Both c.c.s frames are LabelFrames, mapped a row tile at a time by the
-    channels and receivers that read them.  All five variants receive into buf,
-    an (M, N + n_max) complex128 array (a fresh frame per variant without it);
-    each map is made before the next variant overwrites it.
+    channels and receivers that read them.  Each variant's receiver reads its
+    channel's Received stream, whose real noise plane is drawn into buf, a
+    float64 (M, N + n_max) array (a fresh plane without it), before the next draws.
     Radar j in (0, 1) draws its messages from substream (_D_NF_MSG, t, j) and
     its parity permutation from a generator seeded by one draw of
     (_D_NF_PERM, t, j); variant k of NEARFAR_VARIANTS draws its noise from
@@ -393,13 +394,14 @@ def run_near_far(config: ExperimentConfig, dump_dir=None):
     Returns (summary ResultTable, RocCurves, {variant: levels array}), one
     [near, far, max_other] row per trial;
     when dump_dir is set the trial-0 maps and transmit frames are written there,
-    the frames a row tile at a time.  Every trial receives into one buffer.
+    the frames a row tile at a time.  Every trial draws its real noise planes into
+    one buffer.  A terminal stderr shows progress (trial t/T, trials/s, ETA).
     """
     t0 = time.perf_counter()
     trials = config.resolved_trials()
     tbins = config.target_bins()
     fmcw_frame = synth_frame(config.n_fast, config.m_slow)
-    buf = np.empty((config.m_slow, config.n_fast + config.n_max), dtype=np.complex128)
+    buf = np.empty((config.m_slow, config.n_fast + config.n_max))
     levels = {v: np.empty((trials, len(tbins) + 1)) for v in NEARFAR_VARIANTS}
     for t in range(trials):
         s1, maps = _near_far_trial(config, t, fmcw_frame, buf)
@@ -413,6 +415,11 @@ def run_near_far(config: ExperimentConfig, dump_dir=None):
             write_frame_bin(out / "frame_ccs_sc.bin", s1)
             write_frame_bin(out / "frame_fmcw.bin", fmcw_frame)
         del s1, maps  # freed before the next trial allocates its frames
+        if sys.stderr.isatty():
+            rate = (t + 1) / (time.perf_counter() - t0)
+            print(f"\rnearfar trial {t + 1}/{trials}, {rate:.2f} trials/s, ETA "
+                  f"{(trials - t - 1) / rate:.0f} s", end="" if t + 1 < trials else "\n",
+                  file=sys.stderr, flush=True)
     roc = threshold_sweep(levels, points=config.eta_points)
     rows = []
     for v in NEARFAR_VARIANTS:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modulation import as_frame
-from .scene import row_tiles, write_frame_bin
+from .scene import ROW_TILE, Received, row_tiles, write_frame_bin
 
 _DB_FLOOR = 1e-20
 
@@ -68,6 +68,11 @@ def _slow_dft(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tiles(y):
+    """y to read by row tiles: a Received stream as is, else a complex128 array."""
+    return y if isinstance(y, Received) else np.asarray(y, dtype=np.complex128)
+
+
 def mf_bank(y: np.ndarray, x, n_max: int) -> np.ndarray:
     """Per-block matched-filter outputs r[l, m] = (1/N) sum_n y[n, m] x*[n-l, m].
 
@@ -75,7 +80,7 @@ def mf_bank(y: np.ndarray, x, n_max: int) -> np.ndarray:
     delayed tail (width N + n_max) or be truncated to N; short inputs are
     zero-extended, which matches the zero-fill channel convention.
     """
-    y = np.asarray(y, dtype=np.complex128)
+    y = _tiles(y)
     x = as_frame(x, np.complex128)
     m_slow, n_fast = x.shape
     if n_max >= n_fast:
@@ -85,16 +90,17 @@ def mf_bank(y: np.ndarray, x, n_max: int) -> np.ndarray:
     # Overlapping windows keep matmul off BLAS: each output sums from zero in
     # order, as a per-lag einsum does.  One window would go to BLAS zdotu: take two.
     lags = max(n_max, 1) + 1
-    if y.shape[1] < n_fast + lags - 1:
-        pad = np.zeros((m_slow, n_fast + lags - 1 - y.shape[1]), dtype=np.complex128)
-        y = np.concatenate([y, pad], axis=1)
-    win = np.lib.stride_tricks.sliding_window_view(y, n_fast, axis=1)[:, :lags]
-    # row by row the same matmul as over the whole frame, so the same bits,
-    # against one tile of the conjugated reference at a time
+    ext = np.zeros((min(ROW_TILE, m_slow), n_fast + lags - 1), dtype=np.complex128)
+    # row by row the same matmul as over the whole frame, so the same bits:
+    # each tile's windows against that tile of the conjugated reference
     r = np.empty((m_slow, n_max + 1), dtype=np.complex128)  # (m, l)
     for rows in row_tiles(m_slow):
-        ref = np.conj(x[rows])[:, :, None]
-        r[rows] = np.matmul(win[rows], ref)[:, : n_max + 1, 0]
+        tile = y[rows]
+        if tile.shape[1] < ext.shape[1]:  # zero-extended
+            ext[:len(tile), :tile.shape[1]] = tile
+            tile = ext[:len(tile)]
+        win = np.lib.stride_tricks.sliding_window_view(tile, n_fast, axis=1)[:, :lags]
+        r[rows] = np.matmul(win, np.conj(x[rows])[:, :, None])[:, : n_max + 1, 0]
     return r.T / n_fast
 
 
@@ -106,7 +112,7 @@ def sc_range_doppler(r: np.ndarray) -> RangeDopplerMap:
 def ofdm_range_doppler(y_freq: np.ndarray, s, n_max: int) -> RangeDopplerMap:
     """Zero-forcing map: divide out the own symbols (an array or a LabelFrame),
     inverse DFT over subcarriers, forward DFT over blocks."""
-    y_freq = np.asarray(y_freq, dtype=np.complex128)
+    y_freq = _tiles(y_freq)
     s = as_frame(s, np.complex128)
     if y_freq.shape != s.shape:
         raise ValueError("received and reference symbol shapes differ")
@@ -128,18 +134,18 @@ def fmcw_range_doppler(y: np.ndarray, ref: np.ndarray, n_max: int) -> RangeDoppl
     so each range bin is rescaled by N / (N - l); on-bin peaks then read |gain|
     exactly while the rectangular-window leakage of the truncated tone stays.
     """
-    y = np.asarray(y, dtype=np.complex128)
+    y = _tiles(y)
     ref = np.asarray(ref, dtype=np.complex128)
     if ref.ndim != 1:
         raise ValueError("the FMCW reference is one chirp")
     n_fast = ref.size
     if n_max >= n_fast:
         raise ValueError("n_max must be smaller than the chirp length")
-    if y.ndim != 2 or y.shape[1] < n_fast:
+    if len(y.shape) != 2 or y.shape[1] < n_fast:
         raise ValueError("received frame shorter than the chirp")
     ref = np.conj(ref)  # broadcast over rows: a per-row reference moves bits
     per_chirp = np.empty((y.shape[0], n_max + 1), dtype=np.complex128)  # (m, l)
     for rows in row_tiles(y.shape[0]):
-        per_chirp[rows] = np.fft.ifft(y[rows, :n_fast] * ref, axis=1)[:, : n_max + 1]
+        per_chirp[rows] = np.fft.ifft(y[rows][:, :n_fast] * ref, axis=1)[:, : n_max + 1]
     per_chirp *= n_fast / (n_fast - np.arange(n_max + 1))
     return RangeDopplerMap(_slow_dft(per_chirp.T))

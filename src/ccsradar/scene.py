@@ -7,8 +7,9 @@ samples.  A path with Doppler bin m_t rotates block m by exp(j 2 pi m_t (m-1)/M)
 bin M (phase 0) meaning stationary.  The OFDM channel is evaluated directly in
 the frequency domain with unitary-DFT bookkeeping: a delay is the phase ramp
 exp(-j 2 pi n_t k / N) and the per-bin noise variance equals the time-domain
-noise variance.  Both channels run one tile loop, into a caller's receive
-buffer or a fresh frame, and frame dumps go out a row tile at a time.
+noise variance.  Both channels return a Received stream that writes each row
+tile as a receiver reads it, holding only the real noise plane, in a caller's
+float64 buffer or a fresh one; frame dumps go out a row tile at a time.
 """
 
 from __future__ import annotations
@@ -72,35 +73,63 @@ def synth_frame(n_fast: int, n_chirps: int) -> np.ndarray:
     return np.broadcast_to(chirp(n_fast), (n_chirps, n_fast))
 
 
+class Received:
+    """A received (M, width) frame as a one-pass stream of row tiles.
+
+    Made, it has drawn the scaled real noise plane of y + sqrt(v/2) * (a + 1j*b)
+    into buf (C-contiguous float64 (M, >= width), the stream's until its last tile
+    is read) or a fresh one.  y[rows] for each row_tiles slice in order writes one
+    reused tile: fill(rows, tile), the stored real noise, then the imaginary noise
+    drawn now, as the whole-frame formula draws and sums.  Rereads and out-of-order
+    reads raise ValueError; np.asarray(y) reads all tiles into a fresh complex128 frame.
+    """
+
+    def __init__(self, shape, fill, noise_var: float = 0.0, rng=None, buf=None):
+        m, width = shape
+        if buf is not None and (buf.dtype != np.float64 or buf.ndim != 2 or buf.shape[0] != m
+                                or buf.shape[1] < width or not buf.flags.c_contiguous):
+            raise ValueError(f"receive plane must be C-contiguous float64 ({m}, >= {width})")
+        self.shape, self.size, self._fill, self._next = (m, width), m * width, fill, 0
+        self._tile = np.empty((min(ROW_TILE, m), width), dtype=np.complex128)
+        self._gen, self._scale = (as_rng(rng), np.sqrt(noise_var / 2.0)) if noise_var else (None, 0)
+        if noise_var:  # standard_normal(out=) takes only a contiguous array: buf viewed flat
+            self._plane = (np.empty(shape) if buf is None
+                           else buf.reshape(-1)[:m * width].reshape(shape))
+            self._gen.standard_normal(out=self._plane)
+            self._plane *= self._scale
+
+    def __getitem__(self, rows):
+        start = self._next
+        if start >= self.shape[0] or rows != slice(start, min(start + ROW_TILE, self.shape[0])):
+            raise ValueError("a received frame is read once, a row tile at a time in order")
+        self._next = rows.stop
+        tile = self._tile[:rows.stop - start]
+        self._fill(rows, tile)
+        if self._gen is not None:
+            noise = self._plane[rows]
+            np.add(tile.real, noise, out=tile.real)
+            self._gen.standard_normal(out=noise)
+            noise *= self._scale
+            np.add(tile.imag, noise, out=tile.imag)
+        return tile
+
+    def __array__(self, dtype=None, copy=None):
+        y = np.empty(self.shape, dtype=np.complex128)
+        for rows in row_tiles(self.shape[0]):
+            y[rows] = self[rows]
+        return y  # numpy casts to a requested dtype itself
+
+
 def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
     """x plus circularly-symmetric complex white noise of the given variance."""
     if noise_var < 0:
         raise ValueError("noise variance must be nonnegative")
     if noise_var == 0:
         return np.array(x, copy=True)
-    y = np.array(x, dtype=np.result_type(x.dtype, np.complex128), order="C")
-    _fill_tiles(y.reshape(1, -1) if y.ndim < 2 else y, lambda *_: None, noise_var, rng)
-    return y
-
-
-def _fill_tiles(y: np.ndarray, fill, noise_var: float, rng) -> np.ndarray:
-    """Write the complex y a row tile at a time with fill(rows, y[rows]) and add
-    noise of variance v in place, as y + sqrt(v/2) * (a + 1j*b) in the same draws
-    and arithmetic: each tile's real plane draws as soon as the tile is written
-    (tiles go in row order, so they draw what one whole-plane fill would), then
-    the imaginary plane tile by tile.  Returns y."""
-    gen, scale = as_rng(rng) if noise_var else None, np.sqrt(noise_var / 2.0)
-    draw = np.empty((min(ROW_TILE, len(y)),) + y.shape[1:])
-    for plane in (np.real, np.imag)[: 2 if noise_var else 1]:
-        for rows in row_tiles(len(y)):
-            if plane is np.real:
-                fill(rows, y[rows])
-            if noise_var:
-                noise = draw[: rows.stop - rows.start]
-                gen.standard_normal(out=noise)
-                noise *= scale
-                np.add(plane(y[rows]), noise, out=plane(y[rows]))
-    return y
+    x = np.asarray(x)
+    rows = x.reshape((len(x), int(np.prod(x.shape[1:]))) if x.ndim > 1 else (1, x.size))
+    stream = Received(rows.shape, lambda r, tile: np.copyto(tile, rows[r]), noise_var, rng)
+    return np.asarray(stream).reshape(x.shape)
 
 
 def _doppler_phase(m_slow: int, doppler_bin: int) -> np.ndarray:
@@ -109,12 +138,12 @@ def _doppler_phase(m_slow: int, doppler_bin: int) -> np.ndarray:
     return np.exp(2j * np.pi * doppler_bin * np.arange(m_slow) / m_slow)
 
 
-def _receive(frames, scene: TargetScene, rng, buf, ofdm: bool) -> np.ndarray:
+def _receive(frames, scene: TargetScene, rng, buf, ofdm: bool) -> Received:
     """The one channel tile loop: apply_channel_ofdm if ofdm else apply_channel_sc.
 
-    Each row tile of buf[:, :width] (of a fresh frame without buf) is zeroed,
-    then every path adds gain * sym [* ramp] * phase in that order, so the sum
-    is unchanged bit for bit; a radar's row tile is mapped once for its paths.
+    Each row tile the reader takes is zeroed, then every path adds
+    gain * sym [* ramp] * phase in that order, so the sum is unchanged bit for
+    bit; a radar's row tile is mapped once for its paths.
     """
     mats = [as_frame(f) for f in frames]
     if len(mats) != 1 + len(scene.interference):
@@ -123,9 +152,6 @@ def _receive(frames, scene: TargetScene, rng, buf, ofdm: bool) -> np.ndarray:
         raise ValueError("mismatched frame sizes")
     m_slow, n_fast = mats[0].shape
     width = n_fast if ofdm else n_fast + scene.n_max
-    y = (np.empty((m_slow, width), dtype=np.complex128) if buf is None else buf)[:, :width]
-    if y.shape != (m_slow, width) or y.dtype != np.complex128:
-        raise ValueError(f"receive buffer must be complex128 ({m_slow}, >= {width})")
     k = np.arange(n_fast)
     terms = [(mat, [(p.gain, 0 if ofdm else p.range_bin,
                      np.exp(-2j * np.pi * p.range_bin * k / n_fast) if ofdm else None,
@@ -145,26 +171,26 @@ def _receive(frames, scene: TargetScene, rng, buf, ofdm: bool) -> np.ndarray:
                 part *= phase[rows]
                 tile[:, shift:shift + n_fast] += part
 
-    return _fill_tiles(y, fill, scene.noise_var, rng)
+    return Received((m_slow, width), fill, scene.noise_var, rng, buf)
 
 
-def apply_channel_sc(frames, scene: TargetScene, rng=None, buf=None) -> np.ndarray:
-    """Time-domain received frame, (M, N + n_max) with zero-fill delays.
+def apply_channel_sc(frames, scene: TargetScene, rng=None, buf=None) -> Received:
+    """Time-domain received frame, (M, N + n_max) with zero-fill delays, as a
+    Received stream whose real noise plane is drawn into buf if given.
 
     frames[0] is the own transmission (echoes per scene.targets); frames[1:]
-    line up with scene.interference.  With buf, an (M, >= N + n_max) complex128
-    array, the frame is written into it and buf[:, :N + n_max] is returned.
+    line up with scene.interference.
     """
     return _receive(frames, scene, rng, buf, ofdm=False)
 
 
-def apply_channel_ofdm(blocks, scene: TargetScene, rng=None, buf=None) -> np.ndarray:
-    """Frequency-domain received frame Y[k, m] as an (M, N) array.
+def apply_channel_ofdm(blocks, scene: TargetScene, rng=None, buf=None) -> Received:
+    """Frequency-domain received frame Y[k, m], (M, N), as a Received stream
+    whose real noise plane is drawn into buf if given.
 
     Each path contributes gain * s * exp(-j 2 pi n_t k / N) * doppler(m); the
     noise is i.i.d. complex Gaussian with the time-domain variance, which is
-    exact under the unitary DFT convention.  With buf, an (M, >= N) complex128
-    array, the frame is written into it and buf[:, :N] is returned.
+    exact under the unitary DFT convention.
     """
     return _receive(blocks, scene, rng, buf, ofdm=True)
 

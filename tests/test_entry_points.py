@@ -9,6 +9,7 @@ The two experiment scripts under scripts/ run end to end as subprocesses, and
 scripts/plot_results.py plots their outputs through a stub matplotlib.pyplot.
 """
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from ccsradar.config import load_config
 from test_golden import NEARFAR_128_INI
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +49,31 @@ def test_traced_drivers_and_caches_exist():
     for name, fn in tracer.CACHES:
         assert callable(fn) and callable(getattr(fn, "cache_info", None)), name
     assert callable(tracer.cli.main)
+
+
+# the experiments names tracer.FUNCTIONS wraps on a near-far trial's receive
+# path, with their calls per trial: their self time is most of nearfar's
+# traced coverage, so a trial that stops calling one drops it unnoticed
+NEARFAR_TRACED_CALLS = {"apply_channel_sc": 3, "apply_channel_ofdm": 2, "mf_bank": 2,
+                        "ofdm_range_doppler": 2, "fmcw_range_doppler": 1}
+
+
+def test_nearfar_trial_calls_every_traced_receive_name(tmp_path, monkeypatch):
+    experiments = tracer.experiments
+    wrapped = {attr for ns, attr, _span, _count in tracer.FUNCTIONS if ns is experiments}
+    assert set(NEARFAR_TRACED_CALLS) <= wrapped
+    calls = dict.fromkeys(NEARFAR_TRACED_CALLS, 0)
+    for name in NEARFAR_TRACED_CALLS:
+        def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=1)
+    assert (config.n_fast, config.m_slow) == (128, 128)
+    experiments._near_far_trial(config, 0, experiments.synth_frame(128, 128))
+    assert calls == NEARFAR_TRACED_CALLS
 
 
 # command -> (config, trials): seconds-scale runs of every traced driver

@@ -10,12 +10,14 @@ re-record it and say so.
 
 import dataclasses
 import hashlib
+import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ccsradar import cli, experiments
+from ccsradar import cli, experiments, receiver
 from ccsradar.config import load_config
 from ccsradar.detection import summarize_map
 from ccsradar._rng import as_rng, random_bits
@@ -166,16 +168,18 @@ def test_nearfar_label_frames_match_complex_frames(tmp_path, monkeypatch, mod):
         assert maps[v].values.tobytes() == want[v].values.tobytes(), v
 
 
-def test_nearfar_trial_peak_memory(tmp_path):
-    # One trial's traced peak at the 128 x 128 config, the FMCW frame included,
-    # in frames of M x N complex samples (256 KiB): 5.43 frames with complex
-    # symbol frames and a tiled FMCW frame, 2.36 with label frames, a broadcast
-    # chirp and, without a run's buffer, one received frame per variant
-    # (numpy 2.4).  The bound sits between the two.
+def _materializing_mf_bank(y, x, n_max):
+    # a receiver that builds the whole received frame before reading it
+    return receiver.mf_bank(np.asarray(y), x, n_max)
+
+
+def _trial_peak_frames(tmp_path, monkeypatch, mf_bank):
+    # one trial's traced peak at the 128 x 128 config, the FMCW frame included,
+    # in frames of M x N complex samples (256 KiB), with mf_bank as its receiver
+    monkeypatch.setattr(experiments, "mf_bank", mf_bank)
     cfg = tmp_path / "nearfar.ini"
     cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
     config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=1)
-    frame_bytes = 16 * config.n_fast * config.m_slow
     # fill the code caches first
     experiments._near_far_trial(config, 0, synth_frame(config.n_fast, config.m_slow))
     tracemalloc.start()
@@ -185,7 +189,22 @@ def test_nearfar_trial_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"
+    return peak / (16 * config.n_fast * config.m_slow)
+
+
+def test_nearfar_trial_peak_memory(tmp_path, monkeypatch):
+    # numpy 2.4: 5.43 frames with complex symbol frames and a tiled FMCW frame,
+    # 2.36 with label frames, a broadcast chirp and one fresh received frame
+    # per variant, 2.10 with received streams, which hold a real noise plane
+    # and one row tile.  The bound sits between the last two.
+    peak = _trial_peak_frames(tmp_path, monkeypatch, receiver.mf_bank)
+    assert peak < 2.25, f"peak {peak:.2f} frames"
+
+
+def test_nearfar_trial_peak_memory_catches_a_materializing_receiver(tmp_path, monkeypatch):
+    # a single-carrier receiver that materializes its stream peaks at 2.67
+    peak = _trial_peak_frames(tmp_path, monkeypatch, _materializing_mf_bank)
+    assert peak >= 2.25, f"peak {peak:.2f} frames"
 
 
 def _named_batch_blocks(code, const, n_blocks, rng, interleaver_rng):
@@ -224,32 +243,35 @@ def test_frame_generator_peak_memory(tmp_path, generate, within):
 
 
 def test_nearfar_run_receives_into_one_buffer(tmp_path, monkeypatch):
-    # every variant of every trial writes the run's one receive buffer
+    # every variant of every trial draws its real noise plane into the run's
+    # one C-contiguous float64 (M, N + n_max) buffer, and so writes it
     cfg = tmp_path / "nearfar.ini"
     cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
     config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=2)
-    received = []
+    received, planes, writes = [], [], []
     for name in ("apply_channel_sc", "apply_channel_ofdm"):
-        def channel(*args, _channel=getattr(experiments, name), **kwargs):
-            received.append(_channel(*args, **kwargs))
+        def channel(*args, _channel=getattr(experiments, name), buf=None, **kwargs):
+            before = buf.copy()
+            received.append(_channel(*args, buf=buf, **kwargs))
+            planes.append(buf)
+            writes.append(not np.array_equal(buf, before, equal_nan=True))
             return received[-1]
         monkeypatch.setattr(experiments, name, channel)
     experiments.run_near_far(config)
     assert len(received) == 2 * len(experiments.NEARFAR_VARIANTS)
-    assert all(np.shares_memory(y, received[0]) for y in received)
+    assert all(plane is planes[0] for plane in planes) and all(writes)
+    assert planes[0].dtype == np.float64 and planes[0].flags.c_contiguous
+    assert planes[0].shape == (config.m_slow, config.n_fast + config.n_max)
     assert {y.shape[1] for y in received} == {config.n_fast, config.n_fast + config.n_max}
 
 
-def test_nearfar_run_peak_memory(tmp_path):
-    # A 3-trial run with its dumps at the 128 x 128 config, in frames of
-    # M x N complex samples (numpy 2.4): 2.53, of which the receive buffer is
-    # 1.125 (N + n_max = 144 columns); a fresh received frame per variant
-    # peaks the same, one being alive at a time.  3.39 if the buffer sat
-    # beside a whole-frame dump of the own frame, so dumps go out by row tiles.
+def _run_peak_frames(tmp_path, monkeypatch, mf_bank):
+    # a 3-trial run's traced peak with its dumps at the 128 x 128 config, in
+    # frames of M x N complex samples, with mf_bank as its receiver
+    monkeypatch.setattr(experiments, "mf_bank", mf_bank)
     cfg = tmp_path / "nearfar.ini"
     cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
     config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=3)
-    frame_bytes = 16 * config.n_fast * config.m_slow
     (tmp_path / "warm").mkdir()
     experiments.run_near_far(config, dump_dir=tmp_path / "warm")
     tracemalloc.start()
@@ -258,4 +280,45 @@ def test_nearfar_run_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.75 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"
+    return peak / (16 * config.n_fast * config.m_slow)
+
+
+def test_nearfar_run_peak_memory(tmp_path, monkeypatch):
+    # numpy 2.4: 2.45 with one complex receive buffer (1.125 frames,
+    # N + n_max = 144 columns), 2.13 with received streams and the run's
+    # float64 noise plane (0.56 frames); 3.39 if the complex buffer sat beside
+    # a whole-frame dump of the own frame, so dumps go out by row tiles.
+    peak = _run_peak_frames(tmp_path, monkeypatch, receiver.mf_bank)
+    assert peak < 2.3, f"peak {peak:.2f} frames"
+
+
+def test_nearfar_run_peak_memory_catches_a_materializing_receiver(tmp_path, monkeypatch):
+    # a single-carrier receiver that materializes its stream peaks at 2.71
+    peak = _run_peak_frames(tmp_path, monkeypatch, _materializing_mf_bank)
+    assert peak >= 2.3, f"peak {peak:.2f} frames"
+
+
+def test_nearfar_progress_on_a_terminal(tmp_path, monkeypatch, capsys):
+    # one rewritten stderr line per trial while stderr is a terminal, the last
+    # ending the line; stdout stays clean
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=3)
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+    experiments.run_near_far(config)
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("\n") and err.count("\n") == 1
+    lines = err[1:-1].split("\r")
+    assert [line.split(",")[0] for line in lines] == [f"nearfar trial {t}/3" for t in (1, 2, 3)]
+    assert all(re.fullmatch(r"nearfar trial \d/3, \d+\.\d\d trials/s, ETA \d+ s", line)
+               for line in lines), lines
+    assert lines[-1].endswith("ETA 0 s")
+
+
+def test_nearfar_progress_silent_off_a_terminal(tmp_path, capsys):
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=2)
+    assert not sys.stderr.isatty()
+    experiments.run_near_far(config)
+    assert capsys.readouterr() == ("", "")

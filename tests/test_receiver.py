@@ -23,7 +23,7 @@ from ccsradar.scene import (
     read_frame_bin,
     synth_frame,
 )
-from test_scene import _blocks, _scene
+from test_scene import _blocks, _frame, _scene
 
 
 def _direct_mf(y, x, n_max):
@@ -55,7 +55,7 @@ def _direct_slow_dft(r):
 def test_mf_bank_matches_direct_sum():
     x = _blocks(8, 16, seed=1)
     scene = _scene([Path(2, 3, 0.9), Path(5, 7, 0.4j)], n_max=6)
-    y = apply_channel_sc([x], scene)
+    y = np.asarray(apply_channel_sc([x], scene))
     got = mf_bank(y, x, 6)
     want = _direct_mf(y, x, 6)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -64,7 +64,7 @@ def test_mf_bank_matches_direct_sum():
 def test_mf_bank_matches_direct_sum_in_either_memory_order():
     x = _blocks(6, 24, seed=5)
     scene = _scene([Path(1, 2, 0.7), Path(4, 5, 0.2 + 0.3j)], noise_var=0.1, n_max=5)
-    y = apply_channel_sc([x], scene, np.random.default_rng(6))
+    y = np.asarray(apply_channel_sc([x], scene, np.random.default_rng(6)))
     want = _direct_mf(y, x, 5)
     outs = [mf_bank(np.asarray(y, order=o), np.asarray(x, order=o), 5) for o in "CF"]
     for got in outs:
@@ -91,7 +91,7 @@ def test_mf_bank_shifted_peak_location():
 def test_mf_bank_truncated_input_zero_fills():
     x = _blocks(4, 32, seed=4)
     scene = _scene([Path(2, 1, 1.0)], n_max=4)
-    y = apply_channel_sc([x], scene)
+    y = np.asarray(apply_channel_sc([x], scene))
     full = mf_bank(y, x, 4)
     trunc = mf_bank(y[:, :32], x, 4)
     want = _direct_mf(y[:, :32], x, 4)
@@ -284,15 +284,15 @@ def test_ofdm_and_fmcw_maps_match_one_shot_bytes(m_slow):
     s = _blocks(m_slow, n_fast, seed=12)
     scene = _scene([Path(2, m_slow, 0.9)], interference=[(Path(5, 1, 1.4),)],
                    noise_var=0.2, n_max=n_max)
-    y_freq = apply_channel_ofdm([s, _blocks(m_slow, n_fast, seed=13)], scene,
-                                np.random.default_rng(3))
+    y_freq = np.asarray(apply_channel_ofdm([s, _blocks(m_slow, n_fast, seed=13)], scene,
+                                           np.random.default_rng(3)))
     per_block = np.fft.ifft(y_freq / s, axis=1)
     want = np.fft.fft(per_block.T[: n_max + 1], axis=1) / m_slow
     assert ofdm_range_doppler(y_freq, s, n_max).values.tobytes() == want.tobytes()
 
-    y = apply_channel_sc([synth_frame(n_fast, m_slow)],
-                         _scene([Path(3, 1, 0.7)], noise_var=0.2, n_max=n_max),
-                         np.random.default_rng(4))
+    y = np.asarray(apply_channel_sc([synth_frame(n_fast, m_slow)],
+                                    _scene([Path(3, 1, 0.7)], noise_var=0.2, n_max=n_max),
+                                    np.random.default_rng(4)))
     per_chirp = np.fft.ifft(y[:, :n_fast] * np.conj(chirp(n_fast)), axis=1)[:, : n_max + 1]
     comp = n_fast / (n_fast - np.arange(n_max + 1))
     want = np.fft.fft(per_chirp.T * comp[:, None], axis=1) / m_slow
@@ -424,3 +424,55 @@ def test_map_binary_export(tmp_path):
     path = tmp_path / "map.bin"
     rd.export_binary(path)
     assert np.array_equal(read_frame_bin(path), vals)
+
+
+# ------------------------------------------- streamed frames against materialized
+
+
+@pytest.mark.parametrize("noise_var", [0.0, 0.4])
+@pytest.mark.parametrize("frames", ["labels", "C", "F"])
+@pytest.mark.parametrize("receiver", ["sc", "ofdm", "fmcw"])
+def test_streamed_maps_equal_maps_of_the_materialized_frame(receiver, frames, noise_var):
+    # each receiver reads the channel's Received stream a row tile at a time;
+    # the oracle is the same receiver on np.asarray of the same stream.  37
+    # rows: two full tiles and a short one.  The streamed side draws its real
+    # noise plane into a run-sized float64 buffer, the oracle into a fresh one.
+    m_slow, n_fast, n_max = 37, 24, 5
+    own, other = _frame(m_slow, n_fast, seed=5), _frame(m_slow, n_fast, seed=6)
+    if frames != "labels":
+        own, other = (np.asarray(np.asarray(f), order=frames) for f in (own, other))
+    scene = _scene([Path(1, 37, 0.8), Path(4, 20, -0.3j)], interference=[(Path(3, 19, 2.5),)],
+                   noise_var=noise_var, n_max=n_max)
+    sent = [synth_frame(n_fast, m_slow) if receiver == "fmcw" else own, other]
+    channel = apply_channel_ofdm if receiver == "ofdm" else apply_channel_sc
+    read = {"sc": lambda y: sc_range_doppler(mf_bank(y, own, n_max)),
+            "ofdm": lambda y: ofdm_range_doppler(y, own, n_max),
+            "fmcw": lambda y: fmcw_range_doppler(y, chirp(n_fast), n_max)}[receiver]
+    streamed = read(channel(sent, scene, np.random.default_rng(9),
+                            buf=np.empty((m_slow, n_fast + n_max))))
+    oracle = read(np.asarray(channel(sent, scene, np.random.default_rng(9))))
+    assert streamed.values.tobytes() == oracle.values.tobytes()
+
+
+@pytest.mark.parametrize("channel", [apply_channel_sc, apply_channel_ofdm])
+def test_received_stream_reads_once_in_row_order(channel):
+    own = _frame(37, 24, seed=1)
+    scene = _scene([Path(1, 2, 1.0)], noise_var=0.3, n_max=5)
+    y = channel([own], scene, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="read once"):
+        y[ROW_TILE:2 * ROW_TILE]  # out of order
+    with pytest.raises(ValueError, match="read once"):
+        y[:, :24]  # not a row tile
+    first = y[0:ROW_TILE].copy()
+    with pytest.raises(ValueError, match="read once"):
+        y[0:ROW_TILE]  # second read
+    with pytest.raises(ValueError, match="read once"):
+        np.asarray(y)  # the rest of a partly read stream is no frame
+    whole = channel([own], scene, np.random.default_rng(1))
+    frame = np.asarray(whole)
+    assert frame[:ROW_TILE].tobytes() == first.tobytes()
+    receiver = ofdm_range_doppler if channel is apply_channel_ofdm else mf_bank
+    for second_read in (lambda: np.asarray(whole), lambda: receiver(whole, own, 5),
+                        lambda: fmcw_range_doppler(whole, chirp(24), 5)):
+        with pytest.raises(ValueError, match="read once"):
+            second_read()

@@ -66,7 +66,7 @@ def test_fmcw_frame_repeats_reference():
 def test_identity_channel_sc():
     mat = _blocks(6, 32)
     scene = _scene([Path(0, 6, 1.0)], n_max=4)
-    y = apply_channel_sc([mat], scene, rng=None)
+    y = np.asarray(apply_channel_sc([mat], scene, rng=None))
     assert y.shape == (6, 36)
     assert np.max(np.abs(y[:, :32] - mat)) < 1e-12
     assert np.max(np.abs(y[:, 32:])) == 0.0
@@ -75,7 +75,7 @@ def test_identity_channel_sc():
 def test_delay_and_doppler_placement_sc():
     mat = _blocks(8, 16)
     scene = _scene([Path(3, 2, 0.5)], n_max=4)
-    y = apply_channel_sc([mat], scene)
+    y = np.asarray(apply_channel_sc([mat], scene))
     phases = np.exp(2j * np.pi * 2 * np.arange(8) / 8)
     assert np.max(np.abs(y[:, 3:19] - 0.5 * mat * phases[:, None])) < 1e-12
     assert np.max(np.abs(y[:, :3])) == 0.0
@@ -85,7 +85,7 @@ def test_interference_only_sc():
     own = _blocks(4, 16, seed=1)
     other = _blocks(4, 16, seed=2)
     scene = _scene([], interference=[(Path(0, 4, 2.0),)], n_max=4)
-    y = apply_channel_sc([own, other], scene)
+    y = np.asarray(apply_channel_sc([own, other], scene))
     assert np.max(np.abs(y[:, :16] - 2.0 * other)) < 1e-12
 
 
@@ -99,15 +99,15 @@ def test_channel_linearity_in_gains():
                      [tuple(Path(p.range_bin, p.doppler_bin, 2 * p.gain) for p in q)
                       for q in ipaths], n_max=4)
     frames = [mat, intf]
-    y1 = apply_channel_sc(frames, base)
-    y2 = apply_channel_sc(frames, doubled)
+    y1 = np.asarray(apply_channel_sc(frames, base))
+    y2 = np.asarray(apply_channel_sc(frames, doubled))
     assert np.max(np.abs(y2 - 2 * y1)) < 1e-12
 
 
 def test_stationary_target_uses_top_doppler_bin():
     mat = np.ones((4, 8), dtype=np.complex128)
     scene = _scene([Path(0, 4, 1.0)], n_max=2)  # bin M = 4 is phase zero
-    y = apply_channel_sc([mat], scene)
+    y = np.asarray(apply_channel_sc([mat], scene))
     assert np.max(np.abs(y[1:, :] - y[:1, :])) < 1e-12
 
 
@@ -137,9 +137,9 @@ def test_sir_energy_bookkeeping():
     alpha_i = 10.0 ** (11.0 / 20.0)
     near = _scene([Path(1, 3, 1.0)], n_max=4)
     direct = _scene([], interference=[(Path(0, 7, alpha_i),)], n_max=4)
-    e_near = np.mean(np.abs(apply_channel_sc([own], near)) ** 2)
-    e_intf = np.mean(np.abs(apply_channel_sc(
-        [own, other], direct)) ** 2)
+    e_near = np.mean(np.abs(np.asarray(apply_channel_sc([own], near))) ** 2)
+    e_intf = np.mean(np.abs(np.asarray(apply_channel_sc(
+        [own, other], direct))) ** 2)
     ratio_db = 10.0 * np.log10(e_intf / e_near)
     assert abs(ratio_db - 11.0) < 0.1
 
@@ -150,8 +150,8 @@ def test_snr_bookkeeping():
     own = _blocks(m_slow, n_fast, seed=8)
     noisy = _scene([Path(0, 3, 1.0)], noise_var=1.0, n_max=4)
     clean = _scene([Path(0, 3, 1.0)], noise_var=0.0, n_max=4)
-    y = apply_channel_sc([own], noisy, rng=rng)
-    y0 = apply_channel_sc([own], clean)
+    y = np.asarray(apply_channel_sc([own], noisy, rng=rng))
+    y0 = np.asarray(apply_channel_sc([own], clean))
     snr_db = 10.0 * np.log10(np.mean(np.abs(own) ** 2)
                              / np.mean(np.abs(y - y0) ** 2))
     assert abs(snr_db - 0.0) < 0.1
@@ -164,7 +164,7 @@ def test_ofdm_channel_matches_time_domain_oracle():
     paths = [Path(2, 5, 0.8), Path(5, 1, 0.3j)]
     ipaths = [(Path(1, 7, 1.1),)]
     scene = _scene(paths, ipaths, n_max=8)
-    got = apply_channel_ofdm([own, other], scene)
+    got = np.asarray(apply_channel_ofdm([own, other], scene))
 
     def time_shift(mat, p):
         x = np.fft.ifft(mat, axis=1) * np.sqrt(n_fast)
@@ -181,7 +181,7 @@ def test_ofdm_channel_matches_time_domain_oracle():
 def test_ofdm_channel_zero_delay_is_scaled_copy():
     own = _blocks(4, 32, seed=11)
     scene = _scene([Path(0, 4, 0.6)], n_max=4)
-    got = apply_channel_ofdm([own], scene)
+    got = np.asarray(apply_channel_ofdm([own], scene))
     assert np.max(np.abs(got - 0.6 * own)) < 1e-12
 
 
@@ -190,8 +190,8 @@ def test_ofdm_channel_additive_in_targets():
     s1 = _scene([Path(1, 2, 0.5)], n_max=4)
     s2 = _scene([Path(3, 1, 0.25j)], n_max=4)
     both = _scene([Path(1, 2, 0.5), Path(3, 1, 0.25j)], n_max=4)
-    got = apply_channel_ofdm([own], both)
-    want = apply_channel_ofdm([own], s1) + apply_channel_ofdm([own], s2)
+    got = np.asarray(apply_channel_ofdm([own], both))
+    want = np.asarray(apply_channel_ofdm([own], s1)) + np.asarray(apply_channel_ofdm([own], s2))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -231,7 +231,7 @@ def test_channel_matches_per_path_reference_bytes(order, ofdm, noise_var):
     rng = np.random.default_rng(8)
     want = _reference_channel([own, other], scene, copy.deepcopy(rng), ofdm)
     channel = apply_channel_ofdm if ofdm else apply_channel_sc
-    got = channel([own, other], scene, rng)
+    got = np.asarray(channel([own, other], scene, rng))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -259,15 +259,17 @@ def test_channel_matches_reference_bytes_across_row_tiles(ofdm):
         rng = np.random.default_rng(21)
         want = _reference_channel([own, other], scene, copy.deepcopy(rng), ofdm)
         channel = apply_channel_ofdm if ofdm else apply_channel_sc
-        got = channel([own, other], scene, rng)
+        got = np.asarray(channel([own, other], scene, rng))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("noise_var", [0.0, 0.4])
 def test_channels_reuse_one_receive_buffer(noise_var):
-    # one NaN-filled buffer through sc -> OFDM -> sc: every call writes all of
-    # its columns, byte for byte what a fresh frame gets, and returns a view
-    buf = np.full((37, 24 + 5), np.nan, dtype=np.complex128)
+    # one NaN-filled float64 plane through sc -> OFDM -> sc: every noisy call
+    # draws its whole scaled real noise plane into the plane's first M x width
+    # elements (a noiseless call writes nothing), and the stream reads byte for
+    # byte what a fresh frame gets
+    buf = np.full((37, 24 + 5), np.nan)
     for order in "CF":
         own = np.asarray(_blocks(37, 24, seed=5), order=order)
         other = np.asarray(_blocks(37, 24, seed=6), order=order)
@@ -277,22 +279,29 @@ def test_channels_reuse_one_receive_buffer(noise_var):
             rng = np.random.default_rng(21)
             twin = copy.deepcopy(rng)
             want = _reference_channel([own, other], scene, twin, ofdm)
+            width = 24 if ofdm else 29
+            real = (copy.deepcopy(rng).standard_normal((37, width)) * np.sqrt(noise_var / 2.0)
+                    if noise_var else np.full(37 * width, np.nan))
+            before = buf.copy()
             channel = apply_channel_ofdm if ofdm else apply_channel_sc
             got = channel([own, other], scene, rng, buf=buf)
-            assert got.shape == ((37, 24) if ofdm else (37, 29))
-            assert got.tobytes() == want.tobytes()
-            assert np.shares_memory(got, buf)
+            assert got.shape == (37, width) and got.size == 37 * width
+            assert buf.reshape(-1)[:37 * width].tobytes() == real.tobytes()
+            rest = slice(37 * width, None)
+            assert buf.reshape(-1)[rest].tobytes() == before.reshape(-1)[rest].tobytes()
+            assert np.asarray(got).tobytes() == want.tobytes()
             assert rng.random() == twin.random()
 
 
 def test_channel_rejects_mismatched_receive_buffer():
     own = _blocks(16, 8, seed=1)
     scene = _scene([Path(1, 3, 1.0)], n_max=4)
-    for buf in (np.empty((16, 11), dtype=np.complex128), np.empty((15, 12), dtype=np.complex128),
-                np.empty((16, 12), dtype=np.complex64)):
+    for buf in (np.empty((16, 11)), np.empty((15, 12)), np.empty((16, 12), dtype=np.float32),
+                np.empty((16, 12), dtype=np.complex128), np.empty((16, 12), order="F"),
+                np.empty((16, 24))[:, ::2], np.empty(16 * 12)):
         with pytest.raises(ValueError):
             apply_channel_sc([own], scene, buf=buf)
-    assert apply_channel_ofdm([own], scene, buf=np.empty((16, 8), dtype=complex)).shape == (16, 8)
+    assert apply_channel_ofdm([own], scene, buf=np.empty((16, 8))).shape == (16, 8)
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (ROW_TILE, 7), (ROW_TILE + 1, 7), (37, 7),
@@ -316,7 +325,7 @@ def test_channel_noise_leaves_input_frames_untouched():
     scene = _scene([Path(0, 20, 1.0)], interference=[(Path(0, 20, 1.0),)],
                    noise_var=0.5, n_max=4)
     for channel in (apply_channel_sc, apply_channel_ofdm):
-        y = channel([own, other], scene, np.random.default_rng(3))
+        y = np.asarray(channel([own, other], scene, np.random.default_rng(3)))
         assert (own.tobytes(), other.tobytes()) == before
         assert not np.shares_memory(y, own) and not np.shares_memory(y, other)
 
@@ -347,7 +356,7 @@ def test_ofdm_noise_matches_time_domain_level():
     # convention, keeping SNR definitions waveform independent
     scene = _scene([], noise_var=2.0, n_max=2)
     rng = np.random.default_rng(5)
-    y = apply_channel_ofdm([np.zeros((200, 128), dtype=complex)], scene, rng=rng)
+    y = np.asarray(apply_channel_ofdm([np.zeros((200, 128), dtype=complex)], scene, rng=rng))
     assert abs(np.mean(np.abs(y) ** 2) - 2.0) < 0.05
 
 
