@@ -88,10 +88,9 @@ def _unpack_rows(packed: np.ndarray, k: int, rows: slice) -> np.ndarray:
     return bits[lo % 8:lo % 8 + hi - lo].reshape(-1, k)
 
 
-def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng, interleaved: bool = True,
-                  tile_rows: int | None = None):
-    """The (rows, N) symbol tiles of an n_blocks-row batch, tile_rows rows each
-    (one tile by default), with a fresh message and parity permutation per row.
+def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng, interleaved: bool, tile_rows: int):
+    """The (rows, N) symbol tiles of an n_blocks-row batch, tile_rows rows each,
+    with a fresh message and, if interleaved, parity permutation per row.
 
     All messages are drawn before the first tile's parity keys and held packed,
     eight bits a byte; each float64 key takes one 64-bit output, so any tiling
@@ -100,7 +99,7 @@ def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng, interleaved: bool 
     """
     k = cfg.n_msg_bits
     msgs = _packed_messages(rng, n_blocks * k)
-    for rows in row_tiles(n_blocks, tile_rows or n_blocks):
+    for rows in row_tiles(n_blocks, tile_rows):
         # encode returns a fresh array for every code: permuted in place
         cw = encode(_unpack_rows(msgs, k, rows), cfg)
         if interleaved and cfg.n_code_bits > k:
@@ -287,12 +286,13 @@ def _bound_statistics(cfg: CodeConfig, const, trials: int, seed: int, key: tuple
     return {"chi1": chi, "rho0": rho, "v1": v1}
 
 
-def _lb_witness_rows(u: float = 0.01) -> list:
+def _lb_witness_rows() -> list:
     """Exhaustive all-message enumeration of the short repetition code.
 
     The all-zero message makes every symbol identical, so |Re chi(l)| reaches
     (N - l)/N with probability at least 2^-K; enumeration gives the exact tail.
     """
+    u = 0.01
     cfg = CodeConfig("repetition", 8, 4)
     const = constellation("bpsk")
     msgs = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8)
@@ -349,18 +349,18 @@ def run_tail_bound_check(config: ExperimentConfig) -> ResultTable:
 # ---------------------------------------------------------------------------
 # near-far study
 
-def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray, buf=None):
-    """Trial t of the near-far study: (own frame s1, {variant: RangeDopplerMap}).
+def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray):
+    """Trial t of the near-far study: (own frame s1, an iterator of
+    (variant, RangeDopplerMap) in NEARFAR_VARIANTS order).
 
     fmcw_frame is the synth_frame transmission; its first row is the chirp.
     Both c.c.s frames are LabelFrames, mapped a row tile at a time by the
-    channels and receivers that read them.  Each variant's receiver reads its
-    channel's Received stream, whose real noise plane is drawn into buf, a
-    float64 (M, N + n_max) array (a fresh plane without it), before the next draws.
-    Radar j in (0, 1) draws its messages from substream (_D_NF_MSG, t, j) and
-    its parity permutation from a generator seeded by one draw of
-    (_D_NF_PERM, t, j); variant k of NEARFAR_VARIANTS draws its noise from
-    (_D_NF_NOISE, t, k)."""
+    channels and receivers that read them.  Each map is made when the iterator
+    reaches it, its receiver reading its channel's Received stream, so a caller
+    that drops each map before the next holds one at a time.  Radar j in
+    (0, 1) draws its messages from substream (_D_NF_MSG, t, j) and its parity
+    permutation from a generator seeded by one draw of (_D_NF_PERM, t, j);
+    variant k of NEARFAR_VARIANTS draws its noise from (_D_NF_NOISE, t, k)."""
     seed = config.require_seed()
     n_max = config.n_max
     num, den, mod = config.rates[0]
@@ -374,14 +374,16 @@ def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray, bu
     s1 = frames[0]
     scene_i = config.scene(with_interference=True)
     scene_n = config.scene(with_interference=False)
-    noise = [substream(seed, _D_NF_NOISE, t, k) for k in range(len(NEARFAR_VARIANTS))]
-    maps = dict(zip(NEARFAR_VARIANTS, (
-        sc_range_doppler(mf_bank(apply_channel_sc(frames, scene_i, noise[0], buf=buf), s1, n_max)),
-        sc_range_doppler(mf_bank(apply_channel_sc([s1], scene_n, noise[1], buf=buf), s1, n_max)),
-        ofdm_range_doppler(apply_channel_ofdm(frames, scene_i, noise[2], buf=buf), s1, n_max),
-        ofdm_range_doppler(apply_channel_ofdm([s1], scene_n, noise[3], buf=buf), s1, n_max),
-        fmcw_range_doppler(apply_channel_sc([fmcw_frame], scene_n, noise[4], buf=buf),
-                           fmcw_frame[0], n_max))))
+    # each chain looks its receive-path names up in this module when it runs
+    chains = (
+        lambda rng: sc_range_doppler(mf_bank(apply_channel_sc(frames, scene_i, rng), s1, n_max)),
+        lambda rng: sc_range_doppler(mf_bank(apply_channel_sc([s1], scene_n, rng), s1, n_max)),
+        lambda rng: ofdm_range_doppler(apply_channel_ofdm(frames, scene_i, rng), s1, n_max),
+        lambda rng: ofdm_range_doppler(apply_channel_ofdm([s1], scene_n, rng), s1, n_max),
+        lambda rng: fmcw_range_doppler(apply_channel_sc([fmcw_frame], scene_n, rng),
+                                       fmcw_frame[0], n_max))
+    maps = ((v, chain(substream(seed, _D_NF_NOISE, t, k)))
+            for k, (v, chain) in enumerate(zip(NEARFAR_VARIANTS, chains)))
     return s1, maps
 
 
@@ -389,29 +391,30 @@ def run_near_far(config: ExperimentConfig, dump_dir=None):
     """Monte Carlo of the two-target scene with one interfering radar.
 
     Runs _near_far_trial for t = 0..trials-1 on one FMCW frame and reduces each
-    trial's five maps (c.c.s single-carrier and OFDM each with and without the
-    interferer, plus an interference-free FMCW reference) to summarize_map rows.
+    of a trial's five maps (c.c.s single-carrier and OFDM each with and without
+    the interferer, plus an interference-free FMCW reference) to summarize_map
+    rows as it is made, dropping it before the next.
     Returns (summary ResultTable, RocCurves, {variant: levels array}), one
     [near, far, max_other] row per trial;
     when dump_dir is set the trial-0 maps and transmit frames are written there,
-    the frames a row tile at a time.  Every trial draws its real noise planes into
-    one buffer.  A terminal stderr shows progress (trial t/T, trials/s, ETA).
+    the frames a row tile at a time.  A terminal stderr shows progress (trial
+    t/T, trials/s, ETA).
     """
     t0 = time.perf_counter()
     trials = config.resolved_trials()
     tbins = config.target_bins()
     fmcw_frame = synth_frame(config.n_fast, config.m_slow)
-    buf = np.empty((config.m_slow, config.n_fast + config.n_max))
     levels = {v: np.empty((trials, len(tbins) + 1)) for v in NEARFAR_VARIANTS}
     for t in range(trials):
-        s1, maps = _near_far_trial(config, t, fmcw_frame, buf)
-        for v in NEARFAR_VARIANTS:
-            levels[v][t] = summarize_map(maps[v], tbins)
-        if t == 0 and dump_dir is not None:
-            out = Path(dump_dir)
-            for v in NEARFAR_VARIANTS:  # no loop variable left holding a map
-                maps[v].export_csv(out / f"map_{v}.csv")
-                maps[v].export_binary(out / f"map_{v}.bin")
+        s1, maps = _near_far_trial(config, t, fmcw_frame)
+        out = Path(dump_dir) if t == 0 and dump_dir is not None else None
+        for v, rd_map in maps:
+            levels[v][t] = summarize_map(rd_map, tbins)
+            if out:
+                rd_map.export_csv(out / f"map_{v}.csv")
+                rd_map.export_binary(out / f"map_{v}.bin")
+            del rd_map  # freed before the next variant's channel runs
+        if out:
             write_frame_bin(out / "frame_ccs_sc.bin", s1)
             write_frame_bin(out / "frame_fmcw.bin", fmcw_frame)
         del s1, maps  # freed before the next trial allocates its frames

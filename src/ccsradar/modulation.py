@@ -118,12 +118,6 @@ class LabelFrame:
         return np.asarray(self[...], dtype=dtype)
 
 
-def as_frame(frame, dtype=None):
-    """A LabelFrame as it is, anything else as np.asarray(frame, dtype): both
-    give their complex rows as frame[rows], one code path for their readers."""
-    return frame if isinstance(frame, LabelFrame) else np.asarray(frame, dtype=dtype)
-
-
 def product_bound_b(const: Constellation) -> float:
     """Bound b with |s[n] s*[n']| <= b, i.e. the peak symbol energy."""
     return float(np.max(np.abs(const.points)) ** 2)

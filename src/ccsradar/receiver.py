@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modulation import as_frame
-from .scene import ROW_TILE, Received, row_tiles, write_frame_bin
+from .scene import ROW_TILE, as_frame, row_tiles, write_frame_bin
 
 _DB_FLOOR = 1e-20
 
@@ -68,11 +67,6 @@ def _slow_dft(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tiles(y):
-    """y to read by row tiles: a Received stream as is, else a complex128 array."""
-    return y if isinstance(y, Received) else np.asarray(y, dtype=np.complex128)
-
-
 def mf_bank(y: np.ndarray, x, n_max: int) -> np.ndarray:
     """Per-block matched-filter outputs r[l, m] = (1/N) sum_n y[n, m] x*[n-l, m].
 
@@ -80,7 +74,7 @@ def mf_bank(y: np.ndarray, x, n_max: int) -> np.ndarray:
     delayed tail (width N + n_max) or be truncated to N; short inputs are
     zero-extended, which matches the zero-fill channel convention.
     """
-    y = _tiles(y)
+    y = as_frame(y, np.complex128)
     x = as_frame(x, np.complex128)
     m_slow, n_fast = x.shape
     if n_max >= n_fast:
@@ -112,7 +106,7 @@ def sc_range_doppler(r: np.ndarray) -> RangeDopplerMap:
 def ofdm_range_doppler(y_freq: np.ndarray, s, n_max: int) -> RangeDopplerMap:
     """Zero-forcing map: divide out the own symbols (an array or a LabelFrame),
     inverse DFT over subcarriers, forward DFT over blocks."""
-    y_freq = _tiles(y_freq)
+    y_freq = as_frame(y_freq, np.complex128)
     s = as_frame(s, np.complex128)
     if y_freq.shape != s.shape:
         raise ValueError("received and reference symbol shapes differ")
@@ -134,7 +128,7 @@ def fmcw_range_doppler(y: np.ndarray, ref: np.ndarray, n_max: int) -> RangeDoppl
     so each range bin is rescaled by N / (N - l); on-bin peaks then read |gain|
     exactly while the rectangular-window leakage of the truncated tone stays.
     """
-    y = _tiles(y)
+    y = as_frame(y, np.complex128)
     ref = np.asarray(ref, dtype=np.complex128)
     if ref.ndim != 1:
         raise ValueError("the FMCW reference is one chirp")

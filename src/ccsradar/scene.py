@@ -8,8 +8,8 @@ bin M (phase 0) meaning stationary.  The OFDM channel is evaluated directly in
 the frequency domain with unitary-DFT bookkeeping: a delay is the phase ramp
 exp(-j 2 pi n_t k / N) and the per-bin noise variance equals the time-domain
 noise variance.  Both channels return a Received stream that writes each row
-tile as a receiver reads it, holding only the real noise plane, in a caller's
-float64 buffer or a fresh one; frame dumps go out a row tile at a time.
+tile as a receiver reads it, holding only its own float64 real noise plane;
+frame dumps go out a row tile at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from ._rng import as_rng
-from .modulation import as_frame
+from .modulation import LabelFrame
 
 _BIN_MAGIC = b"CCSFRM01"
 
@@ -77,25 +77,20 @@ class Received:
     """A received (M, width) frame as a one-pass stream of row tiles.
 
     Made, it has drawn the scaled real noise plane of y + sqrt(v/2) * (a + 1j*b)
-    into buf (C-contiguous float64 (M, >= width), the stream's until its last tile
-    is read) or a fresh one.  y[rows] for each row_tiles slice in order writes one
-    reused tile: fill(rows, tile), the stored real noise, then the imaginary noise
-    drawn now, as the whole-frame formula draws and sums.  Rereads and out-of-order
-    reads raise ValueError; np.asarray(y) reads all tiles into a fresh complex128 frame.
+    into a fresh float64 (M, width) array.  y[rows] for each row_tiles slice in
+    order writes one reused tile: fill(rows, tile), the stored real noise, then
+    the imaginary noise drawn now, as the whole-frame formula draws and sums.
+    Rereads and out-of-order reads raise ValueError; np.asarray(y) reads all
+    tiles into a fresh complex128 frame.
     """
 
-    def __init__(self, shape, fill, noise_var: float = 0.0, rng=None, buf=None):
+    def __init__(self, shape, fill, noise_var: float = 0.0, rng=None):
         m, width = shape
-        if buf is not None and (buf.dtype != np.float64 or buf.ndim != 2 or buf.shape[0] != m
-                                or buf.shape[1] < width or not buf.flags.c_contiguous):
-            raise ValueError(f"receive plane must be C-contiguous float64 ({m}, >= {width})")
         self.shape, self.size, self._fill, self._next = (m, width), m * width, fill, 0
         self._tile = np.empty((min(ROW_TILE, m), width), dtype=np.complex128)
         self._gen, self._scale = (as_rng(rng), np.sqrt(noise_var / 2.0)) if noise_var else (None, 0)
-        if noise_var:  # standard_normal(out=) takes only a contiguous array: buf viewed flat
-            self._plane = (np.empty(shape) if buf is None
-                           else buf.reshape(-1)[:m * width].reshape(shape))
-            self._gen.standard_normal(out=self._plane)
+        if noise_var:
+            self._plane = self._gen.standard_normal((m, width))
             self._plane *= self._scale
 
     def __getitem__(self, rows):
@@ -120,6 +115,12 @@ class Received:
         return y  # numpy casts to a requested dtype itself
 
 
+def as_frame(frame, dtype=None):
+    """A LabelFrame or Received stream as it is, anything else as np.asarray(frame,
+    dtype): all give their complex rows as frame[rows], one code path for their readers."""
+    return frame if isinstance(frame, (LabelFrame, Received)) else np.asarray(frame, dtype=dtype)
+
+
 def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
     """x plus circularly-symmetric complex white noise of the given variance."""
     if noise_var < 0:
@@ -138,7 +139,7 @@ def _doppler_phase(m_slow: int, doppler_bin: int) -> np.ndarray:
     return np.exp(2j * np.pi * doppler_bin * np.arange(m_slow) / m_slow)
 
 
-def _receive(frames, scene: TargetScene, rng, buf, ofdm: bool) -> Received:
+def _receive(frames, scene: TargetScene, rng, ofdm: bool) -> Received:
     """The one channel tile loop: apply_channel_ofdm if ofdm else apply_channel_sc.
 
     Each row tile the reader takes is zeroed, then every path adds
@@ -171,28 +172,27 @@ def _receive(frames, scene: TargetScene, rng, buf, ofdm: bool) -> Received:
                 part *= phase[rows]
                 tile[:, shift:shift + n_fast] += part
 
-    return Received((m_slow, width), fill, scene.noise_var, rng, buf)
+    return Received((m_slow, width), fill, scene.noise_var, rng)
 
 
-def apply_channel_sc(frames, scene: TargetScene, rng=None, buf=None) -> Received:
+def apply_channel_sc(frames, scene: TargetScene, rng=None) -> Received:
     """Time-domain received frame, (M, N + n_max) with zero-fill delays, as a
-    Received stream whose real noise plane is drawn into buf if given.
+    Received stream.
 
     frames[0] is the own transmission (echoes per scene.targets); frames[1:]
     line up with scene.interference.
     """
-    return _receive(frames, scene, rng, buf, ofdm=False)
+    return _receive(frames, scene, rng, ofdm=False)
 
 
-def apply_channel_ofdm(blocks, scene: TargetScene, rng=None, buf=None) -> Received:
-    """Frequency-domain received frame Y[k, m], (M, N), as a Received stream
-    whose real noise plane is drawn into buf if given.
+def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> Received:
+    """Frequency-domain received frame Y[k, m], (M, N), as a Received stream.
 
     Each path contributes gain * s * exp(-j 2 pi n_t k / N) * doppler(m); the
     noise is i.i.d. complex Gaussian with the time-domain variance, which is
     exact under the unitary DFT convention.
     """
-    return _receive(blocks, scene, rng, buf, ofdm=True)
+    return _receive(blocks, scene, rng, ofdm=True)
 
 
 def write_frame_bin(path, samples) -> None:

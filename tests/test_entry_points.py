@@ -72,7 +72,8 @@ def test_nearfar_trial_calls_every_traced_receive_name(tmp_path, monkeypatch):
     cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
     config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=1)
     assert (config.n_fast, config.m_slow) == (128, 128)
-    experiments._near_far_trial(config, 0, experiments.synth_frame(128, 128))
+    _s1, maps = experiments._near_far_trial(config, 0, experiments.synth_frame(128, 128))
+    assert [v for v, _map in maps] == list(experiments.NEARFAR_VARIANTS)
     assert calls == NEARFAR_TRACED_CALLS
 
 

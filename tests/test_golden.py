@@ -138,8 +138,8 @@ def test_nearfar_trial_runs_alone(tmp_path):
     _table, _roc, levels = experiments.run_near_far(config)
     frame = synth_frame(config.n_fast, config.m_slow)
     _s1, maps = experiments._near_far_trial(config, 1, frame)
-    for v in experiments.NEARFAR_VARIANTS:
-        alone = summarize_map(maps[v], config.target_bins())
+    for v, rd_map in maps:
+        alone = summarize_map(rd_map, config.target_bins())
         assert alone.tobytes() == levels[v][1].tobytes()
         assert alone.tobytes() != levels[v][0].tobytes()
 
@@ -154,6 +154,7 @@ def test_nearfar_label_frames_match_complex_frames(tmp_path, monkeypatch, mod):
     config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=1)
     frame = synth_frame(config.n_fast, config.m_slow)
     s1, maps = experiments._near_far_trial(config, 0, frame)
+    maps = dict(maps)
     assert s1.labels.dtype == np.uint8
 
     def mapped(*args):
@@ -162,8 +163,10 @@ def test_nearfar_label_frames_match_complex_frames(tmp_path, monkeypatch, mod):
 
     monkeypatch.setattr(experiments, "generate_ccs_blocks", mapped)
     s1_complex, want = experiments._near_far_trial(config, 0, frame)
+    want = dict(want)
     assert s1_complex.dtype == np.complex128
     assert np.asarray(s1).tobytes() == s1_complex.tobytes()
+    assert list(maps) == list(want) == list(experiments.NEARFAR_VARIANTS)
     for v in experiments.NEARFAR_VARIANTS:
         assert maps[v].values.tobytes() == want[v].values.tobytes(), v
 
@@ -173,19 +176,31 @@ def _materializing_mf_bank(y, x, n_max):
     return receiver.mf_bank(np.asarray(y), x, n_max)
 
 
-def _trial_peak_frames(tmp_path, monkeypatch, mf_bank):
+def _kept_maps_trial(config, t, fmcw_frame, _trial=experiments._near_far_trial):
+    # a trial that makes all five maps, and keeps them, before the first is summarized
+    s1, maps = _trial(config, t, fmcw_frame)
+    return s1, iter(dict(maps).items())
+
+
+def _trial_peak_frames(tmp_path, monkeypatch, mf_bank, trial=experiments._near_far_trial):
     # one trial's traced peak at the 128 x 128 config, the FMCW frame included,
-    # in frames of M x N complex samples (256 KiB), with mf_bank as its receiver
+    # in frames of M x N complex samples (256 KiB), with mf_bank as its receiver;
+    # each map is summarized and dropped as it arrives, as run_near_far does
     monkeypatch.setattr(experiments, "mf_bank", mf_bank)
     cfg = tmp_path / "nearfar.ini"
     cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
     config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=1)
-    # fill the code caches first
-    experiments._near_far_trial(config, 0, synth_frame(config.n_fast, config.m_slow))
+
+    def summarized_trial():
+        _s1, maps = trial(config, 0, synth_frame(config.n_fast, config.m_slow))
+        for _v, rd_map in maps:
+            summarize_map(rd_map, config.target_bins())
+            del rd_map
+
+    summarized_trial()  # fill the code caches first
     tracemalloc.start()
     try:
-        frame = synth_frame(config.n_fast, config.m_slow)
-        experiments._near_far_trial(config, 0, frame)
+        summarized_trial()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,15 +211,22 @@ def test_nearfar_trial_peak_memory(tmp_path, monkeypatch):
     # numpy 2.4: 5.43 frames with complex symbol frames and a tiled FMCW frame,
     # 2.36 with label frames, a broadcast chirp and one fresh received frame
     # per variant, 2.10 with received streams, which hold a real noise plane
-    # and one row tile.  The bound sits between the last two.
+    # and one row tile, and 1.69 with each map summarized and dropped before
+    # the next is made.  The bound sits between the last two.
     peak = _trial_peak_frames(tmp_path, monkeypatch, receiver.mf_bank)
-    assert peak < 2.25, f"peak {peak:.2f} frames"
+    assert peak < 1.9, f"peak {peak:.2f} frames"
 
 
 def test_nearfar_trial_peak_memory_catches_a_materializing_receiver(tmp_path, monkeypatch):
     # a single-carrier receiver that materializes its stream peaks at 2.67
     peak = _trial_peak_frames(tmp_path, monkeypatch, _materializing_mf_bank)
-    assert peak >= 2.25, f"peak {peak:.2f} frames"
+    assert peak >= 1.9, f"peak {peak:.2f} frames"
+
+
+def test_nearfar_trial_peak_memory_catches_kept_maps(tmp_path, monkeypatch):
+    # a trial that keeps all five maps until its last is made peaks at 2.08
+    peak = _trial_peak_frames(tmp_path, monkeypatch, receiver.mf_bank, _kept_maps_trial)
+    assert peak >= 1.9, f"peak {peak:.2f} frames"
 
 
 def _named_batch_blocks(code, const, n_blocks, rng, interleaver_rng):
@@ -242,33 +264,12 @@ def test_frame_generator_peak_memory(tmp_path, generate, within):
     assert (frames < 5.0) == within, f"peak {frames:.2f} label frames"
 
 
-def test_nearfar_run_receives_into_one_buffer(tmp_path, monkeypatch):
-    # every variant of every trial draws its real noise plane into the run's
-    # one C-contiguous float64 (M, N + n_max) buffer, and so writes it
-    cfg = tmp_path / "nearfar.ini"
-    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
-    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=2)
-    received, planes, writes = [], [], []
-    for name in ("apply_channel_sc", "apply_channel_ofdm"):
-        def channel(*args, _channel=getattr(experiments, name), buf=None, **kwargs):
-            before = buf.copy()
-            received.append(_channel(*args, buf=buf, **kwargs))
-            planes.append(buf)
-            writes.append(not np.array_equal(buf, before, equal_nan=True))
-            return received[-1]
-        monkeypatch.setattr(experiments, name, channel)
-    experiments.run_near_far(config)
-    assert len(received) == 2 * len(experiments.NEARFAR_VARIANTS)
-    assert all(plane is planes[0] for plane in planes) and all(writes)
-    assert planes[0].dtype == np.float64 and planes[0].flags.c_contiguous
-    assert planes[0].shape == (config.m_slow, config.n_fast + config.n_max)
-    assert {y.shape[1] for y in received} == {config.n_fast, config.n_fast + config.n_max}
-
-
-def _run_peak_frames(tmp_path, monkeypatch, mf_bank):
+def _run_peak_frames(tmp_path, monkeypatch, mf_bank, trial=experiments._near_far_trial):
     # a 3-trial run's traced peak with its dumps at the 128 x 128 config, in
-    # frames of M x N complex samples, with mf_bank as its receiver
+    # frames of M x N complex samples, with mf_bank as its receiver and trial
+    # as its trial
     monkeypatch.setattr(experiments, "mf_bank", mf_bank)
+    monkeypatch.setattr(experiments, "_near_far_trial", trial)
     cfg = tmp_path / "nearfar.ini"
     cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
     config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=3)
@@ -286,16 +287,24 @@ def _run_peak_frames(tmp_path, monkeypatch, mf_bank):
 def test_nearfar_run_peak_memory(tmp_path, monkeypatch):
     # numpy 2.4: 2.45 with one complex receive buffer (1.125 frames,
     # N + n_max = 144 columns), 2.13 with received streams and the run's
-    # float64 noise plane (0.56 frames); 3.39 if the complex buffer sat beside
-    # a whole-frame dump of the own frame, so dumps go out by row tiles.
+    # float64 noise plane (0.56 frames), 1.72 with a noise plane per stream
+    # and each map summarized, and dumped, before the next is made; 3.39 if
+    # the complex buffer sat beside a whole-frame dump of the own frame, so
+    # dumps go out by row tiles.
     peak = _run_peak_frames(tmp_path, monkeypatch, receiver.mf_bank)
-    assert peak < 2.3, f"peak {peak:.2f} frames"
+    assert peak < 1.9, f"peak {peak:.2f} frames"
 
 
 def test_nearfar_run_peak_memory_catches_a_materializing_receiver(tmp_path, monkeypatch):
     # a single-carrier receiver that materializes its stream peaks at 2.71
     peak = _run_peak_frames(tmp_path, monkeypatch, _materializing_mf_bank)
-    assert peak >= 2.3, f"peak {peak:.2f} frames"
+    assert peak >= 1.9, f"peak {peak:.2f} frames"
+
+
+def test_nearfar_run_peak_memory_catches_kept_maps(tmp_path, monkeypatch):
+    # trials that keep all five maps until their last is made peak at 2.11
+    peak = _run_peak_frames(tmp_path, monkeypatch, receiver.mf_bank, _kept_maps_trial)
+    assert peak >= 1.9, f"peak {peak:.2f} frames"
 
 
 def test_nearfar_progress_on_a_terminal(tmp_path, monkeypatch, capsys):

@@ -266,7 +266,7 @@ def test_blocks_batch_is_c_contiguous(kind, n_msg, interleave):
     # labels its LabelFrame holds
     code = CodeConfig(kind=kind, n_code_bits=64, n_msg_bits=n_msg)
     const = constellation("qpsk")
-    batches = list(_symbol_batch(code, const, 16, np.random.default_rng(2), interleave))
+    batches = list(_symbol_batch(code, const, 16, np.random.default_rng(2), interleave, 16))
     if interleave:
         frame = _blocks(code, const, 16, 2)
         batches.append(frame.labels)

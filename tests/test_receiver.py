@@ -435,8 +435,7 @@ def test_map_binary_export(tmp_path):
 def test_streamed_maps_equal_maps_of_the_materialized_frame(receiver, frames, noise_var):
     # each receiver reads the channel's Received stream a row tile at a time;
     # the oracle is the same receiver on np.asarray of the same stream.  37
-    # rows: two full tiles and a short one.  The streamed side draws its real
-    # noise plane into a run-sized float64 buffer, the oracle into a fresh one.
+    # rows: two full tiles and a short one.
     m_slow, n_fast, n_max = 37, 24, 5
     own, other = _frame(m_slow, n_fast, seed=5), _frame(m_slow, n_fast, seed=6)
     if frames != "labels":
@@ -448,8 +447,7 @@ def test_streamed_maps_equal_maps_of_the_materialized_frame(receiver, frames, no
     read = {"sc": lambda y: sc_range_doppler(mf_bank(y, own, n_max)),
             "ofdm": lambda y: ofdm_range_doppler(y, own, n_max),
             "fmcw": lambda y: fmcw_range_doppler(y, chirp(n_fast), n_max)}[receiver]
-    streamed = read(channel(sent, scene, np.random.default_rng(9),
-                            buf=np.empty((m_slow, n_fast + n_max))))
+    streamed = read(channel(sent, scene, np.random.default_rng(9)))
     oracle = read(np.asarray(channel(sent, scene, np.random.default_rng(9))))
     assert streamed.values.tobytes() == oracle.values.tobytes()
 

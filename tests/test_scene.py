@@ -1,6 +1,7 @@
 """FMCW frame synthesis, channel application, noise, and the binary frame format."""
 
 import copy
+import itertools
 import struct
 import tracemalloc
 
@@ -250,58 +251,23 @@ def test_awgn_matches_reference_bytes(x):
 
 @pytest.mark.parametrize("ofdm", [False, True])
 def test_channel_matches_reference_bytes_across_row_tiles(ofdm):
-    # 37 rows: two full tiles and a short one, in both memory orders
-    for order in "CF":
-        own = np.asarray(_blocks(37, 24, seed=5), order=order)
-        other = np.asarray(_blocks(37, 24, seed=6), order=order)
-        scene = _scene([Path(1, 37, 0.8), Path(4, 20, -0.3j)],
-                       interference=[(Path(3, 19, 2.5),)], noise_var=0.4, n_max=5)
-        rng = np.random.default_rng(21)
-        want = _reference_channel([own, other], scene, copy.deepcopy(rng), ofdm)
-        channel = apply_channel_ofdm if ofdm else apply_channel_sc
-        got = np.asarray(channel([own, other], scene, rng))
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("noise_var", [0.0, 0.4])
-def test_channels_reuse_one_receive_buffer(noise_var):
-    # one NaN-filled float64 plane through sc -> OFDM -> sc: every noisy call
-    # draws its whole scaled real noise plane into the plane's first M x width
-    # elements (a noiseless call writes nothing), and the stream reads byte for
-    # byte what a fresh frame gets
-    buf = np.full((37, 24 + 5), np.nan)
-    for order in "CF":
+    # 37 rows: two full tiles and a short one, in both memory orders, noiseless
+    # and noisy; channels alternate (sc -> OFDM -> sc, or the reverse), and each
+    # stream reads byte for byte what a fresh frame gets, in as many draws
+    for order, noise_var in itertools.product("CF", (0.0, 0.4)):
         own = np.asarray(_blocks(37, 24, seed=5), order=order)
         other = np.asarray(_blocks(37, 24, seed=6), order=order)
         scene = _scene([Path(1, 37, 0.8), Path(4, 20, -0.3j)],
                        interference=[(Path(3, 19, 2.5),)], noise_var=noise_var, n_max=5)
-        for ofdm in (False, True, False):
+        for kind in (ofdm, not ofdm, ofdm):
             rng = np.random.default_rng(21)
             twin = copy.deepcopy(rng)
-            want = _reference_channel([own, other], scene, twin, ofdm)
-            width = 24 if ofdm else 29
-            real = (copy.deepcopy(rng).standard_normal((37, width)) * np.sqrt(noise_var / 2.0)
-                    if noise_var else np.full(37 * width, np.nan))
-            before = buf.copy()
-            channel = apply_channel_ofdm if ofdm else apply_channel_sc
-            got = channel([own, other], scene, rng, buf=buf)
-            assert got.shape == (37, width) and got.size == 37 * width
-            assert buf.reshape(-1)[:37 * width].tobytes() == real.tobytes()
-            rest = slice(37 * width, None)
-            assert buf.reshape(-1)[rest].tobytes() == before.reshape(-1)[rest].tobytes()
-            assert np.asarray(got).tobytes() == want.tobytes()
+            want = _reference_channel([own, other], scene, twin, kind)
+            channel = apply_channel_ofdm if kind else apply_channel_sc
+            y = channel([own, other], scene, rng)
+            assert y.shape == want.shape and y.size == want.size
+            assert np.asarray(y).tobytes() == want.tobytes()
             assert rng.random() == twin.random()
-
-
-def test_channel_rejects_mismatched_receive_buffer():
-    own = _blocks(16, 8, seed=1)
-    scene = _scene([Path(1, 3, 1.0)], n_max=4)
-    for buf in (np.empty((16, 11)), np.empty((15, 12)), np.empty((16, 12), dtype=np.float32),
-                np.empty((16, 12), dtype=np.complex128), np.empty((16, 12), order="F"),
-                np.empty((16, 24))[:, ::2], np.empty(16 * 12)):
-        with pytest.raises(ValueError):
-            apply_channel_sc([own], scene, buf=buf)
-    assert apply_channel_ofdm([own], scene, buf=np.empty((16, 8))).shape == (16, 8)
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (ROW_TILE, 7), (ROW_TILE + 1, 7), (37, 7),

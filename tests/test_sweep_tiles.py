@@ -115,9 +115,9 @@ def _whole_batch_bound_statistics(cfg, const, trials, seed, key):
     kernel = np.exp(2j * np.pi * np.arange(n) / n)
     for ci, start in enumerate(range(0, trials, experiments._CHUNK)):
         m = min(experiments._CHUNK, trials - start)
-        s = next(experiments._symbol_batch(cfg, const, m, substream(seed, *key, 0, ci)))
-        s_i = next(experiments._symbol_batch(cfg, const, m, substream(seed, *key, 1, ci)))
-        s_q = next(experiments._symbol_batch(cfg, const, m, substream(seed, *key, 2, ci)))
+        s, s_i, s_q = (next(experiments._symbol_batch(cfg, const, m,
+                                                      substream(seed, *key, j, ci), True, m))
+                       for j in range(3))
         chi.append(np.einsum("tn,tn->t", s[:, 1:], np.conj(s[:, :-1])) / n)
         rho.append(np.einsum("tn,tn->t", s_q, np.conj(s_i)) / n)
         v1.append((s_q / s_i) @ kernel / n)

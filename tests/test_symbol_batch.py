@@ -95,7 +95,7 @@ def _oracle_batch(cfg, const, rows, rng, interleaved):
 def test_symbol_batch_matches_argsort_oracle(kind, n_msg, interleaved, rows, make_rng):
     cfg = CodeConfig(kind=kind, n_code_bits=128, n_msg_bits=n_msg)
     const = constellation("qpsk")
-    got, = _symbol_batch(cfg, const, rows, make_rng(11), interleaved)
+    got, = _symbol_batch(cfg, const, rows, make_rng(11), interleaved, rows)
     want = _oracle_batch(cfg, const, rows, make_rng(11), interleaved)
     assert got.shape == (rows, 64) and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
@@ -134,7 +134,7 @@ def test_symbol_tiles_equal_the_batch(kind, n_msg, interleaved, tile_rows, make_
     rows = {"one": 1, "sweep": max(1, experiments._TILE_POINTS // n), "uneven": 74}[tile_rows]
     tiled_rng, batch_rng = make_rng(5), make_rng(5)
     tiles = list(_symbol_batch(cfg, const, m, tiled_rng, interleaved, rows))
-    batch, = _symbol_batch(cfg, const, m, batch_rng, interleaved)
+    batch, = _symbol_batch(cfg, const, m, batch_rng, interleaved, m)
     assert [len(t) for t in tiles] == [min(rows, m - i) for i in range(0, m, rows)]
     assert all(t.shape[1] == n and t.flags.c_contiguous for t in tiles)
     assert np.concatenate(tiles).tobytes() == batch.tobytes()
@@ -143,7 +143,7 @@ def test_symbol_tiles_equal_the_batch(kind, n_msg, interleaved, tile_rows, make_
 
 
 @pytest.mark.parametrize("words", [2, 6])
-@pytest.mark.parametrize("tile_rows", [None, 3])
+@pytest.mark.parametrize("tile_rows", [7, 3])
 @pytest.mark.parametrize("kind,n_msg", [("uncoded", 128), ("polar", 30), ("ldpc", 61)])
 def test_message_chunks_equal_one_draw(kind, n_msg, tile_rows, words, monkeypatch):
     # message bits drawn a few words at a time, packed, and unpacked per row
