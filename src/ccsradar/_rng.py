@@ -5,13 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_rng(seed_or_rng) -> np.random.Generator:
-    """Pass Generators through, build a fresh Generator from anything else."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent, order-free stream derived from a master seed and an integer key path."""
     return np.random.default_rng(np.random.SeedSequence((int(master_seed),) + tuple(int(k) for k in key)))

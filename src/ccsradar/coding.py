@@ -16,8 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._rng import as_rng
-
 CODE_KINDS = ("uncoded", "repetition", "polar", "ldpc")
 
 _LDPC_ROW_WEIGHT = 3
@@ -49,12 +47,6 @@ class CodeConfig:
         if self.kind == "ldpc" and self.n_code_bits - self.n_msg_bits > math.comb(
                 self.n_msg_bits, min(_LDPC_ROW_WEIGHT, self.n_msg_bits)):
             raise ValueError("ldpc rate too low for distinct parity checks")
-
-    @property
-    def gamma(self) -> int:
-        if self.kind != "repetition":
-            raise ValueError("gamma is defined for repetition codes only")
-        return self.n_code_bits // self.n_msg_bits
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +173,8 @@ def _ldpc_tables(n_code_bits: int, n_msg_bits: int, construction_seed: int) -> n
     """
     k, m = n_msg_bits, n_code_bits - n_msg_bits
     w = min(_LDPC_ROW_WEIGHT, k)  # CodeConfig ensures comb(k, w) >= m
-    rng = as_rng(np.random.SeedSequence((construction_seed, n_code_bits, n_msg_bits)))
+    rng = np.random.default_rng(
+        np.random.SeedSequence((construction_seed, n_code_bits, n_msg_bits)))
     highs = np.concatenate([np.arange(k - w, k), np.arange(w - 1, 0, -1)])
     total = math.comb(k, w)
     place = k ** np.arange(w - 1, -1, -1)  # a sorted support as one integer
@@ -206,7 +199,7 @@ def _ldpc_tables(n_code_bits: int, n_msg_bits: int, construction_seed: int) -> n
 
 def encode(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
     """Systematic encoding for any configured code; batch shape (..., n_msg_bits).
-    Repetition sends gamma copies; ldpc appends the parity bits of its [A | I]
+    Repetition repeats the message; ldpc appends the parity bits of its [A | I]
     parity-check matrix."""
     msg = np.asarray(msg, dtype=np.uint8)
     if msg.shape[-1] != config.n_msg_bits:
@@ -214,7 +207,7 @@ def encode(msg: np.ndarray, config: CodeConfig) -> np.ndarray:
     if config.kind == "uncoded":
         return msg.copy()
     if config.kind == "repetition":
-        return np.concatenate([msg] * config.gamma, axis=-1)
+        return np.concatenate([msg] * (config.n_code_bits // config.n_msg_bits), axis=-1)
     if config.kind == "polar":
         return _encode_polar_systematic(msg, config)
     support = _ldpc_tables(config.n_code_bits, config.n_msg_bits, config.construction_seed)

@@ -322,9 +322,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def result_meta(config: ExperimentConfig, wall_time_s: float | None = None) -> dict:
-    meta = {"config_hash": config.config_hash(), "version": f"ccsradar-v{__version__}",
-            "seed": config.seed, "kind": config.kind}
-    if wall_time_s is not None:
-        meta["wall_time_s"] = f"{wall_time_s:.3f}"
-    return meta
+def result_meta(config: ExperimentConfig, wall_time_s: float) -> dict:
+    return {"config_hash": config.config_hash(), "version": f"ccsradar-v{__version__}",
+            "seed": config.seed, "kind": config.kind, "wall_time_s": f"{wall_time_s:.3f}"}

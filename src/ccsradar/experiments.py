@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import as_rng, random_bits, substream
+from ._rng import random_bits, substream
 from .bounds import (autocorr_tail_lb, autocorr_tail_ub, crosscorr_tail_ub, empirical_tail,
                      median_pslr_from_bound, median_suppression_from_bound, ofdm_tail_ub)
 from .coding import CodeConfig, encode
@@ -107,7 +107,7 @@ def _symbol_batch(cfg: CodeConfig, const, n_blocks: int, rng, interleaved: bool,
         yield map_bits(cw, const)
 
 
-def _tiled_stats(cfg: CodeConfig, const, trials: int, rngs, stat, interleaved=True):
+def _tiled_stats(cfg: CodeConfig, const, trials: int, rngs, stat, interleaved: bool):
     """stat's per-trial statistics over trials rows in _CHUNK-row batches.
 
     Batch ci draws one _symbol_batch per generator of rngs(ci); stat takes one
@@ -278,11 +278,13 @@ def _bound_statistics(cfg: CodeConfig, const, trials: int, seed: int, key: tuple
     n = cfg.n_code_bits // const.bits_per_symbol
     kernel = np.exp(2j * np.pi * np.arange(n) / n)
     chi, = _tiled_stats(cfg, const, trials, lambda ci: [substream(seed, *key, 0, ci)],
-                        lambda s: (np.einsum("tn,tn->t", s[:, 1:], np.conj(s[:, :-1])) / n,))
+                        lambda s: (np.einsum("tn,tn->t", s[:, 1:], np.conj(s[:, :-1])) / n,),
+                        interleaved=True)
     rho, v1 = _tiled_stats(cfg, const, trials,
                            lambda ci: [substream(seed, *key, s, ci) for s in (1, 2)],
                            lambda s_i, s_q: (np.einsum("tn,tn->t", s_q, np.conj(s_i)) / n,
-                                             (s_q / s_i) @ kernel / n))
+                                             (s_q / s_i) @ kernel / n),
+                           interleaved=True)
     return {"chi1": chi, "rho0": rho, "v1": v1}
 
 
@@ -368,7 +370,7 @@ def _near_far_trial(config: ExperimentConfig, t: int, fmcw_frame: np.ndarray):
     cfg = config.code_config(config.nearfar_code_kind(), num, den, config.n_fast, mod)
     frames = []
     for j in (0, 1):
-        perm = as_rng(int(substream(seed, _D_NF_PERM, t, j).integers(2 ** 62)))
+        perm = np.random.default_rng(int(substream(seed, _D_NF_PERM, t, j).integers(2 ** 62)))
         frames.append(generate_ccs_blocks(cfg, const, config.m_slow,
                                           substream(seed, _D_NF_MSG, t, j), perm))
     s1 = frames[0]

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._rng import as_rng, random_bits
+from ._rng import random_bits
 from .coding import CodeConfig, encode, interleave_codeword
 
 CONSTELLATION_NAMES = ("bpsk", "qpsk", "16qam", "256qam")
@@ -134,8 +134,8 @@ def generate_ccs_blocks(code: CodeConfig, const: Constellation, n_blocks: int, r
     code's length in symbols.  The messages come from rng, then one parity
     permutation shared by all blocks from interleaver_rng (which may be rng).
     """
-    msgs = random_bits(as_rng(rng), (n_blocks, code.n_msg_bits))
+    msgs = random_bits(np.random.default_rng(rng), (n_blocks, code.n_msg_bits))
     # no name holds the codewords, so they are freed before the labels are copied
-    words = gray_labels(interleave_codeword(encode(msgs, code), code, as_rng(interleaver_rng)),
-                        const)
+    words = gray_labels(interleave_codeword(encode(msgs, code), code,
+                                            np.random.default_rng(interleaver_rng)), const)
     return LabelFrame(words.astype(np.uint8), const.points)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import ROW_TILE, as_frame, row_tiles, write_frame_bin
+from .scene import ROW_TILE, row_tiles, write_frame_bin
 
 _DB_FLOOR = 1e-20
 
@@ -74,8 +74,6 @@ def mf_bank(y: np.ndarray, x, n_max: int) -> np.ndarray:
     delayed tail (width N + n_max) or be truncated to N; short inputs are
     zero-extended, which matches the zero-fill channel convention.
     """
-    y = as_frame(y, np.complex128)
-    x = as_frame(x, np.complex128)
     m_slow, n_fast = x.shape
     if n_max >= n_fast:
         raise ValueError("n_max must be smaller than the block length")
@@ -106,8 +104,6 @@ def sc_range_doppler(r: np.ndarray) -> RangeDopplerMap:
 def ofdm_range_doppler(y_freq: np.ndarray, s, n_max: int) -> RangeDopplerMap:
     """Zero-forcing map: divide out the own symbols (an array or a LabelFrame),
     inverse DFT over subcarriers, forward DFT over blocks."""
-    y_freq = as_frame(y_freq, np.complex128)
-    s = as_frame(s, np.complex128)
     if y_freq.shape != s.shape:
         raise ValueError("received and reference symbol shapes differ")
     if n_max >= s.shape[1]:
@@ -128,7 +124,6 @@ def fmcw_range_doppler(y: np.ndarray, ref: np.ndarray, n_max: int) -> RangeDoppl
     so each range bin is rescaled by N / (N - l); on-bin peaks then read |gain|
     exactly while the rectangular-window leakage of the truncated tone stays.
     """
-    y = as_frame(y, np.complex128)
     ref = np.asarray(ref, dtype=np.complex128)
     if ref.ndim != 1:
         raise ValueError("the FMCW reference is one chirp")

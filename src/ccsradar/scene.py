@@ -20,9 +20,6 @@ from itertools import chain
 
 import numpy as np
 
-from ._rng import as_rng
-from .modulation import LabelFrame
-
 _BIN_MAGIC = b"CCSFRM01"
 
 # The channel, the noise and the OFDM / FMCW receivers work ROW_TILE rows at a
@@ -84,12 +81,13 @@ class Received:
     tiles into a fresh complex128 frame.
     """
 
-    def __init__(self, shape, fill, noise_var: float = 0.0, rng=None):
+    def __init__(self, shape, fill, noise_var: float, rng):
         m, width = shape
         self.shape, self.size, self._fill, self._next = (m, width), m * width, fill, 0
         self._tile = np.empty((min(ROW_TILE, m), width), dtype=np.complex128)
-        self._gen, self._scale = (as_rng(rng), np.sqrt(noise_var / 2.0)) if noise_var else (None, 0)
+        self._gen, self._scale = None, 0
         if noise_var:
+            self._gen, self._scale = np.random.default_rng(rng), np.sqrt(noise_var / 2.0)
             self._plane = self._gen.standard_normal((m, width))
             self._plane *= self._scale
 
@@ -113,12 +111,6 @@ class Received:
         for rows in row_tiles(self.shape[0]):
             y[rows] = self[rows]
         return y  # numpy casts to a requested dtype itself
-
-
-def as_frame(frame, dtype=None):
-    """A LabelFrame or Received stream as it is, anything else as np.asarray(frame,
-    dtype): all give their complex rows as frame[rows], one code path for their readers."""
-    return frame if isinstance(frame, (LabelFrame, Received)) else np.asarray(frame, dtype=dtype)
 
 
 def awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
@@ -146,18 +138,17 @@ def _receive(frames, scene: TargetScene, rng, ofdm: bool) -> Received:
     gain * sym [* ramp] * phase in that order, so the sum is unchanged bit for
     bit; a radar's row tile is mapped once for its paths.
     """
-    mats = [as_frame(f) for f in frames]
-    if len(mats) != 1 + len(scene.interference):
+    if len(frames) != 1 + len(scene.interference):
         raise ValueError("need one frame per radar (own first, then interferers)")
-    if any(m.shape != mats[0].shape for m in mats):
+    if any(f.shape != frames[0].shape for f in frames):
         raise ValueError("mismatched frame sizes")
-    m_slow, n_fast = mats[0].shape
+    m_slow, n_fast = frames[0].shape
     width = n_fast if ofdm else n_fast + scene.n_max
     k = np.arange(n_fast)
     terms = [(mat, [(p.gain, 0 if ofdm else p.range_bin,
                      np.exp(-2j * np.pi * p.range_bin * k / n_fast) if ofdm else None,
                      _doppler_phase(m_slow, p.doppler_bin)[:, None]) for p in paths])
-             for mat, paths in zip(mats, [scene.targets, *scene.interference]) if paths]
+             for mat, paths in zip(frames, [scene.targets, *scene.interference]) if paths]
     echo = np.empty((min(ROW_TILE, m_slow), n_fast), dtype=np.complex128)
 
     def fill(rows, tile):
@@ -199,15 +190,14 @@ def write_frame_bin(path, samples) -> None:
     """Dump a complex 2-D array or LabelFrame: 16-byte header (magic, n_fast,
     n_slow), then little-endian float64 (re, im) pairs in slow-major order,
     written a row tile at a time so no frame-sized copy is made."""
-    mat = as_frame(samples)
-    if len(mat.shape) != 2:
+    if len(samples.shape) != 2:
         raise ValueError("expected a 2-D array")
-    m_slow, n_fast = mat.shape
+    m_slow, n_fast = samples.shape
     with open(path, "wb") as fh:
         fh.write(_BIN_MAGIC + struct.pack("<II", n_fast, m_slow))
         # a C-ordered little-endian complex128 buffer is those (re, im) pairs
         for rows in row_tiles(m_slow):
-            fh.write(np.ascontiguousarray(mat[rows], dtype="<c16"))
+            fh.write(np.ascontiguousarray(samples[rows], dtype="<c16"))
 
 
 def read_frame_bin(path) -> np.ndarray:

@@ -6,7 +6,8 @@ read here without installing the tracer, which would rebind module globals.
 Each CLI command also runs once as a traced bench/child.py process, where the
 tracer's counters see the real call shapes.
 The two experiment scripts under scripts/ run end to end as subprocesses, and
-scripts/plot_results.py plots their outputs through a stub matplotlib.pyplot.
+scripts/plot_results.py plots their outputs through a stub matplotlib.pyplot,
+which checks the calls but not the drawing.
 """
 
 import dataclasses
@@ -18,9 +19,12 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ccsradar import experiments
 from ccsradar.config import load_config
+from ccsradar.scene import synth_frame
 from test_golden import NEARFAR_128_INI
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,7 +170,22 @@ def test_reproduce_figures_script_runs(tmp_path, monkeypatch, capsys):
     plot_results = _load("plot_results", "scripts/plot_results.py")
     assert plot_results.main([str(tmp_path)]) == 0
     results = ("pslr/pslr_sweep", "suppress/suppression_sweep", "interleave/interleaver_study",
-               "bounds/tail_bounds", "nearfar/roc_curves")
+               "bounds/tail_bounds", "nearfar/roc_curves",
+               *(f"nearfar/map_{v}" for v in experiments.NEARFAR_VARIANTS))
     assert sorted(pyplot.saved) == sorted(tmp_path / f"{r}.png" for r in results)
     assert capsys.readouterr().out.count("wrote ") == len(results)
     assert plot_results.main([str(tmp_path / "missing")]) == 1
+
+
+def test_plot_results_reads_map_dumps_in_db(tmp_path):
+    # the map figures' read-and-scale step, on the dumps of a 128 x 128 run
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=1)
+    experiments.run_near_far(config, dump_dir=tmp_path)
+    plot_results = _load("plot_results", "scripts/plot_results.py")
+    _s1, maps = experiments._near_far_trial(config, 0, synth_frame(config.n_fast, config.m_slow))
+    for v, rd_map in maps:
+        got = plot_results.map_db(tmp_path / f"map_{v}.bin")
+        assert got.shape == (config.n_max + 1, config.m_slow)
+        assert got.tobytes() == (20.0 * np.log10(np.abs(rd_map.values))).tobytes(), v

@@ -13,6 +13,7 @@ import hashlib
 import re
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import pytest
 from ccsradar import cli, experiments, receiver
 from ccsradar.config import load_config
 from ccsradar.detection import summarize_map
-from ccsradar._rng import as_rng, random_bits
+from ccsradar._rng import random_bits
 from ccsradar.coding import encode, interleave_codeword
 from ccsradar.modulation import LabelFrame, constellation, generate_ccs_blocks, gray_labels
 from ccsradar.scene import synth_frame
@@ -232,8 +233,9 @@ def test_nearfar_trial_peak_memory_catches_kept_maps(tmp_path, monkeypatch):
 def _named_batch_blocks(code, const, n_blocks, rng, interleaver_rng):
     # generate_ccs_blocks with its interleaved codeword batch bound to a name,
     # which keeps the batch alive through the uint8 label copy
-    msgs = random_bits(as_rng(rng), (n_blocks, code.n_msg_bits))
-    codewords = interleave_codeword(encode(msgs, code), code, as_rng(interleaver_rng))
+    msgs = random_bits(np.random.default_rng(rng), (n_blocks, code.n_msg_bits))
+    codewords = interleave_codeword(encode(msgs, code), code,
+                                    np.random.default_rng(interleaver_rng))
     words = gray_labels(codewords, const)
     return LabelFrame(words.astype(np.uint8), const.points)
 
@@ -305,6 +307,53 @@ def test_nearfar_run_peak_memory_catches_kept_maps(tmp_path, monkeypatch):
     # trials that keep all five maps until their last is made peak at 2.11
     peak = _run_peak_frames(tmp_path, monkeypatch, receiver.mf_bank, _kept_maps_trial)
     assert peak >= 1.9, f"peak {peak:.2f} frames"
+
+
+def _last_map_kept(maps):
+    # a consumer of a trial's maps that keeps each one bound while the next is made
+    for v, rd_map in maps:
+        yield v, rd_map
+
+
+def _live_maps_at_channel_calls(tmp_path, monkeypatch, consume=iter):
+    # a 2-trial 128 x 128 run with its dumps, each trial's maps passed through
+    # consume: how many maps the run has yielded are still alive as each channel
+    # call starts.  One map more than the summary needs is 528 KiB at the
+    # reference scene, below what the run's frame-unit peak bound resolves.
+    refs, live = [], []
+
+    def track(item):
+        refs.append(weakref.ref(item[1]))
+        return item
+
+    def trial(config, t, fmcw_frame, _trial=experiments._near_far_trial):
+        s1, maps = _trial(config, t, fmcw_frame)
+        return s1, map(track, consume(maps))  # map() binds no yielded map to a name
+
+    def counted(channel):
+        def call(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in refs))
+            return channel(*args, **kwargs)
+        return call
+
+    for name in ("apply_channel_sc", "apply_channel_ofdm"):
+        monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+    monkeypatch.setattr(experiments, "_near_far_trial", trial)
+    cfg = tmp_path / "nearfar.ini"
+    cfg.write_text(NEARFAR_128_INI, encoding="utf-8")
+    config = dataclasses.replace(load_config(cfg), kind="nearfar", seed=0, trials=2)
+    experiments.run_near_far(config, dump_dir=tmp_path)
+    assert len(refs) == 2 * len(experiments.NEARFAR_VARIANTS)
+    return live
+
+
+def test_nearfar_run_frees_each_map_before_the_next(tmp_path, monkeypatch):
+    assert _live_maps_at_channel_calls(tmp_path, monkeypatch) == [0] * 10
+
+
+def test_nearfar_map_lifetime_catches_a_kept_map(tmp_path, monkeypatch):
+    live = _live_maps_at_channel_calls(tmp_path, monkeypatch, _last_map_kept)
+    assert live == [0, 1, 1, 1, 1] * 2
 
 
 def test_nearfar_progress_on_a_terminal(tmp_path, monkeypatch, capsys):

@@ -342,12 +342,11 @@ def test_result_table_csv(tmp_path):
 
 def test_result_meta_keys():
     cfg = ExperimentConfig(kind="bounds", seed=5)
-    meta = result_meta(cfg)
+    meta = result_meta(cfg, 1.25)
     assert meta["seed"] == 5 and meta["kind"] == "bounds"
     assert meta["config_hash"] == cfg.config_hash()
     assert meta["version"].startswith("ccsradar-v")
-    assert "wall_time_s" not in meta
-    assert result_meta(cfg, wall_time_s=1.25)["wall_time_s"] == "1.250"
+    assert meta["wall_time_s"] == "1.250"
 
 
 # -- the reference scene -------------------------------------------------------

@@ -42,11 +42,6 @@ def test_package_modules_use_every_import():
 PROGRAM = (sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
            + sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")))
 
-# Public names kept without a caller in the program.
-UNCALLED = [
-    "scene.read_frame_bin",  # reads the binary frame dump format the README documents
-]
-
 
 def public_defs(path):
     """(qualified name, name) of each public function or class at the top of
@@ -85,7 +80,7 @@ def uncalled(modules, callers):
 
 
 def test_package_public_names_have_a_caller():
-    assert uncalled(sorted(SRC.glob("*.py")), PROGRAM) == sorted(UNCALLED)
+    assert uncalled(sorted(SRC.glob("*.py")), PROGRAM) == []
 
 
 def test_caller_guard_finds_a_planted_def(tmp_path):
@@ -181,4 +176,8 @@ def test_import_loads_only_its_own_imports(loaded_modules, name):
 
 def test_root_and_coding_load_nothing_else(loaded_modules):
     assert loaded_modules["ccsradar"] == ["ccsradar"]
-    assert loaded_modules["ccsradar.coding"] == ["ccsradar", "ccsradar._rng", "ccsradar.coding"]
+    assert loaded_modules["ccsradar.coding"] == ["ccsradar", "ccsradar.coding"]
+
+
+def test_scene_loads_nothing_else(loaded_modules):
+    assert loaded_modules["ccsradar.scene"] == ["ccsradar", "ccsradar.scene"]
