@@ -2,7 +2,7 @@
 
 One subcommand per experiment; results land in the output directory as CSV
 (plus binary map/frame dumps for the near-far study).  Exit codes: 0 success,
-2 configuration error, 3 when --check finds a violated property.
+2 bad configuration or output path, 3 when --check finds a violated property.
 """
 
 from __future__ import annotations
@@ -55,7 +55,10 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-        checks = _run(config, out, args.check)
+        try:
+            checks = _run(config, out, args.check)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

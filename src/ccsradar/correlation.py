@@ -7,8 +7,9 @@ Correlations are normalized by the block length N:
     V(l)    = (1/N) sum_k (s_q[k]/s_i[k]) e^{+j 2 pi l k / N}   lags 0..N-1
 
 Every routine accepts batched inputs (..., N) and computes along the last
-axis.  The aperiodic correlations are evaluated through one zero-padded FFT;
-the tests hold the independent O(N^2) direct sums they are checked against.
+axis.  The aperiodic correlations are evaluated through one zero-padded FFT at
+the requested lags; the tests hold the independent O(N^2) direct sums they are
+checked against.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _check_block(s: np.ndarray) -> np.ndarray:
 
 
 def _lag_grid(n: int, lags) -> np.ndarray:
-    """The requested lags as integers, or all 2N - 1 in order when lags is None."""
-    lags = np.arange(-(n - 1), n) if lags is None else np.asarray(list(lags), dtype=int)
+    """The requested lags as integers, each inside |l| <= N - 1."""
+    lags = np.asarray(list(lags), dtype=int)
     if np.any(np.abs(lags) >= n):
         raise ValueError("requested lag outside the computable range")
     return lags
@@ -116,16 +117,17 @@ def _aperiodic(s1: np.ndarray, s2: np.ndarray, lags: np.ndarray) -> np.ndarray:
     return out
 
 
-def autocorr(s: np.ndarray, lags=None) -> CorrelationProfile:
-    """Aperiodic autocorrelation chi over all lags, or only the requested ones."""
+def autocorr(s: np.ndarray, lags) -> CorrelationProfile:
+    """Aperiodic autocorrelation chi at the requested lags."""
     s = _check_block(s)
     lags = _lag_grid(s.shape[-1], lags)
     return CorrelationProfile(lags=lags, values=_aperiodic(s, s, lags),
                               kind="auto", n=s.shape[-1])
 
 
-def crosscorr(s1: np.ndarray, s2: np.ndarray, lags=None) -> CorrelationProfile:
-    """Aperiodic cross-correlation rho of two equal-length blocks."""
+def crosscorr(s1: np.ndarray, s2: np.ndarray, lags) -> CorrelationProfile:
+    """Aperiodic cross-correlation rho of two equal-length blocks at the
+    requested lags."""
     s1, s2 = _check_block(s1), _check_block(s2)
     if s1.shape[-1] != s2.shape[-1]:
         raise ValueError("block length mismatch")
@@ -147,38 +149,20 @@ def idft_ratio(s_i: np.ndarray, s_q: np.ndarray) -> CorrelationProfile:
                               kind="idft_ratio", n=s_i.shape[-1])
 
 
-def _windowed_abs(profile: CorrelationProfile, max_lag: int | None,
-                  drop_zero: bool) -> np.ndarray:
-    lags = profile.lags
-    if profile.kind == "idft_ratio":
-        signed = np.where(lags <= profile.n // 2, lags, lags - profile.n)
-    else:
-        signed = lags
-    keep = np.ones(lags.size, dtype=bool)
-    if max_lag is not None:
-        keep &= np.abs(signed) <= max_lag
-    if drop_zero:
-        keep &= signed != 0
-    if not np.any(keep):
-        raise ValueError("no lags left after windowing")
-    return np.abs(profile.values[..., keep])
-
-
-def pslr(profile: CorrelationProfile, max_lag: int | None = None) -> np.ndarray | float:
-    """Peak-to-sidelobe ratio in dB, -20 log10 of the largest nonzero-lag |chi|.
+def pslr(profile: CorrelationProfile) -> np.ndarray | float:
+    """Peak-to-sidelobe ratio in dB, -20 log10 of the largest nonzero-lag |chi|
+    over the profile's lags, so the profile's lag window is the sidelobe window.
 
     Sidelobes are measured against the realized zero-lag peak, so a block's
     energy (unit on average, fluctuating for QAM) scales out; only an all-zero
     block, with no peak to measure against, is rejected.
-    max_lag restricts the sidelobe search to |l| <= max_lag; the default scans
-    every nonzero lag.
     """
     if profile.kind != "auto":
         raise ValueError("pslr is defined on aperiodic autocorrelation profiles")
     peak = np.abs(profile.value_at(0))
     if np.any(peak < 1e-12):
         raise ValueError("zero-lag correlation is zero; empty block?")
-    side = _windowed_abs(profile, max_lag, drop_zero=True).max(axis=-1)
+    side = np.abs(profile.values[..., profile.lags != 0]).max(axis=-1)
     # A numerically-zero sidelobe (delta-like chi) reports +inf rather than
     # tripping log-of-zero warnings.
     ratio = np.where(side < 1e-15, np.nan, side) / peak
@@ -187,11 +171,17 @@ def pslr(profile: CorrelationProfile, max_lag: int | None = None) -> np.ndarray 
     return float(out) if np.ndim(out) == 0 else out
 
 
-def suppression_metric(profile: CorrelationProfile, max_lag: int | None = None) -> np.ndarray | float:
+def suppression_metric(profile: CorrelationProfile, max_lag: int) -> np.ndarray | float:
     """Interference suppression in dB: -20 log10 of the largest |value| over
-    all lags (zero lag included)."""
+    the profile's lags with |l| <= max_lag (zero lag included).
+
+    An idft_ratio lag l > N/2 counts as l - N, since V is N-periodic.
+    """
     if profile.kind not in ("cross", "idft_ratio"):
         raise ValueError("suppression is defined on cross or idft_ratio profiles")
-    worst = _windowed_abs(profile, max_lag, drop_zero=False).max(axis=-1)
+    lags = profile.lags
+    if profile.kind == "idft_ratio":
+        lags = np.where(lags <= profile.n // 2, lags, lags - profile.n)
+    worst = np.abs(profile.values[..., np.abs(lags) <= max_lag]).max(axis=-1)
     out = -20.0 * np.log10(worst)
     return float(out) if np.ndim(out) == 0 else out

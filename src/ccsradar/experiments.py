@@ -166,8 +166,7 @@ def _window_lags(window: int, n: int) -> np.ndarray:
 
 
 def _pslr_stat(window: int):
-    return lambda s: (pslr(autocorr(s, lags=_window_lags(window, s.shape[-1])),
-                           max_lag=window),)
+    return lambda s: (pslr(autocorr(s, lags=_window_lags(window, s.shape[-1]))),)
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,13 @@ class Path:
 
 @dataclass(frozen=True)
 class TargetScene:
-    """Own-radar targets plus per-interferer path lists and the noise level."""
+    """Own-radar targets, per-interferer path lists (empty for none), the noise
+    variance and n_max, the largest range bin a path may take."""
 
     targets: tuple[Path, ...]
-    interference: tuple[tuple[Path, ...], ...] = ()
-    noise_var: float = 0.0
-    n_max: int = 32
+    interference: tuple[tuple[Path, ...], ...]
+    noise_var: float
+    n_max: int
 
     def __post_init__(self):
         if self.noise_var < 0:
@@ -166,22 +167,23 @@ def _receive(frames, scene: TargetScene, rng, ofdm: bool) -> Received:
     return Received((m_slow, width), fill, scene.noise_var, rng)
 
 
-def apply_channel_sc(frames, scene: TargetScene, rng=None) -> Received:
+def apply_channel_sc(frames, scene: TargetScene, rng) -> Received:
     """Time-domain received frame, (M, N + n_max) with zero-fill delays, as a
     Received stream.
 
     frames[0] is the own transmission (echoes per scene.targets); frames[1:]
-    line up with scene.interference.
+    line up with scene.interference.  rng draws the noise; a noiseless scene
+    draws none, so None will do there.
     """
     return _receive(frames, scene, rng, ofdm=False)
 
 
-def apply_channel_ofdm(blocks, scene: TargetScene, rng=None) -> Received:
+def apply_channel_ofdm(blocks, scene: TargetScene, rng) -> Received:
     """Frequency-domain received frame Y[k, m], (M, N), as a Received stream.
 
     Each path contributes gain * s * exp(-j 2 pi n_t k / N) * doppler(m); the
     noise is i.i.d. complex Gaussian with the time-domain variance, which is
-    exact under the unitary DFT convention.
+    exact under the unitary DFT convention; rng draws it, as in apply_channel_sc.
     """
     return _receive(blocks, scene, rng, ofdm=True)
 

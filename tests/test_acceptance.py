@@ -68,11 +68,16 @@ CURVES = ("uncoded_qpsk", "uncoded_256qam", "polar_120/1024_qpsk",
           "polar_682.5/1024_256qam", "ldpc_120/1024_qpsk", "ldpc_682.5/1024_256qam")
 
 
+def all_lags(n: int) -> np.ndarray:
+    """Every lag -(N-1)..N-1 of an aperiodic correlation of length-N blocks, in order."""
+    return np.arange(-(n - 1), n)
+
+
 def _direct_aperiodic(s1: np.ndarray, s2: np.ndarray, lags=None) -> np.ndarray:
     """(1/N) sum_t s1[t] s2*[t - l] of two 1-D blocks at each of lags, by
-    default the full -(N-1)..N-1 grid in order; direct sums, no FFT."""
+    default all_lags(N); direct sums, no FFT."""
     n = s1.size
-    lags = range(-(n - 1), n) if lags is None else lags
+    lags = all_lags(n) if lags is None else lags
     out = np.empty(len(lags), dtype=np.complex128)
     for k, lag in enumerate(lags):
         if lag >= 0:
@@ -97,9 +102,9 @@ def test_fft_correlations_match_direct_evaluation(say):
         n = int(rng.integers(8, 65))
         blocks = [_random_block(rng, n, mod) for mod in ("qpsk", "16qam")]
         for s in blocks:
-            gap = np.abs(autocorr(s).values - _direct_aperiodic(s, s)).max()
+            gap = np.abs(autocorr(s, all_lags(n)).values - _direct_aperiodic(s, s)).max()
             worst = max(worst, float(gap))
-        gap = np.abs(crosscorr(blocks[0], blocks[1]).values
+        gap = np.abs(crosscorr(blocks[0], blocks[1], all_lags(n)).values
                      - _direct_aperiodic(blocks[0], blocks[1])).max()
         worst = max(worst, float(gap))
     say("fft_matches_direct_correlation", worst <= 1e-9,
@@ -110,7 +115,7 @@ def test_correlation_identities(say):
     rng = np.random.default_rng(271)
     n = 64
     s = _random_block(rng, n, "qpsk")
-    chi = autocorr(s)
+    chi = autocorr(s, all_lags(n))
     peak_err = abs(chi.value_at(0) - 1.0)
     support = max(abs(chi.value_at(n + 3)), abs(chi.value_at(-(n + 3))))
     herm = np.abs(chi.values - np.conj(chi.values[::-1])).max()

@@ -19,7 +19,7 @@ from ccsradar.correlation import (
 from ccsradar.experiments import _window_lags
 from ccsradar.modulation import constellation, generate_ccs_blocks, map_bits
 
-from test_acceptance import _direct_aperiodic
+from test_acceptance import _direct_aperiodic, all_lags
 
 
 def _periodic_corr(s, s2=None):
@@ -41,7 +41,7 @@ def test_fft_autocorr_matches_direct_sum(name, n, subtests=None):
     rng = np.random.default_rng(n)
     for _ in range(10):
         s = _random_block(n, name, rng)
-        prof = autocorr(s)
+        prof = autocorr(s, all_lags(n))
         assert np.array_equal(prof.lags, np.arange(-(n - 1), n))
         assert np.max(np.abs(prof.values - _direct_aperiodic(s, s))) < 1e-9
 
@@ -53,41 +53,41 @@ def test_fft_crosscorr_matches_direct_sum(n):
         s1 = _random_block(n, "qpsk", rng)
         s2 = _random_block(n, "16qam", rng)
         want = _direct_aperiodic(s1, s2)
-        assert np.max(np.abs(crosscorr(s1, s2).values - want)) < 1e-9
+        assert np.max(np.abs(crosscorr(s1, s2, all_lags(n)).values - want)) < 1e-9
 
 
 def test_zero_lag_is_unit_for_constant_modulus_blocks():
     rng = np.random.default_rng(1)
     for name in ("bpsk", "qpsk"):
         s = _random_block(257, name, rng)
-        assert abs(autocorr(s).value_at(0) - 1.0) < 1e-12
+        assert abs(autocorr(s, all_lags(257)).value_at(0) - 1.0) < 1e-12
 
 
 def test_zero_lag_equals_realized_energy_for_qam():
     rng = np.random.default_rng(2)
     s = _random_block(129, "16qam", rng)
     want = np.mean(np.abs(s) ** 2)
-    assert abs(autocorr(s).value_at(0) - want) < 1e-12
+    assert abs(autocorr(s, all_lags(129)).value_at(0) - want) < 1e-12
 
 
 def test_support_vanishes_beyond_block_length():
     s = _random_block(16, "qpsk", np.random.default_rng(3))
-    prof = autocorr(s)
+    prof = autocorr(s, all_lags(16))
     for lag in (16, -16, 23, -40):
         assert prof.value_at(lag) == 0
 
 
 def test_hermitian_symmetry():
     s = _random_block(64, "16qam", np.random.default_rng(4))
-    prof = autocorr(s)
+    prof = autocorr(s, all_lags(64))
     for lag in range(1, 64):
         assert abs(prof.value_at(-lag) - np.conj(prof.value_at(lag))) < 1e-12
 
 
 def test_crosscorr_of_identical_blocks_is_autocorr():
     s = _random_block(48, "qpsk", np.random.default_rng(5))
-    a = autocorr(s)
-    c = crosscorr(s, s)
+    a = autocorr(s, all_lags(48))
+    c = crosscorr(s, s, all_lags(48))
     assert np.array_equal(a.lags, c.lags)
     assert np.max(np.abs(a.values - c.values)) < 1e-12
 
@@ -97,7 +97,8 @@ def test_autocorr_bytes_equal_crosscorr_with_itself(shape):
     # autocorr reuses one forward FFT; the bits must match two separate ones
     rng = np.random.default_rng(shape[-1])
     s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert autocorr(s).values.tobytes() == crosscorr(s, s.copy()).values.tobytes()
+    lags = all_lags(shape[-1])
+    assert autocorr(s, lags).values.tobytes() == crosscorr(s, s.copy(), lags).values.tobytes()
 
 
 def test_periodic_correlation_against_circular_oracle():
@@ -110,14 +111,14 @@ def test_periodic_correlation_against_circular_oracle():
         want = np.mean(s * np.conj(np.roll(s2, lag)))
         assert abs(vals[lag] - want) < 1e-12
     # the circular lag l folds the aperiodic lags l and l - N together
-    prof = crosscorr(s, s2)
+    prof = crosscorr(s, s2, all_lags(n))
     for lag in range(n):
         assert abs(prof.value_at(lag) + prof.value_at(lag - n) - vals[lag]) < 1e-12
 
 
 def test_periodic_zero_lag_matches_aperiodic():
     s = _random_block(32, "qpsk", np.random.default_rng(7))
-    assert abs(_periodic_corr(s)[0] - autocorr(s).value_at(0)) < 1e-12
+    assert abs(_periodic_corr(s)[0] - autocorr(s, all_lags(32)).value_at(0)) < 1e-12
 
 
 def test_idft_ratio_identity_pair_is_delta():
@@ -161,9 +162,10 @@ def test_pslr_of_repetition_halves():
     code = CodeConfig(kind="repetition", n_code_bits=16, n_msg_bits=8)
     msg = np.random.default_rng(11).integers(0, 2, size=8, dtype=np.uint8)
     block = map_bits(encode(msg, code), constellation("qpsk"))
-    assert abs(abs(autocorr(block).value_at(4)) - 0.5) < 1e-12
+    chi = autocorr(block, all_lags(block.size))
+    assert abs(abs(chi.value_at(4)) - 0.5) < 1e-12
     assert abs(abs(_direct_aperiodic(block, block, [4])[0]) - 0.5) < 1e-12
-    assert pslr(autocorr(block)) == pytest.approx(-20 * np.log10(0.5), abs=1e-9)
+    assert pslr(chi) == pytest.approx(-20 * np.log10(0.5), abs=1e-9)
 
 
 def test_pslr_reports_inf_for_delta_profile():
@@ -190,20 +192,30 @@ def test_pslr_rejects_zero_peak():
         pslr(prof)
 
 
+def windowed(profile, max_lag):
+    """The columns |l| <= max_lag of an aperiodic profile, as a profile."""
+    keep = np.abs(profile.lags) <= max_lag
+    return CorrelationProfile(lags=profile.lags[keep], values=profile.values[..., keep],
+                              kind=profile.kind, n=profile.n)
+
+
 def test_pslr_window_restricts_search():
+    # pslr searches the lags its profile holds: the window is the profile's
     values = np.zeros(9, dtype=np.complex128)
     values[4] = 1.0  # lag 0
     values[8] = 0.5  # lag 4
     values[5] = 0.01  # lag 1
     prof = CorrelationProfile(lags=np.arange(-4, 5), values=values, kind="auto", n=5)
     assert pslr(prof) == pytest.approx(-20 * np.log10(0.5), abs=1e-9)
-    assert pslr(prof, max_lag=2) == pytest.approx(40.0, abs=1e-9)
+    assert pslr(windowed(prof, 2)) == pytest.approx(40.0, abs=1e-9)
 
 
 def test_suppression_includes_zero_lag():
     s = _random_block(64, "qpsk", np.random.default_rng(12))
-    assert suppression_metric(crosscorr(s, s)) == pytest.approx(0.0, abs=1e-9)
-    assert suppression_metric(idft_ratio(s, s)) == pytest.approx(0.0, abs=1e-9)
+    # max_lag = N - 1 spans every lag of both profiles
+    assert suppression_metric(crosscorr(s, s, all_lags(64)), max_lag=63) == \
+        pytest.approx(0.0, abs=1e-9)
+    assert suppression_metric(idft_ratio(s, s), max_lag=63) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_suppression_window_uses_wrapped_lags():
@@ -219,13 +231,14 @@ def test_suppression_window_uses_wrapped_lags():
 def test_batched_profiles_match_loop():
     rng = np.random.default_rng(13)
     mat = np.stack([_random_block(32, "qpsk", rng) for _ in range(6)])
-    batch = autocorr(mat)
+    lags = all_lags(32)
+    batch = autocorr(mat, lags)
     assert batch.values.shape == (6, 63)
     for k in range(6):
-        assert np.max(np.abs(batch.values[k] - autocorr(mat[k]).values)) < 1e-12
+        assert np.max(np.abs(batch.values[k] - autocorr(mat[k], lags).values)) < 1e-12
     p = pslr(batch)
     assert p.shape == (6,)
-    assert p[2] == pytest.approx(pslr(autocorr(mat[2])), abs=1e-12)
+    assert p[2] == pytest.approx(pslr(autocorr(mat[2], lags)), abs=1e-12)
 
 
 @pytest.mark.parametrize("m,n", [(64, 256), (32, 512), (256, 64)])
@@ -235,10 +248,11 @@ def test_fft_rows_alone_equal_batched_bytes(m, n):
     # not depend on the batch it is computed in
     rng = np.random.default_rng(m * n)
     s1, s2 = (_random_block((m, n), "qpsk", rng) for _ in range(2))
-    auto, cross = autocorr(s1).values, crosscorr(s1, s2).values
+    lags = all_lags(n)
+    auto, cross = autocorr(s1, lags).values, crosscorr(s1, s2, lags).values
     for k in range(m):
-        assert autocorr(s1[k]).values.tobytes() == auto[k].tobytes()
-        assert crosscorr(s1[k], s2[k]).values.tobytes() == cross[k].tobytes()
+        assert autocorr(s1[k], lags).values.tobytes() == auto[k].tobytes()
+        assert crosscorr(s1[k], s2[k], lags).values.tobytes() == cross[k].tobytes()
 
 
 def test_profiles_outlive_later_calls_in_a_workspace():
@@ -249,7 +263,7 @@ def test_profiles_outlive_later_calls_in_a_workspace():
     a, b, c, d = (_random_block((8, 256), "16qam", rng) for _ in range(4))
     lags = _window_lags(32, 256)
     calls = {"auto": lambda x, y: autocorr(x, lags=lags),
-             "auto_all_lags": lambda x, y: autocorr(x),
+             "auto_all_lags": lambda x, y: autocorr(x, all_lags(256)),
              "cross": lambda x, y: crosscorr(x, y, lags=lags),
              "idft_ratio": idft_ratio}
     want = {name: call(a, b).values.tobytes() for name, call in calls.items()}
@@ -290,7 +304,7 @@ def test_windowed_lags_are_full_profile_columns(shape):
     n = shape[-1]
     s1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     s2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    full_a, full_c = autocorr(s1), crosscorr(s1, s2)
+    full_a, full_c = autocorr(s1, all_lags(n)), crosscorr(s1, s2, all_lags(n))
     for name, lags in _lag_sets(n).items():
         cols = lags + (n - 1)
         a, c = autocorr(s1, lags=lags), crosscorr(s1, s2, lags=list(lags))
@@ -313,14 +327,14 @@ def test_sweep_window_clamps_to_the_block(n, window):
     assert np.array_equal(lags, np.arange(-w, w + 1))
     s = _random_block(n, "qpsk", np.random.default_rng(n + window))
     s = np.stack([s, np.roll(s, 1)])
-    full = autocorr(s)
+    full = autocorr(s, all_lags(n))
     prof = autocorr(s, lags=lags)
     assert np.array_equal(prof.values, full.values[..., lags + (n - 1)])
-    assert np.array_equal(pslr(prof, max_lag=window), pslr(full, max_lag=window))
+    assert np.array_equal(pslr(prof), pslr(windowed(full, window)))
     s2 = s[::-1].copy()
     assert np.array_equal(
         suppression_metric(crosscorr(s2, s, lags=lags), max_lag=window),
-        suppression_metric(crosscorr(s2, s), max_lag=window))
+        suppression_metric(crosscorr(s2, s, all_lags(n)), max_lag=window))
     if window >= n - 1:
         assert np.array_equal(prof.values, full.values)
 
@@ -339,7 +353,7 @@ def test_lags_outside_the_support_are_rejected(lags):
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_autocorr_magnitude_bounded_by_energy(n, seed):
     s = _random_block(n, "qpsk", np.random.default_rng(seed))
-    prof = autocorr(s)
+    prof = autocorr(s, all_lags(n))
     assert np.all(np.abs(prof.values) <= np.abs(prof.value_at(0)) + 1e-12)
     # lag grid is the full symmetric aperiodic support, sorted
     assert np.array_equal(prof.lags, np.arange(-(n - 1), n))
@@ -352,6 +366,6 @@ def test_methods_agree_property(n, seed):
     rng = np.random.default_rng(seed)
     s1 = _random_block(n, "16qam", rng)
     s2 = _random_block(n, "qpsk", rng)
-    a = crosscorr(s1, s2).values
+    a = crosscorr(s1, s2, all_lags(n)).values
     b = _direct_aperiodic(s1, s2)
     assert np.max(np.abs(a - b)) < 1e-10

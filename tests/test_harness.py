@@ -556,6 +556,26 @@ def test_cli_rejects_uncreatable_out_dir(tmp_path, capsys, below):
     assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize("command,blocked", [("bounds", "tail_bounds.csv"),
+                                             ("nearfar", "map_ccs_sc.csv")])
+def test_cli_rejects_unwritable_output_file(tmp_path, capsys, command, blocked):
+    # an output file's path is taken by a directory: the bounds table the CLI
+    # writes after the run, or a trial-0 map dump the near-far driver writes
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    args = [command, "--seed", "0", "--out", str(out)]
+    if command == "bounds":
+        args += ["--trials", "50"]
+    else:
+        args += ["--config", str(_write(tmp_path, NEARFAR_SMALL_INI)), "--trials", "1"]
+    rc = cli.main(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith("config error: cannot write output: ")
+    assert blocked in err
+
+
 def test_cli_rejects_nearfar_n_max_beyond_block(tmp_path, capsys):
     text = (CONFIGS / "nearfar.ini").read_text(encoding="utf-8")
     assert "n_max = 32\n" in text
@@ -769,8 +789,7 @@ def test_check_fails_on_incomplete_bounds_table():
     assert verdict == {"upper_bounds_dominate": False, "lower_bound_witness": True}
 
 
-def test_cli_nearfar_small_scene(tmp_path, capsys):
-    ini = """\
+NEARFAR_SMALL_INI = """\
 [experiment]
 trials = 3
 
@@ -792,7 +811,10 @@ intf_doppler_bin = 11
 [detection]
 eta_points = 40
 """
-    cfg = _write(tmp_path, ini)
+
+
+def test_cli_nearfar_small_scene(tmp_path, capsys):
+    cfg = _write(tmp_path, NEARFAR_SMALL_INI)
     out = tmp_path / "out"
     rc = cli.main(["nearfar", "--config", str(cfg), "--seed", "0",
                    "--out", str(out)])

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every public
-name of the package has a caller in the program, and importing one module loads
-only the modules its own relative imports reach.
+name of the package has a caller in the program, every option of the package
+takes more than one value there, and importing one module loads only the
+modules its own relative imports reach.
 """
 
 import ast
@@ -93,6 +94,119 @@ def test_caller_guard_finds_a_planted_def(tmp_path):
                    "    def unread(self): pass\n", encoding="utf-8")
     main.write_text("import lib\nlib.used()\nt = lib.Table()\nt.read()\n", encoding="utf-8")
     assert uncalled([lib], [lib, main]) == ["lib.Table.unread", "lib.planted"]
+
+
+def _decorators(node):
+    return {ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}
+
+
+def _is_ini(value):
+    return isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+        and value.func.id == "_ini"
+
+
+def _signature(fn, bound):
+    """(positional parameter names, defaulted parameter names) of def fn; a
+    bound method's caller does not pass its first parameter."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    with_default = positional[len(positional) - len(a.defaults):]
+    with_default += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return positional[1:] if bound else positional, with_default
+
+
+def options(path):
+    """(qualified name, called name, positional names, defaulted names) of each
+    def at module or class level of path, dunders skipped, and of each
+    dataclass with its fields as the parameters of its constructor.
+    ExperimentConfig's _ini fields are INI keys, not options, and are left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    fns = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, fns) and not node.name.startswith("__"):
+            yield (f"{path.stem}.{node.name}", node.name, *_signature(node, False))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, fns) and not item.name.startswith("__"):
+                yield (f"{path.stem}.{node.name}.{item.name}", item.name,
+                       *_signature(item, "staticmethod" not in _decorators(item)))
+        if "dataclass" in _decorators(node):
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            yield (f"{path.stem}.{node.name}", node.name, [f.target.id for f in fields],
+                   [f.target.id for f in fields if f.value is not None and not _is_ini(f.value)])
+
+
+def call_sites(paths):
+    """{called name: [(positional argument count, keyword names)]} of every call
+    in paths' code, by the ast.Name or ast.Attribute it calls; a *args or
+    **kwargs argument passes every parameter it could fill."""
+    sites = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            n_pos = float("inf") if starred else len(node.args)
+            keywords = {k.arg for k in node.keywords}
+            sites.setdefault(name, []).append((n_pos, keywords))
+    return sites
+
+
+def constant_options(modules, callers):
+    """module.def.parameter for each defaulted parameter (or dataclass field) of
+    modules' defs that callers' call sites of that def never pass, or always
+    pass.  A def no call site names is skipped: cli reaches the drivers and
+    checks by string, so their options are out of this guard's reach."""
+    sites = call_sites(callers)
+    found = []
+    for path in modules:
+        for qual, name, positional, with_default in options(path):
+            calls = sites.get(name, [])
+            if not calls:
+                continue
+            for param in with_default:
+                index = positional.index(param) if param in positional else float("inf")
+                passed = [None in kw or param in kw or index < n_pos for n_pos, kw in calls]
+                if all(passed) or not any(passed):
+                    found.append(f"{qual}.{param}")
+    return sorted(found)
+
+
+# defaulted parameters allowed to hold one value throughout the program, each
+# with the reason it must stay settable
+CONSTANT_OPTIONS = []
+
+
+def test_package_options_vary_in_the_program():
+    # a settable value stays only where two program callers set it differently;
+    # run_near_far(dump_dir=None) is not judged, as cli calls it by string
+    assert constant_options(sorted(SRC.glob("*.py")), PROGRAM) == CONSTANT_OPTIONS
+
+
+def test_option_guard_finds_planted_defaults(tmp_path):
+    lib, main = tmp_path / "lib.py", tmp_path / "main.py"
+    lib.write_text("from dataclasses import dataclass\n"
+                   "def always_passed(x, y=1): pass\n"
+                   "def never_passed(x, y=1): pass\n"
+                   "def varied(x, *, y=1): pass\n"
+                   "def by_string(x, y=1): pass\n"
+                   "@dataclass\n"
+                   "class Scene:\n"
+                   "    a: int\n"
+                   "    b: int = 0\n"
+                   "    def move(self, by=1): pass\n", encoding="utf-8")
+    main.write_text("import lib\n"
+                    "lib.always_passed(0, 2)\nlib.always_passed(0, y=3)\n"
+                    "lib.never_passed(0)\nlib.never_passed(1)\n"
+                    "lib.varied(0)\nlib.varied(0, y=2)\n"
+                    "s = lib.Scene(1, 2)\ns.move()\n", encoding="utf-8")
+    assert constant_options([lib], [lib, main]) == [
+        "lib.Scene.b", "lib.Scene.move.by", "lib.always_passed.y", "lib.never_passed.y"]
 
 
 def _qualname(stem):

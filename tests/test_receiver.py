@@ -55,7 +55,7 @@ def _direct_slow_dft(r):
 def test_mf_bank_matches_direct_sum():
     x = _blocks(8, 16, seed=1)
     scene = _scene([Path(2, 3, 0.9), Path(5, 7, 0.4j)], n_max=6)
-    y = np.asarray(apply_channel_sc([x], scene))
+    y = np.asarray(apply_channel_sc([x], scene, None))
     got = mf_bank(y, x, 6)
     want = _direct_mf(y, x, 6)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -82,7 +82,7 @@ def test_mf_bank_identity_peak():
 def test_mf_bank_shifted_peak_location():
     x = _blocks(4, 32, seed=3)
     scene = _scene([Path(3, 4, 1.0)], n_max=6)
-    y = apply_channel_sc([x], scene)
+    y = apply_channel_sc([x], scene, None)
     r = mf_bank(y, x, 6)
     assert np.argmax(np.mean(np.abs(r), axis=1)) == 3
     assert np.max(np.abs(np.abs(r[3]) - 1.0)) < 1e-12
@@ -91,7 +91,7 @@ def test_mf_bank_shifted_peak_location():
 def test_mf_bank_truncated_input_zero_fills():
     x = _blocks(4, 32, seed=4)
     scene = _scene([Path(2, 1, 1.0)], n_max=4)
-    y = np.asarray(apply_channel_sc([x], scene))
+    y = np.asarray(apply_channel_sc([x], scene, None))
     full = mf_bank(y, x, 4)
     trunc = mf_bank(y[:, :32], x, 4)
     want = _direct_mf(y[:, :32], x, 4)
@@ -179,7 +179,7 @@ def test_sc_single_target_peak_is_gain():
     x = _blocks(8, 64, seed=6)
     alpha = 0.7 - 0.2j
     scene = _scene([Path(3, 5, alpha)], n_max=6)
-    y = apply_channel_sc([x], scene)
+    y = apply_channel_sc([x], scene, None)
     rd = sc_range_doppler(mf_bank(y, x, 6))
     assert abs(rd.value_at(3, 5) - alpha) < 1e-9
 
@@ -191,7 +191,7 @@ def test_ofdm_map_is_exactly_sparse():
     s = _blocks(8, 64, seed=7)
     targets = [Path(2, 3, 1.0), Path(5, 6, 0.25)]
     scene = _scene(targets, n_max=8)
-    rd = ofdm_range_doppler(apply_channel_ofdm([s], scene), s, 8)
+    rd = ofdm_range_doppler(apply_channel_ofdm([s], scene, None), s, 8)
     for p in targets:
         assert abs(rd.value_at(p.range_bin, p.doppler_bin) - p.gain) < 1e-9
     mask = np.ones(rd.values.shape, dtype=bool)
@@ -207,9 +207,9 @@ def test_ofdm_map_additive_in_targets():
     s1 = _scene([Path(1, 2, 0.5)], n_max=4)
     s2 = _scene([Path(3, 4, 0.2j)], n_max=4)
     both = _scene([Path(1, 2, 0.5), Path(3, 4, 0.2j)], n_max=4)
-    got = ofdm_range_doppler(apply_channel_ofdm([s], both), s, 4).values
-    want = (ofdm_range_doppler(apply_channel_ofdm([s], s1), s, 4).values
-            + ofdm_range_doppler(apply_channel_ofdm([s], s2), s, 4).values)
+    got = ofdm_range_doppler(apply_channel_ofdm([s], both, None), s, 4).values
+    want = (ofdm_range_doppler(apply_channel_ofdm([s], s1, None), s, 4).values
+            + ofdm_range_doppler(apply_channel_ofdm([s], s2, None), s, 4).values)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -222,7 +222,7 @@ def test_ofdm_interference_residual_matches_ratio_kernel():
     alpha_t, alpha_q = 0.9, 1.7
     p_t, p_q = Path(1, 2, alpha_t), Path(4, 5, alpha_q)
     scene = _scene([p_t], interference=[(p_q,)], n_max=n_max)
-    rd = ofdm_range_doppler(apply_channel_ofdm([s_i, s_q], scene), s_i, n_max)
+    rd = ofdm_range_doppler(apply_channel_ofdm([s_i, s_q], scene, None), s_i, n_max)
 
     v = np.stack([idft_ratio(s_i[m], s_q[m]).values for m in range(m_slow)])
     shifted = np.roll(v, p_q.range_bin, axis=1)  # delay ramp rotates the kernel
@@ -245,7 +245,7 @@ def test_ofdm_map_rejects_zero_pilot():
 
 def test_fmcw_stationary_target():
     scene = _scene([Path(5, 8, 0.8)], n_max=10)
-    y = apply_channel_sc([synth_frame(64, 8)], scene)
+    y = apply_channel_sc([synth_frame(64, 8)], scene, None)
     rd = fmcw_range_doppler(y, chirp(64), 10)
     assert abs(abs(rd.value_at(5, 8)) - 0.8) < 1e-9
     # truncation leakage is real but small
@@ -256,7 +256,7 @@ def test_fmcw_stationary_target():
 
 def test_fmcw_doppler_column():
     scene = _scene([Path(3, 11, 1.0)], n_max=8)
-    y = apply_channel_sc([synth_frame(64, 16)], scene)
+    y = apply_channel_sc([synth_frame(64, 16)], scene, None)
     rd = fmcw_range_doppler(y, chirp(64), 8)
     peak = np.unravel_index(np.argmax(np.abs(rd.values)), rd.values.shape)
     assert peak == (3, 11)
@@ -319,11 +319,11 @@ def test_peak_equivalence_across_waveforms():
     s = _blocks(m_slow, n_fast, seed=12)
     maps = {
         "sc": sc_range_doppler(mf_bank(
-            apply_channel_sc([s], scene), s, n_max)),
-        "ofdm": ofdm_range_doppler(apply_channel_ofdm([s], scene), s, n_max),
+            apply_channel_sc([s], scene, None), s, n_max)),
+        "ofdm": ofdm_range_doppler(apply_channel_ofdm([s], scene, None), s, n_max),
     }
     maps["fmcw"] = fmcw_range_doppler(
-        apply_channel_sc([synth_frame(n_fast, m_slow)], scene), chirp(n_fast), n_max)
+        apply_channel_sc([synth_frame(n_fast, m_slow)], scene, None), chirp(n_fast), n_max)
     for p in targets:
         levels = [abs(m.value_at(p.range_bin, p.doppler_bin)) for m in maps.values()]
         # each chain reads |gain| up to cross-target sidelobe contamination,
@@ -340,7 +340,7 @@ def test_doppler_dft_suppresses_sidelobe_ridge():
     m_slow, n_fast, n_max = 1024, 256, 8
     s = _blocks(m_slow, n_fast, seed=13)
     scene = _scene([Path(0, m_slow, 1.0)], n_max=n_max)
-    y = apply_channel_sc([s], scene)
+    y = apply_channel_sc([s], scene, None)
     r = mf_bank(y, s, n_max)
     rd = sc_range_doppler(r)
     pre = np.median(np.abs(r[1:]), axis=1)

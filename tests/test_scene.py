@@ -76,7 +76,7 @@ def test_identity_channel_sc():
 def test_delay_and_doppler_placement_sc():
     mat = _blocks(8, 16)
     scene = _scene([Path(3, 2, 0.5)], n_max=4)
-    y = np.asarray(apply_channel_sc([mat], scene))
+    y = np.asarray(apply_channel_sc([mat], scene, None))
     phases = np.exp(2j * np.pi * 2 * np.arange(8) / 8)
     assert np.max(np.abs(y[:, 3:19] - 0.5 * mat * phases[:, None])) < 1e-12
     assert np.max(np.abs(y[:, :3])) == 0.0
@@ -86,7 +86,7 @@ def test_interference_only_sc():
     own = _blocks(4, 16, seed=1)
     other = _blocks(4, 16, seed=2)
     scene = _scene([], interference=[(Path(0, 4, 2.0),)], n_max=4)
-    y = np.asarray(apply_channel_sc([own, other], scene))
+    y = np.asarray(apply_channel_sc([own, other], scene, None))
     assert np.max(np.abs(y[:, :16] - 2.0 * other)) < 1e-12
 
 
@@ -100,15 +100,15 @@ def test_channel_linearity_in_gains():
                      [tuple(Path(p.range_bin, p.doppler_bin, 2 * p.gain) for p in q)
                       for q in ipaths], n_max=4)
     frames = [mat, intf]
-    y1 = np.asarray(apply_channel_sc(frames, base))
-    y2 = np.asarray(apply_channel_sc(frames, doubled))
+    y1 = np.asarray(apply_channel_sc(frames, base, None))
+    y2 = np.asarray(apply_channel_sc(frames, doubled, None))
     assert np.max(np.abs(y2 - 2 * y1)) < 1e-12
 
 
 def test_stationary_target_uses_top_doppler_bin():
     mat = np.ones((4, 8), dtype=np.complex128)
     scene = _scene([Path(0, 4, 1.0)], n_max=2)  # bin M = 4 is phase zero
-    y = np.asarray(apply_channel_sc([mat], scene))
+    y = np.asarray(apply_channel_sc([mat], scene, None))
     assert np.max(np.abs(y[1:, :] - y[:1, :])) < 1e-12
 
 
@@ -117,7 +117,7 @@ def test_doppler_bin_bounds():
     for bad in (0, 5):
         scene = _scene([Path(0, bad, 1.0)], n_max=2)
         with pytest.raises(ValueError):
-            apply_channel_sc([mat], scene)
+            apply_channel_sc([mat], scene, None)
 
 
 def test_scene_validation():
@@ -127,7 +127,7 @@ def test_scene_validation():
         _scene([Path(0, 1, 1.0)], noise_var=-1.0)
     with pytest.raises(ValueError):
         apply_channel_sc([_blocks(2, 8)],
-                         _scene([], interference=[(Path(0, 1, 1.0),)], n_max=2))
+                         _scene([], interference=[(Path(0, 1, 1.0),)], n_max=2), None)
 
 
 def test_sir_energy_bookkeeping():
@@ -138,9 +138,9 @@ def test_sir_energy_bookkeeping():
     alpha_i = 10.0 ** (11.0 / 20.0)
     near = _scene([Path(1, 3, 1.0)], n_max=4)
     direct = _scene([], interference=[(Path(0, 7, alpha_i),)], n_max=4)
-    e_near = np.mean(np.abs(np.asarray(apply_channel_sc([own], near))) ** 2)
+    e_near = np.mean(np.abs(np.asarray(apply_channel_sc([own], near, None))) ** 2)
     e_intf = np.mean(np.abs(np.asarray(apply_channel_sc(
-        [own, other], direct))) ** 2)
+        [own, other], direct, None))) ** 2)
     ratio_db = 10.0 * np.log10(e_intf / e_near)
     assert abs(ratio_db - 11.0) < 0.1
 
@@ -152,7 +152,7 @@ def test_snr_bookkeeping():
     noisy = _scene([Path(0, 3, 1.0)], noise_var=1.0, n_max=4)
     clean = _scene([Path(0, 3, 1.0)], noise_var=0.0, n_max=4)
     y = np.asarray(apply_channel_sc([own], noisy, rng=rng))
-    y0 = np.asarray(apply_channel_sc([own], clean))
+    y0 = np.asarray(apply_channel_sc([own], clean, None))
     snr_db = 10.0 * np.log10(np.mean(np.abs(own) ** 2)
                              / np.mean(np.abs(y - y0) ** 2))
     assert abs(snr_db - 0.0) < 0.1
@@ -165,7 +165,7 @@ def test_ofdm_channel_matches_time_domain_oracle():
     paths = [Path(2, 5, 0.8), Path(5, 1, 0.3j)]
     ipaths = [(Path(1, 7, 1.1),)]
     scene = _scene(paths, ipaths, n_max=8)
-    got = np.asarray(apply_channel_ofdm([own, other], scene))
+    got = np.asarray(apply_channel_ofdm([own, other], scene, None))
 
     def time_shift(mat, p):
         x = np.fft.ifft(mat, axis=1) * np.sqrt(n_fast)
@@ -182,7 +182,7 @@ def test_ofdm_channel_matches_time_domain_oracle():
 def test_ofdm_channel_zero_delay_is_scaled_copy():
     own = _blocks(4, 32, seed=11)
     scene = _scene([Path(0, 4, 0.6)], n_max=4)
-    got = np.asarray(apply_channel_ofdm([own], scene))
+    got = np.asarray(apply_channel_ofdm([own], scene, None))
     assert np.max(np.abs(got - 0.6 * own)) < 1e-12
 
 
@@ -191,8 +191,9 @@ def test_ofdm_channel_additive_in_targets():
     s1 = _scene([Path(1, 2, 0.5)], n_max=4)
     s2 = _scene([Path(3, 1, 0.25j)], n_max=4)
     both = _scene([Path(1, 2, 0.5), Path(3, 1, 0.25j)], n_max=4)
-    got = np.asarray(apply_channel_ofdm([own], both))
-    want = np.asarray(apply_channel_ofdm([own], s1)) + np.asarray(apply_channel_ofdm([own], s2))
+    got = np.asarray(apply_channel_ofdm([own], both, None))
+    want = (np.asarray(apply_channel_ofdm([own], s1, None))
+            + np.asarray(apply_channel_ofdm([own], s2, None)))
     assert np.max(np.abs(got - want)) < 1e-12
 
 

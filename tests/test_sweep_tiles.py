@@ -23,6 +23,9 @@ from ccsradar.experiments import _pslr_stat, _window_lags
 from ccsradar.modulation import constellation
 from ccsradar.scene import row_tiles
 
+from test_acceptance import all_lags
+from test_correlation import windowed
+
 WINDOW = 32
 
 
@@ -60,7 +63,7 @@ def test_tiled_statistics_equal_untiled_bytes(n, m):
     for rows in (max(1, experiments._TILE_POINTS // n), 1):
         _assert_tiles_equal_whole(syms, rows)
     # and the windowed statistic reads what the full profile reads
-    full = pslr(autocorr(syms[0]), max_lag=WINDOW)
+    full = pslr(windowed(autocorr(syms[0], all_lags(n)), WINDOW))
     assert full.tobytes() == _pslr_stat(WINDOW)(syms[0])[0].tobytes()
 
 
